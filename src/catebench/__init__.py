@@ -42,7 +42,6 @@ from .harness import (
 )
 from .learners import (
     CateEstimator,
-    cate_input_gradient,
     dr_pseudo_outcome,
     fit_dr_learner,
     fit_nuisances,
@@ -50,9 +49,8 @@ from .learners import (
     fit_t_learner,
     fit_tarnet,
     fit_x_learner,
-    predict_cate,
 )
-from .metrics import MetricsRecord, attr_pred, attr_prog, pehe
+from .metrics import attr_pred, attr_prog, pehe
 from .nn import MlpParams, TrainConfig
 from .svgplot import emit_plot_svg
 

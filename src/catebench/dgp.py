@@ -534,6 +534,12 @@ def load_observed(data_path: str | Path) -> tuple[ObservedData, list[str], np.nd
     body = np.array([[float(c) for c in row] for row in rows[1:]])
     if body.size == 0:
         raise ParseError(f"{data_path}: no data rows")
+    bad = ~np.isin(body[:, 1], (0.0, 1.0)) | ~np.isfinite(body[:, 2:]).all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad)) + 1
+        raise ParseError(
+            f"{data_path}: data row {row} needs w in {{0, 1}} and finite y and x", row=row
+        )
     return (
         ObservedData(body[:, 3:], body[:, 1].astype(int), body[:, 2]),
         names,

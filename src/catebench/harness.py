@@ -377,6 +377,7 @@ def emit_csv(records: list[ResultRecord], path: str | Path, include_timing: bool
 
 
 def load_results(path: str | Path) -> list[ResultRecord]:
+    """Read a result CSV; an empty (untimed) wall_ms cell reads as NaN."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or tuple(rows[0]) != CSV_COLUMNS:
@@ -394,7 +395,7 @@ def load_results(path: str | Path) -> list[ResultRecord]:
                 float(row[6]),
                 float(row[7]),
                 float(row[8]),
-                float(row[9]) if row[9] else 0.0,
+                float(row[9]) if row[9] else np.nan,
             )
         )
     return out

@@ -6,7 +6,10 @@ a shared representation with per-arm heads and optional balancing (TARNet /
 CFRNet), and two pseudo-outcome regressions (DR, X). Every estimator keeps
 the same capacity budget -- each scalar function it learns sees 2 hidden
 ReLU layers of 100 units -- and exposes exact input gradients for the
-attribution methods.
+attribution methods. Every network is fitted on ``nn``'s one training path
+(``holdout_split``, then ``minibatch_fit``); TARNet/CFRNet adds only the
+gradient of its factual loss and balancing penalty through the shared
+trunk.
 """
 
 from __future__ import annotations
@@ -18,15 +21,21 @@ from pathlib import Path
 import numpy as np
 
 from .dgp import ObservedData
-from .errors import EmptyGroupError, InvalidConfigError, ShapeError
+from .errors import EmptyGroupError, InvalidConfigError
 from .nn import (
     IDENTITY,
     SIGMOID,
     SQUARED_ERROR,
     MlpParams,
     TrainConfig,
+    _backprop,
+    _forward,
+    flat_views,
+    flatten,
+    holdout_split,
+    loss_output_grad,
+    loss_value,
     minibatch_fit,
-    mlp_backward,
     mlp_forward,
     mlp_init,
     mlp_input_gradient,
@@ -108,18 +117,6 @@ class CateEstimator:
         raise NotImplementedError
 
 
-def predict_cate(est: CateEstimator, x: np.ndarray) -> np.ndarray:
-    return est.predict_cate(np.atleast_2d(np.asarray(x, dtype=float)))
-
-
-def cate_input_gradient(est: CateEstimator, x: np.ndarray) -> np.ndarray:
-    """Gradient of the effect estimate at a single point."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ShapeError("cate_input_gradient expects a single covariate vector")
-    return est.gradient(x[None, :])[0]
-
-
 @dataclass
 class SEstimator(CateEstimator):
     """One regression over (x, w); effect = prediction contrast in w."""
@@ -194,7 +191,6 @@ class DrEstimator(CateEstimator):
 
     effect_net: MlpParams
     clip: float = DEFAULT_CLIP
-    nuisances: NuisanceSet | None = None
     strategy = STRATEGY_DR
 
     def predict_cate(self, x):
@@ -211,7 +207,6 @@ class XEstimator(CateEstimator):
     tau0: MlpParams
     tau1: MlpParams
     pi: MlpParams
-    clip: float = DEFAULT_CLIP
     strategy = STRATEGY_X
 
     def _parts(self, x):
@@ -251,7 +246,8 @@ def fit_t_learner(train: ObservedData, config: TrainConfig, rng: np.random.Gener
     r0, r1 = rng.spawn(2)
     controls = train.w == 0
     mu0 = _fit_regression(train.x[controls], train.y[controls], config, r0)
-    mu1 = _fit_regression(train.x[~controls], train.y[~controls], config, r1)
+    treated = train.w == 1
+    mu1 = _fit_regression(train.x[treated], train.y[treated], config, r1)
     return TEstimator(mu0, mu1)
 
 
@@ -269,73 +265,51 @@ def fit_tarnet(
 
     d = train.d
     s = np.sqrt(6.0 / (d + HIDDEN_UNITS))
-    trunk_w = r_init.uniform(-s, s, size=(d, HIDDEN_UNITS))
-    trunk_b = np.zeros(HIDDEN_UNITS)
-    head0 = mlp_init([HIDDEN_UNITS, HIDDEN_UNITS, 1], IDENTITY, r_init)
-    head1 = mlp_init([HIDDEN_UNITS, HIDDEN_UNITS, 1], IDENTITY, r_init)
+    init = [r_init.uniform(-s, s, size=(d, HIDDEN_UNITS)), np.zeros(HIDDEN_UNITS)]
+    for _ in range(2):
+        init += mlp_init([HIDDEN_UNITS, HIDDEN_UNITS, 1], IDENTITY, r_init).arrays()
+    flat = flatten(init)
+    views = flat_views(flat, init)
+    trunk_w, trunk_b = views[:2]
+    heads = [MlpParams.from_arrays(views[i : i + 4], IDENTITY) for i in (2, 6)]
 
-    n = train.n
-    n_val = int(round(n * config.val_fraction))
-    if n_val < 1 or n - n_val < 1:
-        raise InvalidConfigError(f"degenerate split: {n} samples, {n_val} validation")
-    perm = r_split.permutation(n)
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
+    train_idx, val_idx = holdout_split(train.n, config, r_split)
     x_tr, y_tr, w_tr = train.x[train_idx], train.y[train_idx], train.w[train_idx]
     x_val, y_val, w_val = train.x[val_idx], train.y[val_idx], train.w[val_idx]
 
-    def unpack(arrays):
-        tw, tb = arrays[0], arrays[1]
-        h0 = MlpParams.from_arrays(arrays[2:6], IDENTITY)
-        h1 = MlpParams.from_arrays(arrays[6:10], IDENTITY)
-        return tw, tb, h0, h1
-
-    def factual_loss(arrays, x, y, w):
-        tw, tb, h0, h1 = unpack(arrays)
-        rep = np.maximum(x @ tw + tb, 0.0)
-        pred = np.empty(len(y))
-        for arm, head in ((0, h0), (1, h1)):
-            rows = w == arm
-            if rows.any():
-                pred[rows] = mlp_forward(head, rep[rows])[:, 0]
-        return float(np.mean((pred - y) ** 2))
-
-    def grad_fn(arrays, idx):
-        tw, tb, h0, h1 = unpack(arrays)
-        xb, yb, wb = x_tr[idx], y_tr[idx], w_tr[idx]
-        z = xb @ tw + tb
+    def forward(x, w):
+        """Trunk pre-activation, per-arm rows and head activations, factual prediction."""
+        z = x @ trunk_w + trunk_b
         rep = np.maximum(z, 0.0)
-        rep_grad = np.zeros_like(rep)
-        head_grads = {}
-        for arm, head in ((0, h0), (1, h1)):
-            rows = wb == arm
-            if rows.any():
-                pred = mlp_forward(head, rep[rows])
-                g_out = 2.0 * (pred - yb[rows, None]) / len(yb)
-                hg, rg = mlp_backward(head, rep[rows], g_out)
-                head_grads[arm] = hg.arrays()
-                rep_grad[rows] = rg
-            else:
-                head_grads[arm] = [np.zeros_like(a) for a in head.arrays()]
-        if gamma > 0:
-            rows0, rows1 = wb == 0, wb == 1
-            if rows0.any() and rows1.any():  # one-arm batches get no penalty
-                _, m0, m1 = mmd2_linear_with_grad(rep[rows0], rep[rows1])
-                rep_grad[rows0] += gamma * m0
-                rep_grad[rows1] += gamma * m1
-        delta = rep_grad * (z > 0)
-        return [xb.T @ delta, delta.sum(axis=0)] + head_grads[0] + head_grads[1]
+        arms = [w == 0, w == 1]
+        acts = [_forward(head, rep[rows]) for head, rows in zip(heads, arms)]
+        pred = np.empty(len(w))
+        for rows, a in zip(arms, acts):
+            pred[rows] = a[-1][:, 0]
+        return z, rep, arms, acts, pred
 
-    arrays = [trunk_w, trunk_b] + head0.arrays() + head1.arrays()
-    fitted = minibatch_fit(
-        arrays,
-        grad_fn,
-        lambda a: factual_loss(a, x_val, y_val, w_val),
-        len(train_idx),
-        config,
-        r_train,
-    )
-    tw, tb, h0, h1 = unpack(fitted)
-    return TarnetEstimator(tw, tb, h0, h1, float(gamma))
+    def grad_fn(_, idx):
+        xb, yb = x_tr[idx], y_tr[idx]
+        z, rep, arms, acts, pred = forward(xb, w_tr[idx])
+        g_out = loss_output_grad(SQUARED_ERROR, pred, yb)
+        rep_grad = np.zeros_like(rep)
+        head_grads = []
+        for head, rows, a in zip(heads, arms, acts):
+            grads, delta = _backprop(head, a, g_out[rows])
+            head_grads += grads.arrays()
+            rep_grad[rows] = delta @ head.weights[0].T
+        if gamma > 0 and all(rows.any() for rows in arms):  # one-arm batches get no penalty
+            _, m0, m1 = mmd2_linear_with_grad(rep[arms[0]], rep[arms[1]])
+            rep_grad[arms[0]] += gamma * m0
+            rep_grad[arms[1]] += gamma * m1
+        delta = rep_grad * (z > 0)
+        return flatten([xb.T @ delta, delta.sum(axis=0)] + head_grads)
+
+    def val_loss_fn(_):
+        return loss_value(SQUARED_ERROR, forward(x_val, w_val)[-1], y_val)
+
+    minibatch_fit(flat, grad_fn, val_loss_fn, len(train_idx), config, r_train)
+    return TarnetEstimator(trunk_w, trunk_b, heads[0], heads[1], float(gamma))
 
 
 def dr_pseudo_outcome(y, w, pi_hat, mu0_hat, mu1_hat, clip: float = DEFAULT_CLIP):
@@ -376,7 +350,7 @@ def fit_dr_learner(
         clip,
     )
     effect_net = _fit_regression(train.x, pseudo, config, r_stage2)
-    return DrEstimator(effect_net, clip, nuisances)
+    return DrEstimator(effect_net, clip)
 
 
 def fit_x_learner(
@@ -384,7 +358,6 @@ def fit_x_learner(
     config: TrainConfig,
     rng: np.random.Generator,
     nuisances: NuisanceSet | None = None,
-    clip: float = DEFAULT_CLIP,
 ) -> XEstimator:
     """Arm-wise effect regressions on imputed contrasts, blended by pi_hat."""
     _check_groups(train.w)
@@ -398,7 +371,7 @@ def fit_x_learner(
     target0 = nuisances.mu1_at(train.x[~treated]) - train.y[~treated]
     tau1 = _fit_regression(train.x[treated], target1, config, r_tau1)
     tau0 = _fit_regression(train.x[~treated], target0, config, r_tau0)
-    return XEstimator(tau0, tau1, nuisances.pi, clip)
+    return XEstimator(tau0, tau1, nuisances.pi)
 
 
 # --- Serialization ----------------------------------------------------------
@@ -444,7 +417,6 @@ def save_estimator(est: CateEstimator, out_dir: str | Path) -> None:
         manifest["clip"] = est.clip
         arrays = _net_entries("effect", est.effect_net)
     elif isinstance(est, XEstimator):
-        manifest["clip"] = est.clip
         arrays = {
             **_net_entries("tau0", est.tau0),
             **_net_entries("tau1", est.tau1),
@@ -462,27 +434,26 @@ def load_estimator(in_dir: str | Path) -> CateEstimator:
     in_dir = Path(in_dir)
     with open(in_dir / "manifest.json") as fh:
         manifest = json.load(fh)
-    blob = np.load(in_dir / "weights.npz")
     strategy = manifest["strategy"]
-    if strategy == STRATEGY_S:
-        return SEstimator(_net_from("net", blob, IDENTITY))
-    if strategy == STRATEGY_T:
-        return TEstimator(_net_from("mu0", blob, IDENTITY), _net_from("mu1", blob, IDENTITY))
-    if strategy in (STRATEGY_TARNET, STRATEGY_CFRNET):
-        return TarnetEstimator(
-            blob["trunk_w"],
-            blob["trunk_b"],
-            _net_from("head0", blob, IDENTITY),
-            _net_from("head1", blob, IDENTITY),
-            manifest["gamma"],
-        )
-    if strategy == STRATEGY_DR:
-        return DrEstimator(_net_from("effect", blob, IDENTITY), manifest["clip"])
-    if strategy == STRATEGY_X:
-        return XEstimator(
-            _net_from("tau0", blob, IDENTITY),
-            _net_from("tau1", blob, IDENTITY),
-            _net_from("pi", blob, SIGMOID),
-            manifest["clip"],
-        )
-    raise InvalidConfigError(f"unknown strategy {strategy!r} in manifest")
+    with np.load(in_dir / "weights.npz") as blob:
+        if strategy == STRATEGY_S:
+            return SEstimator(_net_from("net", blob, IDENTITY))
+        if strategy == STRATEGY_T:
+            return TEstimator(_net_from("mu0", blob, IDENTITY), _net_from("mu1", blob, IDENTITY))
+        if strategy in (STRATEGY_TARNET, STRATEGY_CFRNET):
+            return TarnetEstimator(
+                blob["trunk_w"],
+                blob["trunk_b"],
+                _net_from("head0", blob, IDENTITY),
+                _net_from("head1", blob, IDENTITY),
+                manifest["gamma"],
+            )
+        if strategy == STRATEGY_DR:
+            return DrEstimator(_net_from("effect", blob, IDENTITY), manifest["clip"])
+        if strategy == STRATEGY_X:
+            return XEstimator(
+                _net_from("tau0", blob, IDENTITY),
+                _net_from("tau1", blob, IDENTITY),
+                _net_from("pi", blob, SIGMOID),
+            )
+        raise InvalidConfigError(f"unknown strategy {strategy!r} in manifest")

@@ -8,8 +8,6 @@ per-unit effect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeError, UndefinedMetricError
@@ -49,11 +47,3 @@ def pehe(tau_hat, tau_true) -> float:
     if tau_hat.shape != tau_true.shape or tau_hat.size < 1:
         raise ShapeError("effect vectors must have equal nonzero length")
     return float(np.sqrt(np.mean((tau_hat - tau_true) ** 2)))
-
-
-@dataclass(frozen=True)
-class MetricsRecord:
-    attr_pred: float
-    attr_prog: float
-    pehe: float
-    n_eval: int

@@ -3,7 +3,13 @@
 Implements exactly what the estimators need and nothing more: forward
 passes of fully-connected ReLU networks, exact reverse-mode gradients with
 respect to parameters and inputs, Adam, an early-stopped minibatch loop,
-and the linear-kernel MMD^2 balancing penalty. Everything is float64 and
+and the linear-kernel MMD^2 balancing penalty with its gradient.
+
+Every network fit takes one path: a seeded hold-out split
+(``holdout_split``), then ``minibatch_fit``, which keeps all parameters in
+one flat float64 vector that ``adam_step`` updates in place. Per-layer
+arrays are views into that vector, and each step runs one forward pass
+whose activations the backward pass reuses. Everything is float64 and
 deterministic given the generators passed in; no function touches global
 random state.
 """
@@ -48,7 +54,7 @@ class MlpParams:
         return self.weights[0].shape[0]
 
     def arrays(self) -> list[np.ndarray]:
-        """Flat [W0, b0, W1, b1, ...] view used by the optimizer."""
+        """[W0, b0, W1, b1, ...], the order ``flatten`` packs them in."""
         out: list[np.ndarray] = []
         for w, b in zip(self.weights, self.biases):
             out.append(w)
@@ -106,17 +112,48 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _forward(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
+    """Activations of every layer, input first and network output last."""
+    acts = [x]
+    last = len(params.weights) - 1
+    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = acts[-1] @ w + b
+        acts.append(np.maximum(z, 0.0) if k < last else _apply_output(z, params.output_activation))
+    return acts
+
+
+def _backprop(
+    params: MlpParams, acts: list[np.ndarray], g_out: np.ndarray
+) -> tuple[MlpParams, np.ndarray]:
+    """Parameter gradients from the activations of ``_forward``.
+
+    Also returns the loss gradient w.r.t. the first layer's pre-activation;
+    ``delta @ params.weights[0].T`` turns it into the input gradient. A
+    hidden unit passes gradient where its ReLU output is positive, which is
+    exactly where its pre-activation is (subgradient 0 at 0).
+    """
+    if params.output_activation == SIGMOID:
+        s = acts[-1]
+        delta = g_out * s * (1.0 - s)
+    else:
+        delta = g_out
+    last = len(params.weights) - 1
+    grad_w = [np.empty(0)] * (last + 1)
+    grad_b = [np.empty(0)] * (last + 1)
+    for k in range(last, -1, -1):
+        grad_w[k] = acts[k].T @ delta
+        grad_b[k] = delta.sum(axis=0)
+        if k > 0:
+            delta = (delta @ params.weights[k].T) * (acts[k] > 0)
+    return MlpParams(grad_w, grad_b, params.output_activation), delta
+
+
 def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Forward pass over a batch; returns an (n, out_dim) array."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != params.input_dim:
         raise ShapeError(f"input has {x.shape[1]} columns, network expects {params.input_dim}")
-    a = x
-    last = len(params.weights) - 1
-    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w + b
-        a = _apply_output(z, params.output_activation) if k == last else np.maximum(z, 0.0)
-    return a
+    return _forward(params, x)[-1]
 
 
 def mlp_backward(
@@ -137,33 +174,8 @@ def mlp_backward(
             f"loss gradient shape {g_out.shape} does not match output shape "
             f"({x.shape[0]}, {params.weights[-1].shape[1]})"
         )
-
-    # Forward, caching pre-activations.
-    acts = [x]
-    zs = []
-    a = x
-    last = len(params.weights) - 1
-    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w + b
-        zs.append(z)
-        a = _apply_output(z, params.output_activation) if k == last else np.maximum(z, 0.0)
-        acts.append(a)
-
-    # Backward.
-    if params.output_activation == SIGMOID:
-        s = acts[-1]
-        delta = g_out * s * (1.0 - s)
-    else:
-        delta = g_out
-    grad_w = [np.empty(0)] * len(params.weights)
-    grad_b = [np.empty(0)] * len(params.biases)
-    for k in range(last, -1, -1):
-        grad_w[k] = acts[k].T @ delta
-        grad_b[k] = delta.sum(axis=0)
-        delta = delta @ params.weights[k].T
-        if k > 0:
-            delta = delta * (zs[k - 1] > 0)
-    return MlpParams(grad_w, grad_b, params.output_activation), delta
+    grads, delta = _backprop(params, _forward(params, x), g_out)
+    return grads, delta @ params.weights[0].T
 
 
 def mlp_input_gradient(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -176,15 +188,30 @@ def mlp_input_gradient(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return input_grads
 
 
-# --- Adam ---------------------------------------------------------------
+# --- Flat parameter vector and Adam ---------------------------------------
+
+
+def flatten(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Copy arrays, in order, into one new float64 vector."""
+    return np.concatenate([np.ravel(a) for a in arrays]).astype(float, copy=False)
+
+
+def flat_views(flat: np.ndarray, like: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Views into ``flat`` shaped like ``like``, in the order ``flatten`` packs them."""
+    views = []
+    start = 0
+    for a in like:
+        views.append(flat[start : start + a.size].reshape(a.shape))
+        start += a.size
+    return views
 
 
 @dataclass
 class AdamState:
-    """Moment accumulators shaped like the parameter list they optimize."""
+    """Moment accumulators for one flat parameter vector."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int
     lr: float
     beta1: float = 0.9
@@ -192,42 +219,26 @@ class AdamState:
     eps: float = 1e-8
 
 
-def adam_init(params: MlpParams | Sequence[np.ndarray], lr: float, **kwargs) -> AdamState:
-    arrays = params.arrays() if isinstance(params, MlpParams) else list(params)
-    zeros = [np.zeros_like(a) for a in arrays]
-    return AdamState([z.copy() for z in zeros], zeros, 0, lr, **kwargs)
+def adam_init(params: np.ndarray, lr: float, **kwargs) -> AdamState:
+    if params.ndim != 1 or params.dtype != np.float64:
+        raise ShapeError("Adam optimizes one flat float64 vector; see flatten()")
+    return AdamState(np.zeros_like(params), np.zeros_like(params), 0, lr, **kwargs)
 
 
-def adam_step(
-    state: AdamState,
-    params: MlpParams | Sequence[np.ndarray],
-    grads: MlpParams | Sequence[np.ndarray],
-):
-    """One bias-corrected Adam update; returns (new state, new params)."""
-    wrap = isinstance(params, MlpParams)
-    arrays = params.arrays() if wrap else list(params)
-    garrays = grads.arrays() if isinstance(grads, MlpParams) else list(grads)
-    if len(arrays) != len(garrays) or any(a.shape != g.shape for a, g in zip(arrays, garrays)):
-        raise ShapeError("gradient shapes do not match parameter shapes")
-    for g in garrays:
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient entry")
-    t = state.step + 1
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
-    new_m = []
-    new_v = []
-    new_arrays = []
-    for a, g, m, v in zip(arrays, garrays, state.m, state.v):
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
-        new_m.append(m)
-        new_v.append(v)
-        new_arrays.append(a - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps))
-    new_state = AdamState(new_m, new_v, t, state.lr, state.beta1, state.beta2, state.eps)
-    if wrap:
-        return new_state, MlpParams.from_arrays(new_arrays, params.output_activation)
-    return new_state, new_arrays
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> None:
+    """One bias-corrected Adam update of ``params`` and ``state``, in place."""
+    if grads.shape != params.shape:
+        raise ShapeError(f"gradient shape {grads.shape} does not match parameters {params.shape}")
+    if not np.isfinite(grads).all():
+        raise NumericError("non-finite gradient entry")
+    state.step += 1
+    c1 = 1.0 - state.beta1**state.step
+    c2 = 1.0 - state.beta2**state.step
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * grads
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * grads * grads
+    params -= state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)
 
 
 # --- Losses --------------------------------------------------------------
@@ -287,44 +298,55 @@ class TrainConfig:
             raise InvalidConfigError("max_epochs must be >= 1")
 
 
-GradFn = Callable[[list[np.ndarray], np.ndarray], list[np.ndarray]]
-ValLossFn = Callable[[list[np.ndarray]], float]
+GradFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+ValLossFn = Callable[[np.ndarray], float]
+
+
+def holdout_split(
+    n: int, config: TrainConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded split of range(n) into (train, validation) indices."""
+    n_val = int(round(n * config.val_fraction))
+    if n_val < 1 or n - n_val < 1:
+        raise InvalidConfigError(f"degenerate split: {n} samples, {n_val} validation")
+    perm = rng.permutation(n)
+    return perm[n_val:], perm[:n_val]
 
 
 def minibatch_fit(
-    arrays: list[np.ndarray],
+    params: np.ndarray,
     grad_fn: GradFn,
     val_loss_fn: ValLossFn,
     n_train: int,
     config: TrainConfig,
     rng: np.random.Generator,
-) -> list[np.ndarray]:
-    """Generic Adam loop with patience-based early stopping.
+) -> None:
+    """Adam on a flat parameter vector with patience-based early stopping.
 
-    ``grad_fn(arrays, batch_idx)`` returns gradients for a minibatch given
-    by indices into [0, n_train); ``val_loss_fn`` scores a parameter
-    snapshot on held-out data (penalties excluded). Returns the snapshot
-    with the best validation loss seen after any epoch.
+    ``grad_fn(params, batch_idx)`` returns the flat gradient for a minibatch
+    given by indices into [0, n_train); ``val_loss_fn(params)`` scores the
+    current vector on held-out data (penalties excluded). ``params`` is
+    updated in place; on return it holds the snapshot with the best
+    validation loss seen after any epoch (the initial values if none).
     """
-    state = adam_init(arrays, lr=config.learning_rate)
-    best = arrays
+    state = adam_init(params, lr=config.learning_rate)
+    best = params.copy()
     best_loss = np.inf
     since_improved = 0
     for _ in range(config.max_epochs):
         order = rng.permutation(n_train)
         for start in range(0, n_train, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            state, arrays = adam_step(state, arrays, grad_fn(arrays, idx))
-        val = val_loss_fn(arrays)
+            adam_step(state, params, grad_fn(params, order[start : start + config.batch_size]))
+        val = val_loss_fn(params)
         if val < best_loss:
             best_loss = val
-            best = arrays
+            best[:] = params
             since_improved = 0
         else:
             since_improved += 1
             if since_improved >= config.patience:
                 break
-    return best
+    params[:] = best
 
 
 PenaltyFn = Callable[[MlpParams, np.ndarray], tuple[float, MlpParams]]
@@ -344,6 +366,7 @@ def train_early_stop(
 
     A seeded random split holds out ``config.val_fraction`` of the samples;
     the returned parameters are the snapshot with the best validation loss.
+    ``net`` itself is not modified.
     ``extra_penalty(params, batch_x) -> (value, grads)`` is added to the
     training objective only, never to the validation loss.
     """
@@ -353,46 +376,31 @@ def train_early_stop(
     target = np.asarray(target, dtype=float).reshape(-1)
     if not np.all(np.isfinite(target)):
         raise NumericError("targets must be finite")
-    n = x.shape[0]
-    n_val = int(round(n * config.val_fraction))
-    if n_val < 1 or n - n_val < 1:
-        raise InvalidConfigError(f"degenerate split: {n} samples, {n_val} validation")
-    perm = rng.permutation(n)
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
+    train_idx, val_idx = holdout_split(x.shape[0], config, rng)
     x_tr, y_tr = x[train_idx], target[train_idx]
     x_val, y_val = x[val_idx], target[val_idx]
     w_tr = None if sample_weight is None else np.asarray(sample_weight, dtype=float)[train_idx]
     w_val = None if sample_weight is None else np.asarray(sample_weight, dtype=float)[val_idx]
-    act = net.output_activation
+    flat = flatten(net.arrays())
+    fit = MlpParams.from_arrays(flat_views(flat, net.arrays()), net.output_activation)
 
-    def grad_fn(arrays, idx):
-        params = MlpParams.from_arrays(arrays, act)
-        xb, yb = x_tr[idx], y_tr[idx]
-        wb = None if w_tr is None else w_tr[idx]
-        pred = mlp_forward(params, xb)
-        g_out = loss_output_grad(loss, pred, yb, wb)
-        grads, _ = mlp_backward(params, xb, g_out)
-        garrays = grads.arrays()
+    def grad_fn(_, idx):
+        xb = x_tr[idx]
+        acts = _forward(fit, xb)
+        g_out = loss_output_grad(loss, acts[-1], y_tr[idx], None if w_tr is None else w_tr[idx])
+        grad = flatten(_backprop(fit, acts, g_out)[0].arrays())
         if extra_penalty is not None:
-            _, pgrads = extra_penalty(params, xb)
-            garrays = [g + p for g, p in zip(garrays, pgrads.arrays())]
-        return garrays
+            grad += flatten(extra_penalty(fit, xb)[1].arrays())
+        return grad
 
-    def val_loss_fn(arrays):
-        params = MlpParams.from_arrays(arrays, act)
-        return loss_value(loss, mlp_forward(params, x_val), y_val, w_val)
+    def val_loss_fn(_):
+        return loss_value(loss, mlp_forward(fit, x_val), y_val, w_val)
 
-    fitted = minibatch_fit(net.copy().arrays(), grad_fn, val_loss_fn, len(train_idx), config, rng)
-    return MlpParams.from_arrays(fitted, act)
+    minibatch_fit(flat, grad_fn, val_loss_fn, len(train_idx), config, rng)
+    return fit
 
 
 # --- MMD^2 balancing penalty ---------------------------------------------
-
-
-def mmd2_linear(rep0: np.ndarray, rep1: np.ndarray) -> float:
-    """Squared distance between group means (linear-kernel MMD^2)."""
-    value, _, _ = mmd2_linear_with_grad(rep0, rep1)
-    return value
 
 
 def mmd2_linear_with_grad(
@@ -402,7 +410,7 @@ def mmd2_linear_with_grad(
     rep0 = np.atleast_2d(np.asarray(rep0, dtype=float))
     rep1 = np.atleast_2d(np.asarray(rep1, dtype=float))
     if rep0.shape[0] == 0 or rep1.shape[0] == 0:
-        raise EmptyGroupError("mmd2_linear needs both groups nonempty")
+        raise EmptyGroupError("MMD^2 needs both groups nonempty")
     if rep0.shape[1] != rep1.shape[1]:
         raise ShapeError("representation widths differ")
     diff = rep0.mean(axis=0) - rep1.mean(axis=0)

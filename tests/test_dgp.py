@@ -431,3 +431,11 @@ class TestPersistence:
         assert np.array_equal(obs.x, ds.covariates.x)
         assert np.array_equal(obs.w, ds.w)
         assert names == [f"x_{j}" for j in range(8)]
+
+    @pytest.mark.parametrize("w, y", [("0.5", "1.0"), ("2", "1.0"), ("1", "nan")])
+    def test_load_observed_rejects_bad_row(self, tmp_path, w, y):
+        p = tmp_path / "data.csv"
+        p.write_text(f"unit_id,w,y,x_0\n0,1,0.5,1.0\n1,0,0.2,1.5\n2,{w},{y},2.0\n")
+        with pytest.raises(ParseError) as err:
+            load_observed(p)
+        assert err.value.row == 3 and "row 3" in str(err.value)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from catebench.dgp import ObservedData
-from catebench.errors import EmptyGroupError, InvalidConfigError, ShapeError
+from catebench.errors import EmptyGroupError, InvalidConfigError
 from catebench.learners import (
     HIDDEN_UNITS,
     DrEstimator,
@@ -11,7 +11,6 @@ from catebench.learners import (
     TEstimator,
     XEstimator,
     NuisanceSet,
-    cate_input_gradient,
     dr_pseudo_outcome,
     fit_dr_learner,
     fit_nuisances,
@@ -20,7 +19,6 @@ from catebench.learners import (
     fit_tarnet,
     fit_x_learner,
     load_estimator,
-    predict_cate,
     save_estimator,
 )
 from catebench.nn import IDENTITY, SIGMOID, MlpParams, TrainConfig, mlp_init
@@ -162,11 +160,11 @@ class TestTarnet:
         cfg = TrainConfig(learning_rate=1e-3, batch_size=512, max_epochs=100, patience=100)
         plain = fit_tarnet(train, 0.0, cfg, stream(97))
         balanced = fit_tarnet(train, 1e3, cfg, stream(97))
-        from catebench.nn import mmd2_linear
+        from catebench.nn import mmd2_linear_with_grad
 
         def separation(est):
             rep = est._rep(x)
-            return mmd2_linear(rep[w == 0], rep[w == 1])
+            return mmd2_linear_with_grad(rep[w == 0], rep[w == 1])[0]
 
         assert separation(balanced) < separation(plain)
 
@@ -328,19 +326,19 @@ class TestGradients:
         for est in ests:
             for _ in range(3):
                 x = rng.normal(size=d)
-                g = cate_input_gradient(est, x)
+                g = est.gradient(x[None])[0]
                 fd = fd_scalar_grad(est.predict_cate, x)
                 tol = 1e-4 * np.maximum(np.abs(g), np.abs(fd)) + 1e-7
                 assert np.all(np.abs(g - fd) <= tol), est.strategy
 
     def test_frozen_linear_effect_gradient(self):
         est = TEstimator(mu0=linear_net([0.0, 0.0, 0.0]), mu1=linear_net([1.5, -2.0, 0.25]))
-        g = cate_input_gradient(est, np.array([0.3, -0.7, 4.0]))
+        g = est.gradient(np.array([[0.3, -0.7, 4.0]]))[0]
         assert np.allclose(g, [1.5, -2.0, 0.25])
 
     def test_constant_estimator_zero_gradient(self):
         est = DrEstimator(linear_net([0.0, 0.0], bias=2.0))
-        assert np.allclose(cate_input_gradient(est, np.array([1.0, 2.0])), 0.0)
+        assert np.allclose(est.gradient(np.array([[1.0, 2.0]]))[0], 0.0)
 
     def test_row_order_invariance(self):
         ests, d = self._estimators()
@@ -349,11 +347,6 @@ class TestGradients:
         for est in ests:
             assert np.allclose(est.predict_cate(x)[perm], est.predict_cate(x[perm]))
             assert np.allclose(est.gradient(x)[perm], est.gradient(x[perm]))
-
-    def test_single_vector_required(self):
-        est = DrEstimator(linear_net([1.0, 1.0]))
-        with pytest.raises(ShapeError):
-            cate_input_gradient(est, np.ones((2, 2)))
 
 
 class TestSerialization:
@@ -376,9 +369,11 @@ class TestSerialization:
         manifest = json.loads((tmp_path / "dr" / "manifest.json").read_text())
         assert manifest == {"strategy": "dr", "clip": 0.05}
 
-
-class TestModuleLevelOps:
-    def test_predict_cate_delegates(self):
-        est = TEstimator(mu0=linear_net([1.0, 0.0]), mu1=linear_net([2.0, 0.0]))
-        out = predict_cate(est, np.array([2.0, 5.0]))
-        assert np.allclose(out, [2.0])
+        x_est = TestGradients()._estimators()[0][-1]
+        x_manifest = tmp_path / "x" / "manifest.json"
+        save_estimator(x_est, tmp_path / "x")
+        assert json.loads(x_manifest.read_text()) == {"strategy": "x"}
+        x_manifest.write_text('{"strategy": "x", "clip": 0.01}')  # older X manifests carry it
+        x = stream(135).normal(size=(5, 4))
+        back = load_estimator(tmp_path / "x")
+        assert np.array_equal(back.predict_cate(x), x_est.predict_cate(x))

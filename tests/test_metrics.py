@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from catebench.attribution import SALIENCY, AttributionMatrix
 from catebench.errors import ShapeError, UndefinedMetricError
-from catebench.metrics import MetricsRecord, attr_pred, attr_prog, pehe
+from catebench.metrics import attr_pred, attr_prog, pehe
 
 
 class TestAttrPred:
@@ -115,7 +115,3 @@ class TestProperties:
         r = attr_pred(scores, rest_idx)
         assert 0.0 <= p <= 1.0 and 0.0 <= q <= 1.0
         assert p + q + r == pytest.approx(1.0)
-
-    def test_record_holds_values(self):
-        rec = MetricsRecord(0.5, 0.2, 1.5, 1000)
-        assert rec.attr_pred == 0.5 and rec.n_eval == 1000

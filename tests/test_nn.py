@@ -21,7 +21,6 @@ from catebench.nn import (
     mlp_forward,
     mlp_init,
     mlp_input_gradient,
-    mmd2_linear,
     mmd2_linear_with_grad,
     train_early_stop,
 )
@@ -137,49 +136,40 @@ class TestMlpBackward:
 
 
 class TestAdam:
-    def _params(self):
-        return MlpParams([np.array([[1.0, -1.0]])], [np.array([0.5, 0.5])])
+    P = [1.0, -1.0, 0.5, 0.5]
+    G = [0.3, -0.7, 2.0, -0.1]
+
+    def _step(self, grads, params=None):
+        p = np.array(self.P if params is None else params)
+        state = adam_init(p, lr=0.01)
+        adam_step(state, p, np.array(grads))
+        return state, p
 
     def test_first_step_is_signed_lr(self):
-        p = self._params()
-        g = MlpParams([np.array([[0.3, -0.7]])], [np.array([2.0, -0.1])])
-        state = adam_init(p, lr=0.01)
-        _, p2 = adam_step(state, p, g)
-        for a, b, gg in zip(p2.arrays(), p.arrays(), g.arrays()):
-            assert np.all(np.abs((a - b) + 0.01 * np.sign(gg)) < 1e-6 * 0.01)
+        _, p = self._step(self.G)
+        assert np.all(np.abs((p - self.P) + 0.01 * np.sign(self.G)) < 1e-6 * 0.01)
 
     def test_zero_gradients_noop_from_fresh_state(self):
-        p = self._params()
-        g = MlpParams([np.zeros((1, 2))], [np.zeros(2)])
-        state = adam_init(p, lr=0.01)
-        state2, p2 = adam_step(state, p, g)
-        for a, b in zip(p2.arrays(), p.arrays()):
-            assert np.array_equal(a, b)
-        assert all(np.all(m == 0) for m in state2.m)
-        assert all(np.all(v == 0) for v in state2.v)
+        state, p = self._step(np.zeros(4))
+        assert np.array_equal(p, self.P)
+        assert np.all(state.m == 0) and np.all(state.v == 0)
 
     def test_deterministic(self):
-        p = self._params()
-        g = MlpParams([np.array([[0.3, -0.7]])], [np.array([2.0, -0.1])])
-        s = adam_init(p, lr=0.01)
-        out1 = adam_step(s, p, g)
-        s = adam_init(p, lr=0.01)
-        out2 = adam_step(s, p, g)
-        for a, b in zip(out1[1].arrays(), out2[1].arrays()):
-            assert np.array_equal(a, b)
-        assert out1[0].step == out2[0].step == 1
+        s1, p1 = self._step(self.G)
+        s2, p2 = self._step(self.G)
+        assert np.array_equal(p1, p2)
+        assert s1.step == s2.step == 1
 
     def test_nonfinite_gradient_rejected(self):
-        p = self._params()
-        g = MlpParams([np.array([[np.nan, 0.0]])], [np.zeros(2)])
         with pytest.raises(NumericError):
-            adam_step(adam_init(p, lr=0.01), p, g)
+            self._step([np.nan, 0.0, 0.0, 0.0])
 
     def test_shape_mismatch_rejected(self):
-        p = self._params()
-        g = MlpParams([np.zeros((2, 2))], [np.zeros(2)])
-        with pytest.raises(ShapeError):
-            adam_step(adam_init(p, lr=0.01), p, g)
+        # A gradient of another length or rank, or parameters not held as one vector.
+        for grads, params in [(np.zeros(5), None), (np.zeros((2, 2)), None),
+                              (np.zeros(4), np.zeros((2, 2)))]:
+            with pytest.raises(ShapeError):
+                self._step(grads, params)
 
 
 class TestTrainEarlyStop:
@@ -322,27 +312,27 @@ class TestTrainEarlyStop:
 class TestMmd2Linear:
     def test_identical_groups_zero(self):
         a = stream(1).normal(size=(7, 3))
-        assert mmd2_linear(a, a) == 0.0
+        assert mmd2_linear_with_grad(a, a)[0] == 0.0
 
     def test_unit_mean_shift(self):
         rep0 = np.array([[0.5, 1.0], [-0.5, -1.0]])  # mean (0, 0)
         rep1 = np.array([[1.0, 2.0], [1.0, -2.0]])  # mean (1, 0)
-        assert mmd2_linear(rep0, rep1) == pytest.approx(1.0)
+        assert mmd2_linear_with_grad(rep0, rep1)[0] == pytest.approx(1.0)
 
     def test_symmetry(self):
         rng = stream(2)
         a, b = rng.normal(size=(5, 4)), rng.normal(size=(9, 4))
-        assert mmd2_linear(a, b) == pytest.approx(mmd2_linear(b, a))
+        assert mmd2_linear_with_grad(a, b)[0] == pytest.approx(mmd2_linear_with_grad(b, a)[0])
 
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_nonnegative_and_zero_iff_equal_means(self, n0, n1, d, seed):
         rng = stream(seed)
         a, b = rng.normal(size=(n0, d)), rng.normal(size=(n1, d))
-        v = mmd2_linear(a, b)
+        v = mmd2_linear_with_grad(a, b)[0]
         assert v >= 0.0
         centered = b - b.mean(axis=0) + a.mean(axis=0)
-        assert mmd2_linear(a, centered) == pytest.approx(0.0, abs=1e-24)
+        assert mmd2_linear_with_grad(a, centered)[0] == pytest.approx(0.0, abs=1e-24)
 
     def test_gradients_match_finite_differences(self):
         rng = stream(3)
@@ -353,19 +343,19 @@ class TestMmd2Linear:
             hi, lo = a.copy(), a.copy()
             hi[idx] += h
             lo[idx] -= h
-            fd = (mmd2_linear(hi, b) - mmd2_linear(lo, b)) / (2 * h)
+            fd = (mmd2_linear_with_grad(hi, b)[0] - mmd2_linear_with_grad(lo, b)[0]) / (2 * h)
             assert g0[idx] == pytest.approx(fd, rel=1e-5, abs=1e-9)
         for idx in np.ndindex(*b.shape):
             hi, lo = b.copy(), b.copy()
             hi[idx] += h
             lo[idx] -= h
-            fd = (mmd2_linear(a, hi) - mmd2_linear(a, lo)) / (2 * h)
+            fd = (mmd2_linear_with_grad(a, hi)[0] - mmd2_linear_with_grad(a, lo)[0]) / (2 * h)
             assert g1[idx] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
     def test_empty_group_rejected(self):
         with pytest.raises(EmptyGroupError):
-            mmd2_linear(np.empty((0, 2)), np.ones((3, 2)))
+            mmd2_linear_with_grad(np.empty((0, 2)), np.ones((3, 2)))
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            mmd2_linear(np.ones((2, 2)), np.ones((2, 3)))
+            mmd2_linear_with_grad(np.ones((2, 2)), np.ones((2, 3)))
