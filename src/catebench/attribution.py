@@ -4,11 +4,11 @@ All methods score the effect estimate itself, never the per-arm outcome
 models. Gradient methods need a function that exposes exact gradients;
 perturbation methods need only values. A brute-force Shapley enumeration
 is included as the verification oracle for the Monte-Carlo sampler.
+Score matrices are saved and read back as tables through ``tables``.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CapacityError, InvalidConfigError, ShapeError
+from . import tables
+from .errors import CapacityError, InvalidConfigError, ParseError, ShapeError
 from .rng import stream
 
 SALIENCY = "saliency"
@@ -90,14 +91,8 @@ def integrated_gradients(f, x, baseline=None, steps: int = 50) -> np.ndarray:
     """Midpoint-rule path integral of the gradient from baseline to x."""
     fn = as_function(f)
     _require_gradient(fn, INTEGRATED_GRADIENTS)
-    if steps < 1:
-        raise InvalidConfigError("steps must be >= 1")
     x = _as_point(x)
-    b = _baseline_for(x, baseline)
-    ts = (np.arange(steps) + 0.5) / steps
-    points = b + ts[:, None] * (x - b)
-    grads = fn.gradient(points)
-    return (x - b) * grads.mean(axis=0)
+    return _batched_ig(fn, x[None], _baseline_for(x, baseline), steps)[0]
 
 
 def feature_ablation(f, x, baseline=None) -> np.ndarray:
@@ -296,16 +291,12 @@ def _batched_ig(fn: ScalarFunction, x_sel: np.ndarray, baseline: np.ndarray, ste
 
 def load_attributions(path: str | Path) -> tuple[AttributionMatrix, np.ndarray]:
     """Read a score CSV back: (matrix, unit ids)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:2] != ["unit_id", "method"]:
-        raise InvalidConfigError(f"{path}: expected header starting unit_id,method")
-    if len(rows) < 2:
-        raise InvalidConfigError(f"{path}: no score rows")
-    unit_ids = np.array([int(r[0]) for r in rows[1:]])
-    method = rows[1][1]
-    scores = np.array([[float(c) for c in r[2:]] for r in rows[1:]])
-    mat = AttributionMatrix(scores, method, np.zeros(scores.shape[1]), np.arange(len(unit_ids)))
+    header, rows = tables.read_table(path)
+    if header[:2] != ["unit_id", "method"]:
+        raise ParseError(f"{path}: expected header starting unit_id,method", row=0)
+    unit_ids = tables.parse_block(path, rows, 0, 1, int)[:, 0]
+    scores = tables.parse_block(path, rows, 2)
+    mat = AttributionMatrix(scores, rows[0][1], np.zeros(scores.shape[1]), np.arange(len(rows)))
     return mat, unit_ids
 
 
@@ -316,9 +307,8 @@ def save_attributions(
     unit_ids = np.asarray(unit_ids)
     if len(unit_ids) != matrix.scores.shape[0]:
         raise ShapeError("unit id count must match score rows")
-    d = matrix.scores.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit_id", "method"] + [f"a_{j}" for j in range(d)])
-        for uid, row in zip(unit_ids, matrix.scores):
-            writer.writerow([int(uid), matrix.method] + [f"{v:.17g}" for v in row])
+    tables.write_table(
+        path,
+        ["unit_id", "method"] + [f"a_{j}" for j in range(matrix.scores.shape[1])],
+        ([int(uid), matrix.method, *row] for uid, row in zip(unit_ids, matrix.scores)),
+    )

@@ -2,7 +2,8 @@
 
 Subcommands: generate, fit, attribute, evaluate, experiment, plot. Each
 reads a JSON config file (where applicable) plus flag overrides. Exit
-codes: 0 success, 1 configuration/usage error, 2 runtime error.
+codes: 0 success, 1 configuration/usage error, 2 runtime error (a
+malformed input file included).
 """
 
 from __future__ import annotations
@@ -143,9 +144,7 @@ def _cmd_attribute(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     mat, _ = attribution.load_attributions(args.attributions)
-    with open(args.meta) as fh:
-        meta = json.load(fh)
-    sets = dgp.FeatureIndexSets(meta["i_prog"], meta["i_0"], meta["i_1"])
+    sets = dgp.load_meta(args.meta)[1]
     out = {
         "attr_pred": metrics.attr_pred(mat, sets.predictive),
         "attr_prog": metrics.attr_prog(mat, sets.prognostic),

@@ -5,6 +5,9 @@ and assignments are simulated on top of them from sampled prognostic and
 predictive components, so the true potential outcomes, effect function,
 propensities and driver indices are all known. Ground truth travels in a
 sealed sidecar of the dataset: model fitting only ever sees (X, W, Y).
+A saved dataset is three files: the observed table and the truth table,
+written and read through ``tables``, and a JSON sidecar that only
+``load_meta`` reads.
 
 Because assignment and outcomes are simulated, the usual identifying
 assumptions hold by construction rather than by hope:
@@ -20,13 +23,13 @@ assumptions hold by construction rather than by hope:
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import tables
 from .errors import (
     InvalidConfigError,
     NormalizationError,
@@ -234,25 +237,10 @@ def load_covariates_csv(path: str | Path, normalize: str = NORM_NONE) -> Covaria
     """Read a numeric CSV with a header row of feature names."""
     if normalize not in (NORM_NONE, NORM_MINMAX, NORM_ZSCORE):
         raise InvalidConfigError(f"unknown normalization {normalize!r}")
-    path = Path(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-    header = rows[0]
+    header, rows = tables.read_table(path)
     if _all_numeric(header):
         raise ParseError(f"{path}: first row is numeric; a header row is required", row=0)
-    body = np.empty((len(rows) - 1, len(header)))
-    for r, row in enumerate(rows[1:], start=1):
-        if len(row) != len(header):
-            raise ParseError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}", row=r)
-        for c, cell in enumerate(row):
-            try:
-                body[r - 1, c] = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: non-numeric cell {cell!r} at row {r}, column {c}", row=r, col=c
-                ) from None
+    body = tables.parse_block(path, rows)
     if normalize == NORM_MINMAX:
         lo, hi = body.min(axis=0), body.max(axis=0)
         span = np.where(hi > lo, hi - lo, 1.0)  # constant columns map to 0
@@ -473,9 +461,8 @@ def train_test_split(
 
 # --- Persistence -----------------------------------------------------------
 
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+_DATA_PREFIX = ["unit_id", "w", "y"]
+_TRUTH_HEADER = ["unit_id", "y0", "y1", "tau", "pi"]
 
 
 def save_dataset(
@@ -485,22 +472,14 @@ def save_dataset(
     meta_path: str | Path,
 ) -> None:
     """Write the observed CSV, the ground-truth CSV and the JSON sidecar."""
-    with open(data_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit_id", "w", "y"] + [f"x_{j}" for j in range(ds.d)])
-        for i in range(ds.n):
-            writer.writerow(
-                [int(ds.unit_ids[i]), int(ds.w[i]), _fmt(ds.y[i])]
-                + [_fmt(v) for v in ds.covariates.x[i]]
-            )
+    ids = [int(u) for u in ds.unit_ids]
+    tables.write_table(
+        data_path,
+        _DATA_PREFIX + [f"x_{j}" for j in range(ds.d)],
+        ([u, int(w), y, *x] for u, w, y, x in zip(ids, ds.w, ds.y, ds.covariates.x)),
+    )
     t = ds.truth
-    with open(truth_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit_id", "y0", "y1", "tau", "pi"])
-        for i in range(ds.n):
-            writer.writerow(
-                [int(ds.unit_ids[i]), _fmt(t.y0[i]), _fmt(t.y1[i]), _fmt(t.tau[i]), _fmt(t.pi[i])]
-            )
+    tables.write_table(truth_path, _TRUTH_HEADER, zip(ids, t.y0, t.y1, t.tau, t.pi))
     meta = {
         "feature_names": ds.covariates.feature_names,
         "i_prog": t.sets.prognostic.tolist(),
@@ -526,14 +505,10 @@ def save_dataset(
 
 def load_observed(data_path: str | Path) -> tuple[ObservedData, list[str], np.ndarray]:
     """Read the observed CSV only: (data, feature names, unit ids)."""
-    with open(data_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:3] != ["unit_id", "w", "y"]:
-        raise ParseError(f"{data_path}: expected header starting unit_id,w,y")
-    names = rows[0][3:]
-    body = np.array([[float(c) for c in row] for row in rows[1:]])
-    if body.size == 0:
-        raise ParseError(f"{data_path}: no data rows")
+    header, rows = tables.read_table(data_path)
+    if header[:3] != _DATA_PREFIX:
+        raise ParseError(f"{data_path}: expected header starting unit_id,w,y", row=0)
+    body = tables.parse_block(data_path, rows)
     bad = ~np.isin(body[:, 1], (0.0, 1.0)) | ~np.isfinite(body[:, 2:]).all(axis=1)
     if bad.any():
         row = int(np.argmax(bad)) + 1
@@ -542,34 +517,48 @@ def load_observed(data_path: str | Path) -> tuple[ObservedData, list[str], np.nd
         )
     return (
         ObservedData(body[:, 3:], body[:, 1].astype(int), body[:, 2]),
-        names,
+        header[3:],
         body[:, 0].astype(int),
     )
+
+
+def load_meta(
+    meta_path: str | Path,
+) -> tuple[list[str], FeatureIndexSets, OutcomeModel, PropensitySpec, float]:
+    """Read the JSON sidecar: (feature names, index sets, outcome model, propensity, sigma)."""
+    with open(meta_path) as fh:
+        meta = json.load(fh)
+    try:
+        prop = meta["propensity"]
+        return (
+            meta["feature_names"],
+            FeatureIndexSets(meta["i_prog"], meta["i_0"], meta["i_1"]),
+            OutcomeModel(
+                meta["alpha_prog"], meta["alpha_0"], meta["alpha_1"],
+                meta["nonlinearity"], meta["omega_nl"], meta["omega_pred"],
+            ),
+            PropensitySpec(prop["kind"], prop["omega_pi"], prop["irrelevant_index"]),
+            meta["sigma"],
+        )
+    except KeyError as err:
+        raise ParseError(f"{meta_path}: missing key {err}") from None
+    except (TypeError, ValueError) as err:
+        raise ParseError(f"{meta_path}: malformed sidecar: {err}") from None
 
 
 def load_dataset(
     data_path: str | Path, truth_path: str | Path, meta_path: str | Path
 ) -> SemiSyntheticDataset:
     """Rebuild a full dataset from the three exported files."""
-    obs, names, unit_ids = load_observed(data_path)
-    with open(truth_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["unit_id", "y0", "y1", "tau", "pi"]:
-        raise ParseError(f"{truth_path}: expected header unit_id,y0,y1,tau,pi")
-    tbody = np.array([[float(c) for c in row] for row in rows[1:]])
+    obs, _, unit_ids = load_observed(data_path)
+    header, rows = tables.read_table(truth_path)
+    if header != _TRUTH_HEADER:
+        raise ParseError(f"{truth_path}: expected header unit_id,y0,y1,tau,pi", row=0)
+    tbody = tables.parse_block(truth_path, rows)
     if not np.array_equal(tbody[:, 0].astype(int), unit_ids):
         raise ParseError("truth file unit ids do not match data file")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    sets = FeatureIndexSets(meta["i_prog"], meta["i_0"], meta["i_1"])
-    model = OutcomeModel(
-        meta["alpha_prog"], meta["alpha_0"], meta["alpha_1"],
-        meta["nonlinearity"], meta["omega_nl"], meta["omega_pred"],
-    )
-    prop = meta["propensity"]
-    spec = PropensitySpec(prop["kind"], prop["omega_pi"], prop["irrelevant_index"])
+    names, sets, model, spec, sigma = load_meta(meta_path)
     truth = GroundTruth(
-        tbody[:, 1], tbody[:, 2], tbody[:, 3], tbody[:, 4], sets, model, meta["sigma"], spec
+        tbody[:, 1], tbody[:, 2], tbody[:, 3], tbody[:, 4], sets, model, sigma, spec
     )
-    covs = CovariateMatrix(obs.x, meta["feature_names"])
-    return SemiSyntheticDataset(covs, obs.w, obs.y, truth, unit_ids)
+    return SemiSyntheticDataset(CovariateMatrix(obs.x, names), obs.w, obs.y, truth, unit_ids)

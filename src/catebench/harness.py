@@ -4,22 +4,23 @@ A cell is one (knob value, seed) pair: generate a dataset, split it, fit
 every configured learner on the same training part, attribute each fitted
 effect function on the same capped test rows, and score against the sealed
 truth. Sweeps run the grid x seeds product, optionally across processes;
-results are keyed records, so collection order never matters.
+results are keyed records, so collection order never matters. The result
+table has one column per ``ResultRecord`` field and is written and read
+through ``tables``.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import attribution, dgp, learners, metrics
+from . import attribution, dgp, learners, metrics, tables
 from .errors import InvalidConfigError, ParseError, UndefinedMetricError
 from .nn import TrainConfig
 from .rng import float_key, label_key, stream
@@ -42,20 +43,6 @@ _S_GENERATE = 5
 _S_SPLIT = 6
 _S_LEARNER = 7
 _S_ATTRIBUTION = 8
-
-CSV_COLUMNS = (
-    "dataset",
-    "learner",
-    "attr_method",
-    "knob",
-    "knob_value",
-    "seed",
-    "attr_pred",
-    "attr_prog",
-    "pehe",
-    "wall_ms",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -165,6 +152,9 @@ class ResultRecord:
     @property
     def key(self):
         return (self.knob_value, self.seed, self.learner)
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRecord))  # the result table, in field order
 
 
 def _knob_values(config: ExperimentConfig, knob_value: float):
@@ -346,59 +336,29 @@ def aggregate(records: list[ResultRecord]) -> list[AggregateRow]:
 # --- CSV --------------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def emit_csv(records: list[ResultRecord], path: str | Path, include_timing: bool = False) -> None:
     """Write the result table.
 
     Timing is opt-in: the default leaves the wall_ms cells empty so that a
     rerun with identical seeds produces a byte-identical file.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.dataset,
-                    r.learner,
-                    r.attr_method,
-                    r.knob,
-                    _fmt(r.knob_value),
-                    r.seed,
-                    _fmt(r.attr_pred),
-                    _fmt(r.attr_prog),
-                    _fmt(r.pehe),
-                    _fmt(r.wall_ms) if include_timing else "",
-                ]
-            )
+    tables.write_table(
+        path,
+        CSV_COLUMNS,
+        (astuple(r)[:-1] + (r.wall_ms if include_timing else "",) for r in records),
+    )
 
 
 def load_results(path: str | Path) -> list[ResultRecord]:
     """Read a result CSV; an empty (untimed) wall_ms cell reads as NaN."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or tuple(rows[0]) != CSV_COLUMNS:
-        raise ParseError(f"{path}: unexpected result header")
-    out = []
-    for row in rows[1:]:
-        out.append(
-            ResultRecord(
-                row[0],
-                row[1],
-                row[2],
-                row[3],
-                float(row[4]),
-                int(row[5]),
-                float(row[6]),
-                float(row[7]),
-                float(row[8]),
-                float(row[9]) if row[9] else np.nan,
-            )
-        )
-    return out
+    header, rows = tables.read_table(path)
+    if tuple(header) != CSV_COLUMNS:
+        raise ParseError(f"{path}: unexpected result header", row=0)
+    values = tables.parse_block(path, [r[:9] + [r[9] or "nan"] for r in rows], 4).tolist()
+    seeds = tables.parse_block(path, rows, 5, 6, int)[:, 0].tolist()
+    return [
+        ResultRecord(*row[:4], v[0], seed, *v[2:]) for row, v, seed in zip(rows, values, seeds)
+    ]
 
 
 # --- Presets ----------------------------------------------------------------

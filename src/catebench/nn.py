@@ -122,38 +122,47 @@ def _forward(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def _backprop(
-    params: MlpParams, acts: list[np.ndarray], g_out: np.ndarray
-) -> tuple[MlpParams, np.ndarray]:
-    """Parameter gradients from the activations of ``_forward``.
+def _deltas(params: MlpParams, acts: list[np.ndarray], g_out: np.ndarray):
+    """Yield (k, loss gradient w.r.t. layer k's pre-activation), last layer first.
 
-    Also returns the loss gradient w.r.t. the first layer's pre-activation;
-    ``delta @ params.weights[0].T`` turns it into the input gradient. A
-    hidden unit passes gradient where its ReLU output is positive, which is
-    exactly where its pre-activation is (subgradient 0 at 0).
+    Reads the activations of ``_forward``. A hidden unit passes gradient
+    where its ReLU output is positive, which is exactly where its
+    pre-activation is (subgradient 0 at 0). ``delta @ params.weights[0].T``
+    turns the last delta yielded into the input gradient.
     """
     if params.output_activation == SIGMOID:
         s = acts[-1]
         delta = g_out * s * (1.0 - s)
     else:
         delta = g_out
-    last = len(params.weights) - 1
-    grad_w = [np.empty(0)] * (last + 1)
-    grad_b = [np.empty(0)] * (last + 1)
-    for k in range(last, -1, -1):
+    for k in range(len(params.weights) - 1, 0, -1):
+        yield k, delta
+        delta = (delta @ params.weights[k].T) * (acts[k] > 0)
+    yield 0, delta
+
+
+def _backprop(
+    params: MlpParams, acts: list[np.ndarray], g_out: np.ndarray
+) -> tuple[MlpParams, np.ndarray]:
+    """Parameter gradients, and the layer-0 delta, from the activations of ``_forward``."""
+    grad_w = [np.empty(0)] * len(params.weights)
+    grad_b = [np.empty(0)] * len(params.weights)
+    for k, delta in _deltas(params, acts, g_out):
         grad_w[k] = acts[k].T @ delta
         grad_b[k] = delta.sum(axis=0)
-        if k > 0:
-            delta = (delta @ params.weights[k].T) * (acts[k] > 0)
     return MlpParams(grad_w, grad_b, params.output_activation), delta
+
+
+def _batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[1] != params.input_dim:
+        raise ShapeError(f"input has {x.shape[1]} columns, network expects {params.input_dim}")
+    return x
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Forward pass over a batch; returns an (n, out_dim) array."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != params.input_dim:
-        raise ShapeError(f"input has {x.shape[1]} columns, network expects {params.input_dim}")
-    return _forward(params, x)[-1]
+    return _forward(params, _batch(params, x))[-1]
 
 
 def mlp_backward(
@@ -165,10 +174,8 @@ def mlp_backward(
     The ReLU subgradient at 0 is taken as 0. Returns (param_grads shaped
     like ``params``, input_grads of shape (n, input_dim)).
     """
-    x = np.atleast_2d(np.asarray(batch_x, dtype=float))
+    x = _batch(params, batch_x)
     g_out = np.atleast_2d(np.asarray(loss_grad_at_output, dtype=float))
-    if x.shape[1] != params.input_dim:
-        raise ShapeError(f"input has {x.shape[1]} columns, network expects {params.input_dim}")
     if g_out.shape != (x.shape[0], params.weights[-1].shape[1]):
         raise ShapeError(
             f"loss gradient shape {g_out.shape} does not match output shape "
@@ -179,13 +186,16 @@ def mlp_backward(
 
 
 def mlp_input_gradient(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Per-row gradient of the scalar network output w.r.t. each input row."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    """Per-row gradient of the scalar network output w.r.t. each input row.
+
+    Runs the delta recursion only; no parameter gradient is formed.
+    """
+    x = _batch(params, x)
     if params.weights[-1].shape[1] != 1:
         raise ShapeError("input gradient is defined for scalar-output networks")
-    ones = np.ones((x.shape[0], 1))
-    _, input_grads = mlp_backward(params, x, ones)
-    return input_grads
+    for _, delta in _deltas(params, _forward(params, x), np.ones((x.shape[0], 1))):
+        pass  # only the layer-0 delta is needed
+    return delta @ params.weights[0].T
 
 
 # --- Flat parameter vector and Adam ---------------------------------------
@@ -244,12 +254,11 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> None:
 # --- Losses --------------------------------------------------------------
 
 
-def loss_value(loss: str, pred: np.ndarray, target: np.ndarray, weight=None) -> float:
+def loss_value(loss: str, pred: np.ndarray, target: np.ndarray) -> float:
     pred = np.asarray(pred, dtype=float).reshape(-1)
     target = np.asarray(target, dtype=float).reshape(-1)
     if pred.shape != target.shape:
         raise ShapeError("prediction/target length mismatch")
-    w = np.ones_like(pred) if weight is None else np.asarray(weight, dtype=float).reshape(-1)
     if loss == SQUARED_ERROR:
         per = (pred - target) ** 2
     elif loss == BINARY_CROSS_ENTROPY:
@@ -257,20 +266,18 @@ def loss_value(loss: str, pred: np.ndarray, target: np.ndarray, weight=None) -> 
         per = -(target * np.log(p) + (1.0 - target) * np.log(1.0 - p))
     else:
         raise InvalidConfigError(f"unknown loss {loss!r}")
-    return float(np.sum(w * per) / np.sum(w))
+    return float(np.sum(per) / len(per))
 
 
-def loss_output_grad(loss: str, pred: np.ndarray, target: np.ndarray, weight=None) -> np.ndarray:
+def loss_output_grad(loss: str, pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     """d(mean loss)/d(prediction), shaped (n, 1) for the backward pass."""
     pred = np.asarray(pred, dtype=float).reshape(-1)
     target = np.asarray(target, dtype=float).reshape(-1)
-    w = np.ones_like(pred) if weight is None else np.asarray(weight, dtype=float).reshape(-1)
-    wsum = np.sum(w)
     if loss == SQUARED_ERROR:
-        g = 2.0 * w * (pred - target) / wsum
+        g = 2.0 * (pred - target) / len(pred)
     elif loss == BINARY_CROSS_ENTROPY:
         p = np.clip(pred, _P_CLIP, 1.0 - _P_CLIP)
-        g = w * (p - target) / (p * (1.0 - p)) / wsum
+        g = (p - target) / (p * (1.0 - p)) / len(pred)
     else:
         raise InvalidConfigError(f"unknown loss {loss!r}")
     return g.reshape(-1, 1)
@@ -349,16 +356,11 @@ def minibatch_fit(
     params[:] = best
 
 
-PenaltyFn = Callable[[MlpParams, np.ndarray], tuple[float, MlpParams]]
-
-
 def train_early_stop(
     net: MlpParams,
     x: np.ndarray,
     target: np.ndarray,
     loss: str = SQUARED_ERROR,
-    sample_weight: np.ndarray | None = None,
-    extra_penalty: PenaltyFn | None = None,
     config: TrainConfig = TrainConfig(),
     rng: np.random.Generator | None = None,
 ) -> MlpParams:
@@ -367,8 +369,6 @@ def train_early_stop(
     A seeded random split holds out ``config.val_fraction`` of the samples;
     the returned parameters are the snapshot with the best validation loss.
     ``net`` itself is not modified.
-    ``extra_penalty(params, batch_x) -> (value, grads)`` is added to the
-    training objective only, never to the validation loss.
     """
     if rng is None:
         raise InvalidConfigError("train_early_stop requires a seeded generator")
@@ -379,22 +379,16 @@ def train_early_stop(
     train_idx, val_idx = holdout_split(x.shape[0], config, rng)
     x_tr, y_tr = x[train_idx], target[train_idx]
     x_val, y_val = x[val_idx], target[val_idx]
-    w_tr = None if sample_weight is None else np.asarray(sample_weight, dtype=float)[train_idx]
-    w_val = None if sample_weight is None else np.asarray(sample_weight, dtype=float)[val_idx]
     flat = flatten(net.arrays())
     fit = MlpParams.from_arrays(flat_views(flat, net.arrays()), net.output_activation)
 
     def grad_fn(_, idx):
-        xb = x_tr[idx]
-        acts = _forward(fit, xb)
-        g_out = loss_output_grad(loss, acts[-1], y_tr[idx], None if w_tr is None else w_tr[idx])
-        grad = flatten(_backprop(fit, acts, g_out)[0].arrays())
-        if extra_penalty is not None:
-            grad += flatten(extra_penalty(fit, xb)[1].arrays())
-        return grad
+        acts = _forward(fit, x_tr[idx])
+        g_out = loss_output_grad(loss, acts[-1], y_tr[idx])
+        return flatten(_backprop(fit, acts, g_out)[0].arrays())
 
     def val_loss_fn(_):
-        return loss_value(loss, mlp_forward(fit, x_val), y_val, w_val)
+        return loss_value(loss, mlp_forward(fit, x_val), y_val)
 
     minibatch_fit(flat, grad_fn, val_loss_fn, len(train_idx), config, rng)
     return fit

@@ -131,6 +131,13 @@ class TestUsageErrors:
         assert code == 2
         assert "runtime error" in capsys.readouterr().err
 
+    def test_malformed_data_exits_2(self, workdir, capsys):
+        (workdir / "data.csv").write_text("unit_id,w,y,x_0\n0,1,0.5,1.0\n1,0,oops,1.5\n")
+        code = main(["fit", "--data", "data.csv", "--learner", "t", "--out-dir", "model"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "runtime error:" in err and "row 2" in err
+
     def test_unknown_learner_exits_1(self, workdir, capsys):
         cfg = write_config(workdir / "cfg.json", learners=["qlearner"])
         assert main(["experiment", "--config", str(cfg)]) == 1

@@ -20,6 +20,7 @@ from catebench.nn import (
     mlp_backward,
     mlp_forward,
     mlp_init,
+    minibatch_fit,
     mlp_input_gradient,
     mmd2_linear_with_grad,
     train_early_stop,
@@ -195,89 +196,55 @@ class TestTrainEarlyStop:
         assert np.all(mlp_forward(fitted, x) > 0.9)
 
     def test_patience_stop_returns_first_snapshot(self):
-        # lr=0 never improves after epoch 1, so training must stop after
-        # exactly (1 + patience) epochs and return the epoch-1 snapshot.
-        x = stream(8).normal(size=(100, 2))
-        y = x[:, 0]
-        net = mlp_init([2, 4, 1], rng=stream(9))
-        seen = []
+        # Validation loss rises after epoch 1, so the loop must stop after
+        # exactly (1 + patience) epochs and leave the epoch-1 vector behind.
+        params = np.zeros(3)
+        batches, seen = [], []
 
-        def spy(params, xb):
-            seen.append(xb.shape[0])
-            zero = MlpParams(
-                [np.zeros_like(w) for w in params.weights],
-                [np.zeros_like(b) for b in params.biases],
-                params.output_activation,
-            )
-            return 0.0, zero
+        def grad_fn(p, idx):
+            batches.append(len(idx))
+            return -np.ones(3)
 
-        cfg = TrainConfig(learning_rate=0.0, batch_size=50, max_epochs=500, patience=1)
-        fitted = train_early_stop(net, x, y, extra_penalty=spy, config=cfg, rng=stream(10))
-        n_train = 100 - 30
-        batches_per_epoch = int(np.ceil(n_train / 50))
-        assert len(seen) == 2 * batches_per_epoch  # epoch 1 + one patience epoch
-        for a, b in zip(fitted.arrays(), net.arrays()):  # lr=0: snapshot == init
-            assert np.array_equal(a, b)
+        def val_loss_fn(p):
+            seen.append(p.copy())
+            return float(p.sum())
+
+        cfg = TrainConfig(learning_rate=0.1, batch_size=50, max_epochs=500, patience=1)
+        minibatch_fit(params, grad_fn, val_loss_fn, 70, cfg, stream(10))
+        assert batches == [50, 20] * 2  # epoch 1 + one patience epoch
+        assert len(seen) == 2 and seen[1].sum() > seen[0].sum()
+        assert np.array_equal(params, seen[0])
 
     def test_returned_snapshot_is_best_evaluated(self):
-        # Record the parameter trajectory via the penalty hook, rebuild every
-        # epoch-end snapshot, and check none beats the returned one.
+        # Least squares on a flat vector: grad_fn sees every batch of every
+        # epoch, val_loss_fn every epoch-end vector; the vector left behind
+        # is the first one with the lowest validation loss.
         rng = stream(20)
-        x = rng.normal(size=(300, 2))
-        y = x[:, 0] * x[:, 1]
-        net = mlp_init([2, 8, 1], rng=stream(21))
-        snapshots = []
+        x = rng.normal(size=(300, 3))
+        y = x @ np.array([1.0, -2.0, 0.5]) + rng.normal(scale=0.5, size=300)
+        x_tr, y_tr, x_val, y_val = x[:210], y[:210], x[210:], y[210:]
+        params = np.zeros(3)
+        epochs, snapshots, losses = [], [], []
 
-        def spy(params, xb):
-            snapshots.append(params.copy())
-            zero = MlpParams(
-                [np.zeros_like(w) for w in params.weights],
-                [np.zeros_like(b) for b in params.biases],
-            )
-            return 0.0, zero
+        def grad_fn(p, idx):
+            if not epochs or len(epochs[-1]) == 210:
+                epochs.append([])
+            epochs[-1].extend(idx.tolist())
+            return 2.0 * x_tr[idx].T @ (x_tr[idx] @ p - y_tr[idx]) / len(idx)
 
-        cfg = TrainConfig(learning_rate=3e-3, batch_size=100, max_epochs=40, patience=5)
-        fitted = train_early_stop(net, x, y, extra_penalty=spy, config=cfg, rng=stream(22))
-        perm = stream(22).permutation(300)
-        val = perm[:90]
+        def val_loss_fn(p):
+            snapshots.append(p.copy())
+            losses.append(float(np.mean((x_val @ p - y_val) ** 2)))
+            return losses[-1]
 
-        def val_loss(p):
-            return np.mean((mlp_forward(p, x[val])[:, 0] - y[val]) ** 2)
-
-        per_epoch = int(np.ceil(210 / 100))
-        epoch_ends = snapshots[per_epoch::per_epoch]  # params entering each later epoch
-        best_seen = min(val_loss(p) for p in epoch_ends) if epoch_ends else np.inf
-        assert val_loss(fitted) <= best_seen + 1e-12
-
-    def test_penalty_shifts_training_only(self):
-        rng = stream(30)
-        x = rng.normal(size=(500, 2))
-        y = 3.0 * x[:, 0]
-        net = mlp_init([2, 10, 1], rng=stream(31))
-        lam = 10.0
-
-        def l2(params, xb):
-            grads = MlpParams(
-                [2.0 * lam * w for w in params.weights],
-                [np.zeros_like(b) for b in params.biases],
-            )
-            value = lam * sum(float(np.sum(w * w)) for w in params.weights)
-            return value, grads
-
-        cfg = TrainConfig(learning_rate=1e-2, batch_size=200, max_epochs=100, patience=100)
-        plain = train_early_stop(net, x, y, config=cfg, rng=stream(32))
-        shrunk = train_early_stop(net, x, y, extra_penalty=l2, config=cfg, rng=stream(32))
-        norm = lambda p: sum(float(np.sum(w * w)) for w in p.weights)
-        assert norm(shrunk) < norm(plain)
-
-    def test_sample_weights_tilt_fit(self):
-        x = np.ones((200, 1))
-        y = np.array([0.0, 1.0] * 100)
-        w = np.where(y == 1.0, 3.0, 1.0)
-        net = mlp_init([1, 8, 1], rng=stream(40))
-        cfg = TrainConfig(learning_rate=1e-2, batch_size=64, max_epochs=300, patience=300)
-        fitted = train_early_stop(net, x, y, sample_weight=w, config=cfg, rng=stream(41))
-        assert abs(float(mlp_forward(fitted, x)[0, 0]) - 0.75) < 0.05
+        cfg = TrainConfig(learning_rate=0.3, batch_size=100, max_epochs=40, patience=3)
+        minibatch_fit(params, grad_fn, val_loss_fn, 210, cfg, stream(22))
+        assert len(epochs) == len(snapshots)
+        for seen in epochs:  # each epoch visits every training row once
+            assert sorted(seen) == list(range(210))
+        best = int(np.argmin(losses))
+        assert np.array_equal(params, snapshots[best])
+        assert len(losses) in (best + 1 + cfg.patience, cfg.max_epochs)
 
     def test_deterministic_fit(self):
         rng = stream(50)
