@@ -508,6 +508,7 @@ def load_observed(data_path: str | Path) -> tuple[ObservedData, list[str], np.nd
     header, rows = tables.read_table(data_path)
     if header[:3] != _DATA_PREFIX:
         raise ParseError(f"{data_path}: expected header starting unit_id,w,y", row=0)
+    unit_ids = tables.parse_block(data_path, rows, 0, 1, int)[:, 0]
     body = tables.parse_block(data_path, rows)
     bad = ~np.isin(body[:, 1], (0.0, 1.0)) | ~np.isfinite(body[:, 2:]).all(axis=1)
     if bad.any():
@@ -518,7 +519,7 @@ def load_observed(data_path: str | Path) -> tuple[ObservedData, list[str], np.nd
     return (
         ObservedData(body[:, 3:], body[:, 1].astype(int), body[:, 2]),
         header[3:],
-        body[:, 0].astype(int),
+        unit_ids,
     )
 
 
@@ -554,8 +555,9 @@ def load_dataset(
     header, rows = tables.read_table(truth_path)
     if header != _TRUTH_HEADER:
         raise ParseError(f"{truth_path}: expected header unit_id,y0,y1,tau,pi", row=0)
+    truth_ids = tables.parse_block(truth_path, rows, 0, 1, int)[:, 0]
     tbody = tables.parse_block(truth_path, rows)
-    if not np.array_equal(tbody[:, 0].astype(int), unit_ids):
+    if not np.array_equal(truth_ids, unit_ids):
         raise ParseError("truth file unit ids do not match data file")
     names, sets, model, spec, sigma = load_meta(meta_path)
     truth = GroundTruth(

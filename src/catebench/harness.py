@@ -4,7 +4,9 @@ A cell is one (knob value, seed) pair: generate a dataset, split it, fit
 every configured learner on the same training part, attribute each fitted
 effect function on the same capped test rows, and score against the sealed
 truth. Sweeps run the grid x seeds product, optionally across processes;
-results are keyed records, so collection order never matters. The result
+results are keyed records, so collection order never matters. A learner
+that fails on its data (``NumericError``, ``EmptyGroupError``) yields a
+flagged NaN record; any other error propagates and stops the run. The result
 table has one column per ``ResultRecord`` field and is written and read
 through ``tables``.
 """
@@ -21,7 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from . import attribution, dgp, learners, metrics, tables
-from .errors import InvalidConfigError, ParseError, UndefinedMetricError
+from .errors import (
+    EmptyGroupError,
+    InvalidConfigError,
+    NumericError,
+    ParseError,
+    UndefinedMetricError,
+)
 from .nn import TrainConfig
 from .rng import float_key, label_key, stream
 
@@ -108,21 +116,24 @@ class ExperimentConfig:
             raise InvalidConfigError(str(err)) from None
 
 
+# Learner labels that take no argument, mapped to their fitting functions.
+_FITS = {
+    "s": learners.fit_s_learner,
+    "t": learners.fit_t_learner,
+    "dr": learners.fit_dr_learner,
+    "x": learners.fit_x_learner,
+}
+
+
 def parse_learner(entry: str):
-    """Map a learner label to its fitting call.
+    """Map a learner label to its fitting call ``fit(train, config, rng)``.
 
     Labels: s, t, dr, x, tarnet, cfrnet (balancing weight 1) or
     cfrnet:<gamma> for an explicit balancing weight.
     """
     name, _, arg = entry.partition(":")
-    if name == "s" and not arg:
-        return lambda train, cfg, rng: learners.fit_s_learner(train, cfg, rng)
-    if name == "t" and not arg:
-        return lambda train, cfg, rng: learners.fit_t_learner(train, cfg, rng)
-    if name == "dr" and not arg:
-        return lambda train, cfg, rng: learners.fit_dr_learner(train, cfg, rng)
-    if name == "x" and not arg:
-        return lambda train, cfg, rng: learners.fit_x_learner(train, cfg, rng)
+    if name in _FITS and not arg:
+        return _FITS[name]
     if name == "tarnet" and not arg:
         return lambda train, cfg, rng: learners.fit_tarnet(train, 0.0, cfg, rng)
     if name == "cfrnet":
@@ -247,7 +258,7 @@ def run_cell(config: ExperimentConfig, knob_value: float, seed: int) -> list[Res
             except UndefinedMetricError:
                 log.warning("all-zero attributions for %s at %s=%s seed %s",
                             entry, config.knob, knob_value, seed)
-        except Exception as err:  # flagged record, never a run abort
+        except (NumericError, EmptyGroupError) as err:  # a data failure: flagged NaN record
             log.warning("learner %s failed at %s=%s seed %s: %s",
                         entry, config.knob, knob_value, seed, err, exc_info=True)
         wall_ms = (time.perf_counter() - started) * 1e3

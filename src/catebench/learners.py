@@ -10,18 +10,24 @@ attribution methods. Every network is fitted on ``nn``'s one training path
 (``holdout_split``, then ``minibatch_fit``); TARNet/CFRNet adds only the
 gradient of its factual loss and balancing penalty through the shared
 trunk.
+
+A fitted estimator is saved as a directory: ``manifest.json`` holds the
+strategy and every scalar field, and ``weights.npz`` every array field and
+every network, layer by layer. Save and load both follow the estimator
+class's own fields, so no strategy has persistence code of its own.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .dgp import ObservedData
-from .errors import EmptyGroupError, InvalidConfigError
+from .errors import EmptyGroupError, InvalidConfigError, ParseError
 from .nn import (
     IDENTITY,
     SIGMOID,
@@ -189,15 +195,14 @@ class TarnetEstimator(CateEstimator):
 class DrEstimator(CateEstimator):
     """Second-stage regression on doubly-robust pseudo-outcomes."""
 
-    effect_net: MlpParams
-    clip: float = DEFAULT_CLIP
+    effect: MlpParams
     strategy = STRATEGY_DR
 
     def predict_cate(self, x):
-        return mlp_forward(self.effect_net, np.atleast_2d(x))[:, 0]
+        return mlp_forward(self.effect, np.atleast_2d(x))[:, 0]
 
     def gradient(self, x):
-        return mlp_input_gradient(self.effect_net, np.atleast_2d(x))
+        return mlp_input_gradient(self.effect, np.atleast_2d(x))
 
 
 @dataclass
@@ -206,7 +211,7 @@ class XEstimator(CateEstimator):
 
     tau0: MlpParams
     tau1: MlpParams
-    pi: MlpParams
+    pi: MlpParams = field(metadata={"output_activation": SIGMOID})
     strategy = STRATEGY_X
 
     def _parts(self, x):
@@ -334,7 +339,6 @@ def fit_dr_learner(
     config: TrainConfig,
     rng: np.random.Generator,
     nuisances: NuisanceSet | None = None,
-    clip: float = DEFAULT_CLIP,
 ) -> DrEstimator:
     """Stage 1: nuisances; stage 2: regress pseudo-outcomes on covariates."""
     _check_groups(train.w)
@@ -347,10 +351,8 @@ def fit_dr_learner(
         nuisances.pi_at(train.x),
         nuisances.mu0_at(train.x),
         nuisances.mu1_at(train.x),
-        clip,
     )
-    effect_net = _fit_regression(train.x, pseudo, config, r_stage2)
-    return DrEstimator(effect_net, clip)
+    return DrEstimator(_fit_regression(train.x, pseudo, config, r_stage2))
 
 
 def fit_x_learner(
@@ -376,54 +378,49 @@ def fit_x_learner(
 
 # --- Serialization ----------------------------------------------------------
 
+_ESTIMATOR_CLASSES = {
+    STRATEGY_S: SEstimator,
+    STRATEGY_T: TEstimator,
+    STRATEGY_TARNET: TarnetEstimator,
+    STRATEGY_CFRNET: TarnetEstimator,
+    STRATEGY_DR: DrEstimator,
+    STRATEGY_X: XEstimator,
+}
 
-def _net_entries(prefix: str, net: MlpParams) -> dict:
-    entries = {}
-    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        entries[f"{prefix}_w{k}"] = w
-        entries[f"{prefix}_b{k}"] = b
-    return entries
+
+def _field_kinds(cls) -> list[tuple[Field, type]]:
+    """Each field of an estimator class with its declared type."""
+    hints = get_type_hints(cls)
+    return [(f, hints[f.name]) for f in fields(cls)]
 
 
-def _net_from(prefix: str, blob, activation: str) -> MlpParams:
-    weights, biases = [], []
-    k = 0
-    while f"{prefix}_w{k}" in blob:
-        weights.append(blob[f"{prefix}_w{k}"])
-        biases.append(blob[f"{prefix}_b{k}"])
-        k += 1
-    return MlpParams(weights, biases, activation)
+def _entry(source, key: str, path: Path):
+    try:
+        return source[key]
+    except KeyError:
+        raise ParseError(f"{path}: missing key {key!r}") from None
 
 
 def save_estimator(est: CateEstimator, out_dir: str | Path) -> None:
-    """Write manifest.json plus a binary weight dump; bit-exact round trip."""
+    """Write manifest.json plus weights.npz, one entry per field; bit-exact round trip.
+
+    An ``MlpParams`` field ``f`` is stored as arrays ``f_w<k>``/``f_b<k>``,
+    an array field under its own name, and any other field in the manifest.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest: dict = {"strategy": est.strategy}
     arrays: dict = {}
-    if isinstance(est, SEstimator):
-        arrays = _net_entries("net", est.net)
-    elif isinstance(est, TEstimator):
-        arrays = {**_net_entries("mu0", est.mu0), **_net_entries("mu1", est.mu1)}
-    elif isinstance(est, TarnetEstimator):
-        manifest["gamma"] = est.gamma
-        arrays = {
-            "trunk_w": est.trunk_w,
-            "trunk_b": est.trunk_b,
-            **_net_entries("head0", est.head0),
-            **_net_entries("head1", est.head1),
-        }
-    elif isinstance(est, DrEstimator):
-        manifest["clip"] = est.clip
-        arrays = _net_entries("effect", est.effect_net)
-    elif isinstance(est, XEstimator):
-        arrays = {
-            **_net_entries("tau0", est.tau0),
-            **_net_entries("tau1", est.tau1),
-            **_net_entries("pi", est.pi),
-        }
-    else:
-        raise InvalidConfigError(f"cannot serialize estimator type {type(est).__name__}")
+    for f, kind in _field_kinds(type(est)):
+        value = getattr(est, f.name)
+        if kind is MlpParams:
+            for k, (w, b) in enumerate(zip(value.weights, value.biases)):
+                arrays[f"{f.name}_w{k}"] = w
+                arrays[f"{f.name}_b{k}"] = b
+        elif kind is np.ndarray:
+            arrays[f.name] = value
+        else:
+            manifest[f.name] = value
     with open(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
@@ -431,29 +428,34 @@ def save_estimator(est: CateEstimator, out_dir: str | Path) -> None:
 
 
 def load_estimator(in_dir: str | Path) -> CateEstimator:
-    in_dir = Path(in_dir)
-    with open(in_dir / "manifest.json") as fh:
+    """Rebuild an estimator from ``save_estimator``'s files.
+
+    The manifest's strategy picks the class, and the class's fields say
+    what to read; a malformed directory raises ``ParseError`` naming the
+    file and the key.
+    """
+    manifest_path = Path(in_dir) / "manifest.json"
+    weights_path = Path(in_dir) / "weights.npz"
+    with open(manifest_path) as fh:
         manifest = json.load(fh)
-    strategy = manifest["strategy"]
-    with np.load(in_dir / "weights.npz") as blob:
-        if strategy == STRATEGY_S:
-            return SEstimator(_net_from("net", blob, IDENTITY))
-        if strategy == STRATEGY_T:
-            return TEstimator(_net_from("mu0", blob, IDENTITY), _net_from("mu1", blob, IDENTITY))
-        if strategy in (STRATEGY_TARNET, STRATEGY_CFRNET):
-            return TarnetEstimator(
-                blob["trunk_w"],
-                blob["trunk_b"],
-                _net_from("head0", blob, IDENTITY),
-                _net_from("head1", blob, IDENTITY),
-                manifest["gamma"],
-            )
-        if strategy == STRATEGY_DR:
-            return DrEstimator(_net_from("effect", blob, IDENTITY), manifest["clip"])
-        if strategy == STRATEGY_X:
-            return XEstimator(
-                _net_from("tau0", blob, IDENTITY),
-                _net_from("tau1", blob, IDENTITY),
-                _net_from("pi", blob, SIGMOID),
-            )
-        raise InvalidConfigError(f"unknown strategy {strategy!r} in manifest")
+    if not isinstance(manifest, dict):
+        raise ParseError(f"{manifest_path}: expected a JSON object with key 'strategy'")
+    strategy = _entry(manifest, "strategy", manifest_path)
+    if not isinstance(strategy, str) or strategy not in _ESTIMATOR_CLASSES:
+        raise ParseError(f"{manifest_path}: unknown strategy {strategy!r} at key 'strategy'")
+    cls = _ESTIMATOR_CLASSES[strategy]
+    values = {}
+    with np.load(weights_path) as blob:
+        for f, kind in _field_kinds(cls):
+            if kind is MlpParams:
+                arrays, k = [], 0
+                while k == 0 or f"{f.name}_w{k}" in blob:  # layer 0 must be there
+                    arrays += [_entry(blob, f"{f.name}_{p}{k}", weights_path) for p in "wb"]
+                    k += 1
+                activation = f.metadata.get("output_activation", IDENTITY)
+                values[f.name] = MlpParams.from_arrays(arrays, activation)
+            elif kind is np.ndarray:
+                values[f.name] = _entry(blob, f.name, weights_path)
+            else:
+                values[f.name] = _entry(manifest, f.name, manifest_path)
+    return cls(**values)

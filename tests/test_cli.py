@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from catebench.cli import main
@@ -137,6 +138,16 @@ class TestUsageErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert "runtime error:" in err and "row 2" in err
+
+    def test_malformed_model_exits_2(self, workdir, capsys):
+        (workdir / "data.csv").write_text("unit_id,w,y,x_0\n0,1,0.5,1.0\n1,0,0.25,1.5\n")
+        (workdir / "model").mkdir()
+        (workdir / "model" / "manifest.json").write_text('{"strategy": "tarnet", "gamma": 0.0}')
+        np.savez(workdir / "model" / "weights.npz", mu0_w0=np.ones((1, 1)), mu0_b0=np.ones(1))
+        code = main(["attribute", "--model", "model", "--data", "data.csv", "--out", "attr.csv"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "runtime error:" in err and "weights.npz" in err and "'trunk_w'" in err
 
     def test_unknown_learner_exits_1(self, workdir, capsys):
         cfg = write_config(workdir / "cfg.json", learners=["qlearner"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from catebench.dgp import PREDICTIVE_CONFOUNDING
-from catebench.errors import InvalidConfigError, ParseError
+from catebench.errors import InvalidConfigError, NumericError, ParseError
 from catebench.harness import (
     ExperimentConfig,
     ResultRecord,
@@ -124,18 +124,27 @@ class TestRunCell:
         cfg = tiny_config(knob="propensity_scale", knob_grid=(0.0, 1.0), omega_pi=2.0)
         assert fixed_knob_value(cfg) == 2.0
 
-    def test_failing_learner_yields_flagged_record(self, monkeypatch):
+    @staticmethod
+    def _failing_learners(monkeypatch, error):
         import catebench.harness as harness_mod
 
         def broken(entry):
             def fit(*args, **kwargs):
-                raise RuntimeError("boom")
+                raise error
 
             return fit
 
         monkeypatch.setattr(harness_mod, "parse_learner", broken)
+
+    def test_failing_learner_yields_flagged_record(self, monkeypatch):
+        self._failing_learners(monkeypatch, NumericError("boom"))
         [rec] = run_cell(tiny_config(learners=("t",)), 1.0, 0)
         assert np.isnan(rec.attr_pred) and np.isnan(rec.attr_prog) and np.isnan(rec.pehe)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        self._failing_learners(monkeypatch, RuntimeError("boom"))
+        with pytest.raises(RuntimeError, match="boom"):
+            run_cell(tiny_config(learners=("t",)), 1.0, 0)
 
 
 class TestRunExperiment:

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from catebench.dgp import ObservedData
-from catebench.errors import EmptyGroupError, InvalidConfigError
+from catebench.errors import EmptyGroupError, InvalidConfigError, ParseError
 from catebench.learners import (
     HIDDEN_UNITS,
     DrEstimator,
@@ -362,12 +364,13 @@ class TestSerialization:
             assert np.array_equal(back.gradient(x), est.gradient(x))
 
     def test_manifest_fields(self, tmp_path):
-        est = DrEstimator(linear_net([1.0, 0.0]), clip=0.05)
+        est = DrEstimator(linear_net([1.0, 0.0]))
+        dr_manifest = tmp_path / "dr" / "manifest.json"
         save_estimator(est, tmp_path / "dr")
-        import json
-
-        manifest = json.loads((tmp_path / "dr" / "manifest.json").read_text())
-        assert manifest == {"strategy": "dr", "clip": 0.05}
+        assert json.loads(dr_manifest.read_text()) == {"strategy": "dr"}
+        dr_manifest.write_text('{"strategy": "dr", "clip": 0.01}')  # older DR manifests carry it
+        x = stream(135).normal(size=(5, 2))
+        assert np.array_equal(load_estimator(tmp_path / "dr").predict_cate(x), est.predict_cate(x))
 
         x_est = TestGradients()._estimators()[0][-1]
         x_manifest = tmp_path / "x" / "manifest.json"
@@ -377,3 +380,54 @@ class TestSerialization:
         x = stream(135).normal(size=(5, 4))
         back = load_estimator(tmp_path / "x")
         assert np.array_equal(back.predict_cate(x), x_est.predict_cate(x))
+        assert back.pi.output_activation == SIGMOID
+
+    def test_weight_entry_names_and_order(self, tmp_path):
+        def net(name, layers):
+            return [f"{name}_{p}{k}" for k in range(layers) for p in "wb"]
+
+        expected = {
+            "s": net("net", 3),
+            "t": net("mu0", 2) + net("mu1", 2),
+            "cfrnet": ["trunk_w", "trunk_b"] + net("head0", 2) + net("head1", 2),
+            "dr": net("effect", 2),
+            "x": net("tau0", 2) + net("tau1", 2) + net("pi", 2),
+        }
+        for est in TestGradients()._estimators()[0]:
+            save_estimator(est, tmp_path / est.strategy)
+            with np.load(tmp_path / est.strategy / "weights.npz") as blob:
+                assert blob.files == expected[est.strategy]
+
+    @pytest.mark.parametrize(
+        "case, file, key",
+        [
+            ("non-object manifest", "manifest.json", "strategy"),
+            ("missing strategy", "manifest.json", "strategy"),
+            ("unknown strategy", "manifest.json", "strategy"),
+            ("missing net entries", "weights.npz", "mu1_w0"),
+            ("missing trunk_w", "weights.npz", "trunk_w"),
+            ("missing gamma", "manifest.json", "gamma"),
+        ],
+    )
+    def test_malformed_directory_names_file_and_key(self, tmp_path, case, file, key):
+        t_est, cfr_est = TestGradients()._estimators()[0][1:3]
+        model = tmp_path / "model"
+        save_estimator(cfr_est if case == "missing gamma" else t_est, model)
+        manifest = model / "manifest.json"
+        if case == "non-object manifest":
+            manifest.write_text("[]")
+        elif case == "missing strategy":
+            manifest.write_text("{}")
+        elif case == "unknown strategy":
+            manifest.write_text('{"strategy": "q"}')
+        elif case == "missing net entries":
+            with np.load(model / "weights.npz") as blob:
+                kept = {k: blob[k] for k in blob.files if not k.startswith("mu1_")}
+            np.savez(model / "weights.npz", **kept)
+        elif case == "missing trunk_w":
+            manifest.write_text('{"strategy": "tarnet", "gamma": 0.0}')
+        else:
+            manifest.write_text('{"strategy": "cfrnet"}')
+        with pytest.raises(ParseError) as err:
+            load_estimator(model)
+        assert f"{model / file}: " in str(err.value) and f"'{key}'" in str(err.value)

@@ -53,8 +53,13 @@ READERS = {
 }
 
 
-@pytest.mark.parametrize("defect", ["cell", "short"])
-@pytest.mark.parametrize("reader", sorted(READERS))
+# defects: a non-numeric cell, a short row, and a fractional unit id (column 0)
+DEFECTS = [(reader, defect) for reader in sorted(READERS) for defect in ("cell", "short")] + [
+    (reader, "id") for reader in ("attributions", "observed", "truth")
+]
+
+
+@pytest.mark.parametrize("reader, defect", DEFECTS)
 def test_malformed_table_names_row_and_column(tables_dir, reader, defect):
     load, name, col = READERS[reader]
     path = tables_dir / name
@@ -62,6 +67,8 @@ def test_malformed_table_names_row_and_column(tables_dir, reader, defect):
     cells = lines[2].split(",")
     if defect == "cell":
         cells[col] = "oops"
+    elif defect == "id":
+        cells[0] = "1.5"
     else:
         cells.pop()
     lines[2] = ",".join(cells)
@@ -69,7 +76,7 @@ def test_malformed_table_names_row_and_column(tables_dir, reader, defect):
     with pytest.raises(ParseError) as err:
         load(path)
     assert err.value.row == 2 and "row 2" in str(err.value)
-    assert err.value.col == (col if defect == "cell" else None)
+    assert err.value.col == {"cell": col, "short": None, "id": 0}[defect]
 
 
 def test_meta_missing_key_names_file_and_key(tables_dir):
