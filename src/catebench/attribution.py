@@ -4,7 +4,10 @@ All methods score the effect estimate itself, never the per-arm outcome
 models. Gradient methods need a function that exposes exact gradients;
 perturbation methods need only values. A brute-force Shapley enumeration
 is included as the verification oracle for the Monte-Carlo sampler.
-Score matrices are saved and read back as tables through ``tables``.
+``attribute_batch`` looks each method up in one table that calls these
+same public functions (gradient methods on the whole batch); its
+``AttributionMatrix`` of scores, method and scored rows is saved and read
+back as a table through ``tables``.
 """
 
 from __future__ import annotations
@@ -26,14 +29,6 @@ FEATURE_ABLATION = "feature_ablation"
 FEATURE_PERMUTATION = "feature_permutation"
 SHAPLEY_MC = "shapley_mc"
 SHAPLEY_EXACT = "shapley_exact"
-METHODS = (
-    SALIENCY,
-    INTEGRATED_GRADIENTS,
-    FEATURE_ABLATION,
-    FEATURE_PERMUTATION,
-    SHAPLEY_MC,
-    SHAPLEY_EXACT,
-)
 
 _EXACT_SHAPLEY_MAX_D = 15
 _EVAL_CHUNK = 65536
@@ -48,58 +43,53 @@ class ScalarFunction:
 
 
 def as_function(f) -> ScalarFunction:
-    """Adapt an effect estimator, a ScalarFunction, or a bare callable."""
+    """Adapt an effect estimator; a ScalarFunction passes through."""
     if isinstance(f, ScalarFunction):
         return f
     if hasattr(f, "predict_cate"):
         return ScalarFunction(f.predict_cate, getattr(f, "gradient", None))
-    if callable(f):
-        return ScalarFunction(f)
     raise InvalidConfigError(f"cannot interpret {type(f).__name__} as a scalar function")
 
 
-def _require_gradient(fn: ScalarFunction, method: str):
+def _gradient_of(fn: ScalarFunction, method: str):
     if fn.gradient is None:
         raise InvalidConfigError(f"{method} needs a function with gradients")
+    return fn.gradient
 
 
-def _as_point(x) -> np.ndarray:
+def _baseline_for(baseline, d: int) -> np.ndarray:
+    """The zero vector for None, else ``baseline`` checked to have ``d`` entries."""
+    if baseline is None:
+        return np.zeros(d)
+    baseline = np.asarray(baseline, dtype=float)
+    if baseline.shape != (d,):
+        raise ShapeError(f"baseline shape {baseline.shape} does not match {d} features")
+    return baseline
+
+
+def _point(f, x, baseline):
+    """(function, covariate vector, checked baseline) for a single-point method."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ShapeError("expected a single covariate vector")
-    return x
-
-
-def _baseline_for(x: np.ndarray, baseline) -> np.ndarray:
-    if baseline is None:
-        return np.zeros_like(x)
-    baseline = np.asarray(baseline, dtype=float)
-    if baseline.shape != x.shape:
-        raise ShapeError("baseline shape does not match input")
-    return baseline
+    return as_function(f), x, _baseline_for(baseline, len(x))
 
 
 def saliency(f, x) -> np.ndarray:
     """Plain gradient at the input."""
-    fn = as_function(f)
-    _require_gradient(fn, SALIENCY)
-    x = _as_point(x)
-    return fn.gradient(x[None, :])[0]
+    fn, x, _ = _point(f, x, None)
+    return _gradient_of(fn, SALIENCY)(x[None, :])[0]
 
 
 def integrated_gradients(f, x, baseline=None, steps: int = 50) -> np.ndarray:
     """Midpoint-rule path integral of the gradient from baseline to x."""
-    fn = as_function(f)
-    _require_gradient(fn, INTEGRATED_GRADIENTS)
-    x = _as_point(x)
-    return _batched_ig(fn, x[None], _baseline_for(x, baseline), steps)[0]
+    fn, x, b = _point(f, x, baseline)
+    return _batched_ig(fn, x[None], b, steps)[0]
 
 
 def feature_ablation(f, x, baseline=None) -> np.ndarray:
     """Drop in output when each coordinate is reset to its baseline."""
-    fn = as_function(f)
-    x = _as_point(x)
-    b = _baseline_for(x, baseline)
+    fn, x, b = _point(f, x, baseline)
     d = len(x)
     points = np.tile(x, (d + 1, 1))
     for i in range(d):
@@ -108,11 +98,11 @@ def feature_ablation(f, x, baseline=None) -> np.ndarray:
     return vals[0] - vals[1:]
 
 
-def feature_permutation(f, x_query: np.ndarray, rng: np.random.Generator):
+def feature_permutation(f, x_query: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Per-row sensitivity to shuffling each feature column across the batch.
 
     A global method: one shared permutation per feature, scores depend on
-    the whole query batch. Returns an AttributionMatrix.
+    the whole query batch. Returns an (m, d) score array.
     """
     fn = as_function(f)
     x_query = np.atleast_2d(np.asarray(x_query, dtype=float))
@@ -125,7 +115,7 @@ def feature_permutation(f, x_query: np.ndarray, rng: np.random.Generator):
         shuffled = x_query.copy()
         shuffled[:, i] = x_query[rng.permutation(m), i]
         scores[:, i] = base_vals - np.asarray(fn.value(shuffled), dtype=float).reshape(-1)
-    return AttributionMatrix(scores, FEATURE_PERMUTATION, np.zeros(d), np.arange(m))
+    return scores
 
 
 def shapley_mc(f, x, baseline=None, n_permutations: int = 1000, rng=None) -> np.ndarray:
@@ -135,13 +125,11 @@ def shapley_mc(f, x, baseline=None, n_permutations: int = 1000, rng=None) -> np.
     its marginal change; off-coalition coordinates sit at the baseline.
     Unbiased for the exact Shapley values of the same coalition game.
     """
-    fn = as_function(f)
+    fn, x, b = _point(f, x, baseline)
     if n_permutations < 1:
         raise InvalidConfigError("n_permutations must be >= 1")
     if rng is None:
         raise InvalidConfigError("shapley_mc requires a seeded generator")
-    x = _as_point(x)
-    b = _baseline_for(x, baseline)
     d = len(x)
     totals = np.zeros(d)
     # Evaluate permutations in blocks: each contributes d+1 prefix points.
@@ -165,9 +153,7 @@ def shapley_mc(f, x, baseline=None, n_permutations: int = 1000, rng=None) -> np.
 
 def shapley_exact(f, x, baseline=None) -> np.ndarray:
     """Exact Shapley values by full coalition enumeration (d <= 15)."""
-    fn = as_function(f)
-    x = _as_point(x)
-    b = _baseline_for(x, baseline)
+    fn, x, b = _point(f, x, baseline)
     d = len(x)
     if d > _EXACT_SHAPLEY_MAX_D:
         raise CapacityError(f"exact Shapley enumeration capped at d={_EXACT_SHAPLEY_MAX_D}")
@@ -202,7 +188,6 @@ class AttributionMatrix:
 
     scores: np.ndarray
     method: str
-    baseline: np.ndarray
     row_indices: np.ndarray  # rows of the original query matrix that were scored
 
     def __post_init__(self):
@@ -222,6 +207,28 @@ class AttributionSettings:
     seed: int = 0
 
 
+def _rowwise(x: np.ndarray, kernel) -> np.ndarray:
+    """Scores of every row ``k`` of ``x`` from ``kernel(k, x[k])``."""
+    return np.array([kernel(k, row) for k, row in enumerate(x)], dtype=float).reshape(x.shape)
+
+
+# Each method over the scored rows: (fn, rows, baseline, settings) -> (rows, d) scores.
+# MC Shapley draws row k's orderings from stream(seed, 2, k), permutation
+# importance its column shuffles from stream(seed, 1).
+_BATCH_METHODS = {
+    SALIENCY: lambda fn, x, b, s: _gradient_of(fn, SALIENCY)(x),
+    INTEGRATED_GRADIENTS: lambda fn, x, b, s: _batched_ig(fn, x, b, s.steps),
+    FEATURE_ABLATION: lambda fn, x, b, s: _rowwise(x, lambda k, row: feature_ablation(fn, row, b)),
+    FEATURE_PERMUTATION: lambda fn, x, b, s: feature_permutation(fn, x, stream(s.seed, 1)),
+    SHAPLEY_MC: lambda fn, x, b, s: _rowwise(x, lambda k, row: shapley_mc(
+        fn, row, b, 100 * len(b) if s.n_permutations is None else s.n_permutations,
+        stream(s.seed, 2, k),
+    )),
+    SHAPLEY_EXACT: lambda fn, x, b, s: _rowwise(x, lambda k, row: shapley_exact(fn, row, b)),
+}
+METHODS = tuple(_BATCH_METHODS)
+
+
 def attribute_batch(
     method: str,
     est,
@@ -234,7 +241,7 @@ def attribute_batch(
     first ``max_rows`` rows of a seeded shuffle (reported in ascending
     order via ``row_indices``).
     """
-    if method not in METHODS:
+    if method not in _BATCH_METHODS:
         raise InvalidConfigError(f"unknown attribution method {method!r}")
     fn = as_function(est)
     x_query = np.atleast_2d(np.asarray(x_query, dtype=float))
@@ -244,36 +251,14 @@ def attribute_batch(
         rows = np.sort(shuffle[: settings.max_rows])
     else:
         rows = np.arange(m)
-    x_sel = x_query[rows]
-    baseline = (
-        np.zeros(d) if settings.baseline is None else np.asarray(settings.baseline, dtype=float)
+    baseline = _baseline_for(settings.baseline, d)
+    return AttributionMatrix(
+        _BATCH_METHODS[method](fn, x_query[rows], baseline, settings), method, rows
     )
-    if baseline.shape != (d,):
-        raise ShapeError("baseline length must match feature count")
-
-    if method == SALIENCY:
-        _require_gradient(fn, method)
-        scores = fn.gradient(x_sel)
-    elif method == INTEGRATED_GRADIENTS:
-        _require_gradient(fn, method)
-        scores = _batched_ig(fn, x_sel, baseline, settings.steps)
-    elif method == FEATURE_ABLATION:
-        scores = np.vstack([feature_ablation(fn, row, baseline) for row in x_sel])
-    elif method == FEATURE_PERMUTATION:
-        mat = feature_permutation(fn, x_sel, stream(settings.seed, 1))
-        scores = mat.scores
-    else:
-        n_perm = settings.n_permutations if settings.n_permutations is not None else 100 * d
-        scores = np.empty((len(rows), d))
-        for k, row in enumerate(x_sel):
-            if method == SHAPLEY_MC:
-                scores[k] = shapley_mc(fn, row, baseline, n_perm, stream(settings.seed, 2, k))
-            else:
-                scores[k] = shapley_exact(fn, row, baseline)
-    return AttributionMatrix(scores, method, baseline, rows)
 
 
 def _batched_ig(fn: ScalarFunction, x_sel: np.ndarray, baseline: np.ndarray, steps: int):
+    gradient = _gradient_of(fn, INTEGRATED_GRADIENTS)
     if steps < 1:
         raise InvalidConfigError("steps must be >= 1")
     m, d = x_sel.shape
@@ -284,7 +269,7 @@ def _batched_ig(fn: ScalarFunction, x_sel: np.ndarray, baseline: np.ndarray, ste
     for start in range(0, m, rows_per_chunk):
         xs = x_sel[start : start + rows_per_chunk]
         pts = baseline + ts[None, :, None] * (xs[:, None, :] - baseline)
-        grads = fn.gradient(pts.reshape(-1, d)).reshape(len(xs), steps, d)
+        grads = gradient(pts.reshape(-1, d)).reshape(len(xs), steps, d)
         out[start : start + rows_per_chunk] = (xs - baseline) * grads.mean(axis=1)
     return out
 
@@ -296,7 +281,7 @@ def load_attributions(path: str | Path) -> tuple[AttributionMatrix, np.ndarray]:
         raise ParseError(f"{path}: expected header starting unit_id,method", row=0)
     unit_ids = tables.parse_block(path, rows, 0, 1, int)[:, 0]
     scores = tables.parse_block(path, rows, 2)
-    mat = AttributionMatrix(scores, rows[0][1], np.zeros(scores.shape[1]), np.arange(len(rows)))
+    mat = AttributionMatrix(scores, rows[0][1], np.arange(len(rows)))
     return mat, unit_ids
 
 

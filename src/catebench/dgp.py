@@ -7,7 +7,8 @@ propensities and driver indices are all known. Ground truth travels in a
 sealed sidecar of the dataset: model fitting only ever sees (X, W, Y).
 A saved dataset is three files: the observed table and the truth table,
 written and read through ``tables``, and a JSON sidecar that only
-``load_meta`` reads.
+``load_meta`` reads. ``train_test_split`` draws its partition through
+``nn.holdout_split``, the package's one seeded split.
 
 Because assignment and outcomes are simulated, the usual identifying
 assumptions hold by construction rather than by hope:
@@ -37,7 +38,7 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .nn import sigmoid
+from .nn import holdout_split, sigmoid
 
 NORM_NONE = "none"
 NORM_MINMAX = "minmax"
@@ -449,14 +450,12 @@ def _take(ds: SemiSyntheticDataset, idx: np.ndarray) -> SemiSyntheticDataset:
 def train_test_split(
     ds: SemiSyntheticDataset, test_fraction: float, rng: np.random.Generator
 ) -> tuple[SemiSyntheticDataset, SemiSyntheticDataset]:
-    """Disjoint random partition; ground truth rides along with both parts."""
-    if not 0.0 < test_fraction < 1.0:
-        raise InvalidConfigError("test_fraction must lie strictly between 0 and 1")
-    n_test = int(round(ds.n * test_fraction))
-    if n_test < 1 or ds.n - n_test < 1:
-        raise InvalidConfigError(f"degenerate partition: {ds.n} units, {n_test} test")
-    perm = rng.permutation(ds.n)
-    return _take(ds, np.sort(perm[n_test:])), _take(ds, np.sort(perm[:n_test]))
+    """Disjoint random partition through ``holdout_split``, rows kept in order.
+
+    Ground truth rides along with both parts.
+    """
+    train_idx, test_idx = holdout_split(ds.n, test_fraction, rng)
+    return _take(ds, np.sort(train_idx)), _take(ds, np.sort(test_idx))
 
 
 # --- Persistence -----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Experiment orchestration.
 
-A cell is one (knob value, seed) pair: generate a dataset, split it, fit
+A cell is one (knob value, seed) pair: generate a dataset with the knob's
+config field (``KNOB_FIELDS``) set to the knob value, split it, fit
 every configured learner on the same training part, attribute each fitted
 effect function on the same capped test rows, and score against the sealed
 truth. Sweeps run the grid x seeds product, optionally across processes;
@@ -17,7 +18,7 @@ import logging
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,12 @@ log = logging.getLogger(__name__)
 KNOB_PREDICTIVE_SCALE = "predictive_scale"
 KNOB_NONLINEARITY_SCALE = "nonlinearity_scale"
 KNOB_PROPENSITY_SCALE = "propensity_scale"
-KNOBS = (KNOB_PREDICTIVE_SCALE, KNOB_NONLINEARITY_SCALE, KNOB_PROPENSITY_SCALE)
+# Each sweep knob and the config field whose value it replaces in a cell.
+KNOB_FIELDS = {
+    KNOB_PREDICTIVE_SCALE: "omega_pred",
+    KNOB_NONLINEARITY_SCALE: "omega_nl",
+    KNOB_PROPENSITY_SCALE: "omega_pi",
+}
 
 DEFAULT_LEARNERS = ("s", "t", "tarnet", "dr", "x")
 
@@ -82,7 +88,7 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "knob_grid", tuple(float(v) for v in self.knob_grid))
         object.__setattr__(self, "learners", tuple(self.learners))
-        if self.knob not in KNOBS:
+        if self.knob not in KNOB_FIELDS:
             raise InvalidConfigError(f"unknown knob {self.knob!r}")
         if not self.knob_grid:
             raise InvalidConfigError("knob grid must be nonempty")
@@ -168,18 +174,6 @@ class ResultRecord:
 CSV_COLUMNS = tuple(f.name for f in fields(ResultRecord))  # the result table, in field order
 
 
-def _knob_values(config: ExperimentConfig, knob_value: float):
-    """Resolve (omega_pred, omega_nl, omega_pi) for one grid point."""
-    omega_pred, omega_nl, omega_pi = config.omega_pred, config.omega_nl, config.omega_pi
-    if config.knob == KNOB_PREDICTIVE_SCALE:
-        omega_pred = knob_value
-    elif config.knob == KNOB_NONLINEARITY_SCALE:
-        omega_nl = knob_value
-    else:
-        omega_pi = knob_value
-    return omega_pred, omega_nl, omega_pi
-
-
 def _cell_covariates(config: ExperimentConfig, seed: int, knob_bits: int) -> dgp.CovariateMatrix:
     if config.covariates_csv is not None:
         return dgp.load_covariates_csv(config.covariates_csv, config.covariates_normalize)
@@ -193,11 +187,7 @@ def _cell_covariates(config: ExperimentConfig, seed: int, knob_bits: int) -> dgp
 
 def fixed_knob_value(config: ExperimentConfig) -> float:
     """The config's standing value for its own knob (used outside sweeps)."""
-    if config.knob == KNOB_PREDICTIVE_SCALE:
-        return config.omega_pred
-    if config.knob == KNOB_NONLINEARITY_SCALE:
-        return config.omega_nl
-    return config.omega_pi
+    return getattr(config, KNOB_FIELDS[config.knob])
 
 
 def build_dataset(
@@ -205,16 +195,18 @@ def build_dataset(
 ) -> dgp.SemiSyntheticDataset:
     """One cell's full dataset before splitting."""
     knob_bits = float_key(knob_value)
-    omega_pred, omega_nl, omega_pi = _knob_values(config, knob_value)
+    cell = replace(config, **{KNOB_FIELDS[config.knob]: knob_value})  # the knob set to its value
     covariates = _cell_covariates(config, seed, knob_bits)
     d = covariates.d
     n_i = config.n_i if config.n_i is not None else int(np.floor(0.2 * d))
     sets = dgp.sample_feature_sets(d, n_i, stream(seed, knob_bits, _S_SETS))
-    model = dgp.sample_outcome_model(n_i, omega_nl, omega_pred, stream(seed, knob_bits, _S_MODEL))
+    model = dgp.sample_outcome_model(
+        n_i, cell.omega_nl, cell.omega_pred, stream(seed, knob_bits, _S_MODEL)
+    )
     irrelevant = None
     if config.propensity_kind == dgp.NONCONFOUNDED:
         irrelevant = dgp.pick_irrelevant_index(d, sets, stream(seed, knob_bits, _S_IRRELEVANT))
-    spec = dgp.PropensitySpec(config.propensity_kind, omega_pi, irrelevant)
+    spec = dgp.PropensitySpec(config.propensity_kind, cell.omega_pi, irrelevant)
     return dgp.generate_dataset(
         covariates, sets, model, spec, config.sigma, stream(seed, knob_bits, _S_GENERATE)
     )

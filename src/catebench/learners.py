@@ -14,12 +14,14 @@ trunk.
 A fitted estimator is saved as a directory: ``manifest.json`` holds the
 strategy and every scalar field, and ``weights.npz`` every array field and
 every network, layer by layer. Save and load both follow the estimator
-class's own fields, so no strategy has persistence code of its own.
+class's own fields, so no strategy has persistence code of its own; the
+loader also checks that every network's layers chain into one output.
 """
 
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -168,8 +170,8 @@ class TarnetEstimator(CateEstimator):
 
     trunk_w: np.ndarray
     trunk_b: np.ndarray
-    head0: MlpParams
-    head1: MlpParams
+    head0: MlpParams = field(metadata={"input_layer": ("trunk_w", "trunk_b")})
+    head1: MlpParams = field(metadata={"input_layer": ("trunk_w", "trunk_b")})
     gamma: float = 0.0
 
     @property
@@ -278,7 +280,7 @@ def fit_tarnet(
     trunk_w, trunk_b = views[:2]
     heads = [MlpParams.from_arrays(views[i : i + 4], IDENTITY) for i in (2, 6)]
 
-    train_idx, val_idx = holdout_split(train.n, config, r_split)
+    train_idx, val_idx = holdout_split(train.n, config.val_fraction, r_split)
     x_tr, y_tr, w_tr = train.x[train_idx], train.y[train_idx], train.w[train_idx]
     x_val, y_val, w_val = train.x[val_idx], train.y[val_idx], train.w[val_idx]
 
@@ -355,17 +357,11 @@ def fit_dr_learner(
     return DrEstimator(_fit_regression(train.x, pseudo, config, r_stage2))
 
 
-def fit_x_learner(
-    train: ObservedData,
-    config: TrainConfig,
-    rng: np.random.Generator,
-    nuisances: NuisanceSet | None = None,
-) -> XEstimator:
+def fit_x_learner(train: ObservedData, config: TrainConfig, rng: np.random.Generator) -> XEstimator:
     """Arm-wise effect regressions on imputed contrasts, blended by pi_hat."""
     _check_groups(train.w)
     r_nuis, r_tau0, r_tau1 = rng.spawn(3)
-    if nuisances is None:
-        nuisances = fit_nuisances(train, config, r_nuis)
+    nuisances = fit_nuisances(train, config, r_nuis)
     treated = train.w == 1
     # Treated arm: observed outcome minus imputed control outcome.
     target1 = train.y[treated] - nuisances.mu0_at(train.x[treated])
@@ -401,6 +397,20 @@ def _entry(source, key: str, path: Path):
         raise ParseError(f"{path}: missing key {key!r}") from None
 
 
+def _check_layers(keys: list[str], arrays: list[np.ndarray], path: Path) -> None:
+    """ParseError unless [w0, b0, w1, b1, ...] chain layer to layer into one output."""
+    width = arrays[0].shape[0] if arrays[0].ndim else None
+    for i in range(0, len(keys), 2):
+        w, b = arrays[i], arrays[i + 1]
+        if w.ndim != 2 or w.shape[0] != width:
+            raise ParseError(f"{path}: {keys[i]!r} has shape {w.shape}, expected ({width}, n)")
+        width = w.shape[1]
+        if b.shape != (width,):
+            raise ParseError(f"{path}: {keys[i + 1]!r} has shape {b.shape}, expected ({width},)")
+    if width != 1:
+        raise ParseError(f"{path}: {keys[-2]!r} has {width} output columns, expected 1")
+
+
 def save_estimator(est: CateEstimator, out_dir: str | Path) -> None:
     """Write manifest.json plus weights.npz, one entry per field; bit-exact round trip.
 
@@ -431,8 +441,9 @@ def load_estimator(in_dir: str | Path) -> CateEstimator:
     """Rebuild an estimator from ``save_estimator``'s files.
 
     The manifest's strategy picks the class, and the class's fields say
-    what to read; a malformed directory raises ``ParseError`` naming the
-    file and the key.
+    what to read. A malformed directory (a missing key, unchained layers,
+    a non-number scalar, a non-npz weights file) raises ``ParseError``
+    naming the file and the key.
     """
     manifest_path = Path(in_dir) / "manifest.json"
     weights_path = Path(in_dir) / "weights.npz"
@@ -445,17 +456,26 @@ def load_estimator(in_dir: str | Path) -> CateEstimator:
         raise ParseError(f"{manifest_path}: unknown strategy {strategy!r} at key 'strategy'")
     cls = _ESTIMATOR_CLASSES[strategy]
     values = {}
-    with np.load(weights_path) as blob:
+    try:
+        blob = np.load(weights_path)
+    except (ValueError, EOFError, zipfile.BadZipFile) as err:
+        raise ParseError(f"{weights_path}: not an npz archive ({err})") from None
+    with blob:
         for f, kind in _field_kinds(cls):
             if kind is MlpParams:
-                arrays, k = [], 0
+                keys, k = [], 0
                 while k == 0 or f"{f.name}_w{k}" in blob:  # layer 0 must be there
-                    arrays += [_entry(blob, f"{f.name}_{p}{k}", weights_path) for p in "wb"]
+                    keys += [f"{f.name}_w{k}", f"{f.name}_b{k}"]
                     k += 1
+                arrays = [_entry(blob, key, weights_path) for key in keys]
+                first = list(f.metadata.get("input_layer", ()))  # a layer this net reads from
+                _check_layers(first + keys, [values[key] for key in first] + arrays, weights_path)
                 activation = f.metadata.get("output_activation", IDENTITY)
                 values[f.name] = MlpParams.from_arrays(arrays, activation)
             elif kind is np.ndarray:
                 values[f.name] = _entry(blob, f.name, weights_path)
             else:
-                values[f.name] = _entry(manifest, f.name, manifest_path)
+                values[f.name] = value = _entry(manifest, f.name, manifest_path)
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ParseError(f"{manifest_path}: {f.name!r} is {value!r}, not a number")
     return cls(**values)

@@ -9,7 +9,8 @@ Every network fit takes one path: a seeded hold-out split
 (``holdout_split``), then ``minibatch_fit``, which keeps all parameters in
 one flat float64 vector that ``adam_step`` updates in place. Per-layer
 arrays are views into that vector, and each step runs one forward pass
-whose activations the backward pass reuses. Everything is float64 and
+whose activations the backward pass reuses. ``dgp.train_test_split`` also
+splits through ``holdout_split``. Everything is float64 and
 deterministic given the generators passed in; no function touches global
 random state.
 """
@@ -216,6 +217,9 @@ def flat_views(flat: np.ndarray, like: Sequence[np.ndarray]) -> list[np.ndarray]
     return views
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # fixed for every fit
+
+
 @dataclass
 class AdamState:
     """Moment accumulators for one flat parameter vector."""
@@ -224,15 +228,12 @@ class AdamState:
     v: np.ndarray
     step: int
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def adam_init(params: np.ndarray, lr: float, **kwargs) -> AdamState:
+def adam_init(params: np.ndarray, lr: float) -> AdamState:
     if params.ndim != 1 or params.dtype != np.float64:
         raise ShapeError("Adam optimizes one flat float64 vector; see flatten()")
-    return AdamState(np.zeros_like(params), np.zeros_like(params), 0, lr, **kwargs)
+    return AdamState(np.zeros_like(params), np.zeros_like(params), 0, lr)
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> None:
@@ -242,13 +243,13 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> None:
     if not np.isfinite(grads).all():
         raise NumericError("non-finite gradient entry")
     state.step += 1
-    c1 = 1.0 - state.beta1**state.step
-    c2 = 1.0 - state.beta2**state.step
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grads
-    state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * grads * grads
-    params -= state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)
+    c1 = 1.0 - ADAM_BETA1**state.step
+    c2 = 1.0 - ADAM_BETA2**state.step
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grads
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * grads * grads
+    params -= state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)
 
 
 # --- Losses --------------------------------------------------------------
@@ -310,14 +311,16 @@ ValLossFn = Callable[[np.ndarray], float]
 
 
 def holdout_split(
-    n: int, config: TrainConfig, rng: np.random.Generator
+    n: int, fraction: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded split of range(n) into (train, validation) indices."""
-    n_val = int(round(n * config.val_fraction))
-    if n_val < 1 or n - n_val < 1:
-        raise InvalidConfigError(f"degenerate split: {n} samples, {n_val} validation")
+    """The package's one seeded split of range(n): (kept, round(n * fraction) held out)."""
+    if not 0.0 < fraction < 1.0:
+        raise InvalidConfigError(f"split fraction must lie strictly in (0, 1), got {fraction}")
+    n_out = int(round(n * fraction))
+    if n_out < 1 or n - n_out < 1:
+        raise InvalidConfigError(f"degenerate split: {n} samples, {n_out} held out")
     perm = rng.permutation(n)
-    return perm[n_val:], perm[:n_val]
+    return perm[n_out:], perm[:n_out]
 
 
 def minibatch_fit(
@@ -376,7 +379,7 @@ def train_early_stop(
     target = np.asarray(target, dtype=float).reshape(-1)
     if not np.all(np.isfinite(target)):
         raise NumericError("targets must be finite")
-    train_idx, val_idx = holdout_split(x.shape[0], config, rng)
+    train_idx, val_idx = holdout_split(x.shape[0], config.val_fraction, rng)
     x_tr, y_tr = x[train_idx], target[train_idx]
     x_val, y_val = x[val_idx], target[val_idx]
     flat = flatten(net.arrays())

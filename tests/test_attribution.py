@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from catebench.attribution import (
+    FEATURE_ABLATION,
+    FEATURE_PERMUTATION,
     INTEGRATED_GRADIENTS,
     SALIENCY,
     SHAPLEY_EXACT,
@@ -122,24 +124,24 @@ class TestFeatureAblation:
 class TestFeaturePermutation:
     def test_constant_function_zero_matrix(self):
         f = linear_fn([0.0, 0.0], bias=9.0)
-        mat = feature_permutation(f, stream(330).normal(size=(10, 2)), stream(331))
-        assert np.allclose(mat.scores, 0.0)
+        scores = feature_permutation(f, stream(330).normal(size=(10, 2)), stream(331))
+        assert np.allclose(scores, 0.0)
 
     def test_unused_features_score_zero(self):
         f = linear_fn([0.0, 1.0, 0.0])  # depends only on feature 1
         x = stream(332).normal(size=(20, 3))
-        mat = feature_permutation(f, x, stream(333))
-        assert np.allclose(mat.scores[:, 0], 0.0)
-        assert np.allclose(mat.scores[:, 2], 0.0)
-        assert not np.allclose(mat.scores[:, 1], 0.0)
+        scores = feature_permutation(f, x, stream(333))
+        assert np.allclose(scores[:, 0], 0.0)
+        assert np.allclose(scores[:, 2], 0.0)
+        assert not np.allclose(scores[:, 1], 0.0)
 
     def test_constant_column_scores_zero(self):
         # Every permutation of a constant column is the identity arrangement.
         x = stream(334).normal(size=(15, 3))
         x[:, 2] = 4.2
         f = linear_fn([1.0, 1.0, 1.0])
-        mat = feature_permutation(f, x, stream(335))
-        assert np.allclose(mat.scores[:, 2], 0.0)
+        scores = feature_permutation(f, x, stream(335))
+        assert np.allclose(scores[:, 2], 0.0)
 
     def test_needs_two_rows(self):
         with pytest.raises(InvalidConfigError):
@@ -265,13 +267,44 @@ class TestAttributeBatch:
         assert np.array_equal(a.row_indices, b.row_indices)
         assert len(np.unique(a.row_indices)) == 1000
 
-    def test_ig_composition_matches_rowwise(self):
-        net = mlp_init([3, 6, 1], rng=stream(382))
-        f = mlp_fn(net)
+    @pytest.mark.parametrize(
+        "method",
+        [SALIENCY, INTEGRATED_GRADIENTS, FEATURE_ABLATION, SHAPLEY_EXACT, SHAPLEY_MC,
+         FEATURE_PERMUTATION],
+    )
+    def test_ig_composition_matches_rowwise(self, method):
+        # The batch dispatch must give exactly the public kernels' scores. The
+        # gradient has no matrix product, so a row's gradient does not depend
+        # on how many rows share the call (a BLAS product may round by batch).
+        c = np.array([1.5, -0.5, 2.0])
+
+        def gradient(q):
+            g = c * np.cos(q)
+            g[:, 0] += q[:, 1]
+            g[:, 1] += q[:, 0]
+            return g
+
+        f = ScalarFunction(
+            value=lambda q: (c * np.sin(q)).sum(axis=1) + q[:, 0] * q[:, 1], gradient=gradient
+        )
         x = stream(383).normal(size=(4, 3))
-        mat = attribute_batch(INTEGRATED_GRADIENTS, f, x)
-        rowwise = np.vstack([integrated_gradients(f, row, steps=50) for row in x])
-        assert np.allclose(mat.scores, rowwise, atol=1e-12)
+        settings = AttributionSettings(n_permutations=40, seed=11)
+        rowwise = {
+            SALIENCY: lambda k, row: saliency(f, row),
+            INTEGRATED_GRADIENTS: lambda k, row: integrated_gradients(f, row, steps=50),
+            FEATURE_ABLATION: lambda k, row: feature_ablation(f, row),
+            SHAPLEY_EXACT: lambda k, row: shapley_exact(f, row),
+            SHAPLEY_MC: lambda k, row: shapley_mc(
+                f, row, n_permutations=40, rng=stream(settings.seed, 2, k)
+            ),
+        }
+        if method == FEATURE_PERMUTATION:
+            expected = feature_permutation(f, x, stream(settings.seed, 1))
+        else:
+            expected = np.vstack([rowwise[method](k, row) for k, row in enumerate(x)])
+        mat = attribute_batch(method, f, x, settings)
+        assert np.array_equal(mat.scores, expected)
+        assert np.array_equal(mat.row_indices, np.arange(4))
 
     def test_shapley_methods_run(self):
         f = product_fn()
@@ -286,9 +319,7 @@ class TestAttributeBatch:
             attribute_batch("lime", linear_fn([1.0]), np.ones((2, 1)))
 
     def test_export_csv(self, tmp_path):
-        mat = AttributionMatrix(
-            np.array([[1.0, -2.0], [0.5, 0.25]]), SALIENCY, np.zeros(2), np.array([0, 1])
-        )
+        mat = AttributionMatrix(np.array([[1.0, -2.0], [0.5, 0.25]]), SALIENCY, np.array([0, 1]))
         path = tmp_path / "attr.csv"
         save_attributions(mat, np.array([10, 42]), path)
         lines = path.read_text().strip().split("\n")
@@ -298,4 +329,4 @@ class TestAttributeBatch:
 
     def test_nonfinite_scores_rejected(self):
         with pytest.raises(ShapeError):
-            AttributionMatrix(np.array([[np.inf]]), SALIENCY, np.zeros(1), np.array([0]))
+            AttributionMatrix(np.array([[np.inf]]), SALIENCY, np.array([0]))

@@ -149,6 +149,17 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "runtime error:" in err and "weights.npz" in err and "'trunk_w'" in err
 
+        # A T model whose second mu0 layer was cut from 3 rows to 2.
+        (workdir / "model" / "manifest.json").write_text('{"strategy": "t"}')
+        net = {"w0": np.ones((1, 3)), "b0": np.ones(3), "w1": np.ones((3, 1)), "b1": np.ones(1)}
+        arrays = {f"{arm}_{k}": a for arm in ("mu0", "mu1") for k, a in net.items()}
+        arrays["mu0_w1"] = np.ones((2, 1))
+        np.savez(workdir / "model" / "weights.npz", **arrays)
+        code = main(["attribute", "--model", "model", "--data", "data.csv", "--out", "attr.csv"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "runtime error:" in err and "weights.npz" in err and "'mu0_w1'" in err
+
     def test_unknown_learner_exits_1(self, workdir, capsys):
         cfg = write_config(workdir / "cfg.json", learners=["qlearner"])
         assert main(["experiment", "--config", str(cfg)]) == 1

@@ -407,13 +407,26 @@ class TestSerialization:
             ("missing net entries", "weights.npz", "mu1_w0"),
             ("missing trunk_w", "weights.npz", "trunk_w"),
             ("missing gamma", "manifest.json", "gamma"),
+            ("truncated layer", "weights.npz", "mu0_w1"),
+            ("bias width", "weights.npz", "mu1_b0"),
+            ("two outputs", "weights.npz", "mu1_w1"),
+            ("trunk width", "weights.npz", "head0_w0"),
+            ("gamma not a number", "manifest.json", "gamma"),
+            ("not an npz archive", "weights.npz", None),
         ],
     )
     def test_malformed_directory_names_file_and_key(self, tmp_path, case, file, key):
         t_est, cfr_est = TestGradients()._estimators()[0][1:3]
         model = tmp_path / "model"
-        save_estimator(cfr_est if case == "missing gamma" else t_est, model)
+        cfr_cases = ("missing gamma", "trunk width", "gamma not a number")
+        save_estimator(cfr_est if case in cfr_cases else t_est, model)
         manifest = model / "manifest.json"
+
+        def edit_weights(changes):
+            with np.load(model / "weights.npz") as blob:
+                arrays = {k: blob[k] for k in blob.files}
+            np.savez(model / "weights.npz", **{**arrays, **changes(arrays)})
+
         if case == "non-object manifest":
             manifest.write_text("[]")
         elif case == "missing strategy":
@@ -426,8 +439,21 @@ class TestSerialization:
             np.savez(model / "weights.npz", **kept)
         elif case == "missing trunk_w":
             manifest.write_text('{"strategy": "tarnet", "gamma": 0.0}')
-        else:
+        elif case == "missing gamma":
             manifest.write_text('{"strategy": "cfrnet"}')
+        elif case == "truncated layer":  # mu0_w1 is (6, 1)
+            edit_weights(lambda a: {"mu0_w1": a["mu0_w1"][:5]})
+        elif case == "bias width":
+            edit_weights(lambda a: {"mu1_b0": a["mu1_b0"][:-1]})
+        elif case == "two outputs":
+            edit_weights(lambda a: {"mu1_w1": np.hstack([a["mu1_w1"]] * 2), "mu1_b1": np.zeros(2)})
+        elif case == "trunk width":  # the heads read 6 trunk units
+            edit_weights(lambda a: {"trunk_w": a["trunk_w"][:, :5], "trunk_b": a["trunk_b"][:5]})
+        elif case == "gamma not a number":
+            manifest.write_text('{"strategy": "cfrnet", "gamma": "abc"}')
+        else:
+            (model / "weights.npz").write_text("garbage")
         with pytest.raises(ParseError) as err:
             load_estimator(model)
-        assert f"{model / file}: " in str(err.value) and f"'{key}'" in str(err.value)
+        assert f"{model / file}: " in str(err.value)
+        assert key is None or f"'{key}'" in str(err.value)

@@ -21,7 +21,7 @@ class TestAttrPred:
         assert attr_pred(rows, list(range(4))) == pytest.approx(0.4)
 
     def test_accepts_attribution_matrix(self):
-        mat = AttributionMatrix(np.array([[3.0, 1.0]]), SALIENCY, np.zeros(2), np.array([0]))
+        mat = AttributionMatrix(np.array([[3.0, 1.0]]), SALIENCY, np.array([0]))
         assert attr_pred(mat, [0]) == pytest.approx(0.75)
 
     def test_zero_rows_excluded(self):

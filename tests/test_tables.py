@@ -28,7 +28,7 @@ def tables_dir(tmp_path):
         sample_outcome_model(2, 0.5, 1.0, stream(3)), PropensitySpec(), 0.1, stream(4),
     )
     save_dataset(ds, tmp_path / "data.csv", tmp_path / "truth.csv", tmp_path / "meta.json")
-    mat = AttributionMatrix(np.ones((3, 4)), SALIENCY, np.zeros(4), np.arange(3))
+    mat = AttributionMatrix(np.ones((3, 4)), SALIENCY, np.arange(3))
     save_attributions(mat, np.array([4, 5, 6]), tmp_path / "attr.csv")
     emit_csv(
         [ResultRecord("synthetic", "t", "saliency", "predictive_scale", 0.5, s, 0.5, 0.25, 1.0,
