@@ -4,7 +4,18 @@ Generates semi-synthetic treatment-effect datasets with known predictive
 and prognostic covariates, fits neural effect estimators, explains them
 with post-hoc attribution methods, and scores how much importance mass
 each estimator puts on the true effect drivers.
+
+Importing the package runs BLAS on one thread in this process and in every
+process it starts (``OPENBLAS_NUM_THREADS=1``, and numpy's bundled
+OpenBLAS set to one thread if numpy is already loaded). The networks are
+too small to gain from more, sweeps scale through their process pool
+instead, and result bytes are the same on every machine whatever the
+caller's ``OPENBLAS_NUM_THREADS`` says.
 """
+
+from ._blas import pin_one_thread
+
+pin_one_thread()  # before any submodule imports numpy
 
 from .attribution import (
     AttributionMatrix,

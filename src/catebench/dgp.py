@@ -181,11 +181,25 @@ class ZScoreStats:
 
 @dataclass(frozen=True)
 class ObservedData:
-    """What estimators are allowed to see."""
+    """What estimators are allowed to see: finite x (n, d), w in {0, 1} and finite y (n,)."""
 
     x: np.ndarray
     w: np.ndarray
     y: np.ndarray
+
+    def __post_init__(self):
+        for name in ("x", "w", "y"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+        if self.x.ndim != 2:
+            raise ShapeError(f"x must be a 2-D matrix, got shape {self.x.shape}")
+        for name in ("w", "y"):
+            if getattr(self, name).shape != (self.n,):
+                raise ShapeError(f"{name} must have shape ({self.n},) like x's rows, "
+                                 f"got {getattr(self, name).shape}")
+        if not np.isin(self.w, (0, 1)).all():
+            raise InvalidConfigError("w must hold only 0 and 1")
+        if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
+            raise NumericError("x and y must be finite")
 
     @property
     def n(self) -> int:

@@ -276,11 +276,24 @@ def _run_cell_task(args):
     return run_cell(config, knob_value, seed)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list[ResultRecord]:
-    """Execute grid x seeds; deterministic record order regardless of schedule."""
+    """Execute grid x seeds; deterministic record order regardless of schedule.
+
+    ``workers`` defaults to ``CATEBENCH_WORKERS``, else one per usable CPU.
+    BLAS runs on one thread in every worker (see the package docstring), so
+    the pool is the only parallelism and records are the same bytes for
+    every worker count.
+    """
     cells = [(config, v, s) for v in config.knob_grid for s in range(config.seeds)]
     if workers is None:
-        workers = int(os.environ.get("CATEBENCH_WORKERS", "0")) or (os.cpu_count() or 1)
+        workers = int(os.environ.get("CATEBENCH_WORKERS", "0")) or _usable_cpus()
     workers = max(1, min(workers, len(cells)))
     results: list[ResultRecord] = []
     if workers == 1:

@@ -37,6 +37,7 @@ from .nn import (
     MlpParams,
     TrainConfig,
     _backprop,
+    _batch,
     _forward,
     flat_views,
     flatten,
@@ -179,18 +180,17 @@ class TarnetEstimator(CateEstimator):
         return STRATEGY_CFRNET if self.gamma > 0 else STRATEGY_TARNET
 
     def _rep(self, x):
-        return np.maximum(x @ self.trunk_w + self.trunk_b, 0.0)
+        """Shared representation; the input width is checked like every network's."""
+        return np.maximum(_batch(x, self.trunk_w.shape[0]) @ self.trunk_w + self.trunk_b, 0.0)
 
     def predict_cate(self, x):
-        rep = self._rep(np.atleast_2d(x))
+        rep = self._rep(x)
         return mlp_forward(self.head1, rep)[:, 0] - mlp_forward(self.head0, rep)[:, 0]
 
     def gradient(self, x):
-        x = np.atleast_2d(x)
-        z = x @ self.trunk_w + self.trunk_b
-        rep = np.maximum(z, 0.0)
+        rep = self._rep(x)
         rep_grad = mlp_input_gradient(self.head1, rep) - mlp_input_gradient(self.head0, rep)
-        return (rep_grad * (z > 0)) @ self.trunk_w.T
+        return (rep_grad * (rep > 0)) @ self.trunk_w.T  # rep > 0 where the trunk ReLU is active
 
 
 @dataclass

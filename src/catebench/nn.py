@@ -154,16 +154,17 @@ def _backprop(
     return MlpParams(grad_w, grad_b, params.output_activation), delta
 
 
-def _batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
+def _batch(x: np.ndarray, width: int) -> np.ndarray:
+    """``x`` as a float row batch; ``ShapeError`` unless it has ``width`` columns."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != params.input_dim:
-        raise ShapeError(f"input has {x.shape[1]} columns, network expects {params.input_dim}")
+    if x.shape[1] != width:
+        raise ShapeError(f"input has {x.shape[1]} columns, network expects {width}")
     return x
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Forward pass over a batch; returns an (n, out_dim) array."""
-    return _forward(params, _batch(params, x))[-1]
+    return _forward(params, _batch(x, params.input_dim))[-1]
 
 
 def mlp_backward(
@@ -175,7 +176,7 @@ def mlp_backward(
     The ReLU subgradient at 0 is taken as 0. Returns (param_grads shaped
     like ``params``, input_grads of shape (n, input_dim)).
     """
-    x = _batch(params, batch_x)
+    x = _batch(batch_x, params.input_dim)
     g_out = np.atleast_2d(np.asarray(loss_grad_at_output, dtype=float))
     if g_out.shape != (x.shape[0], params.weights[-1].shape[1]):
         raise ShapeError(
@@ -191,7 +192,7 @@ def mlp_input_gradient(params: MlpParams, x: np.ndarray) -> np.ndarray:
 
     Runs the delta recursion only; no parameter gradient is formed.
     """
-    x = _batch(params, x)
+    x = _batch(x, params.input_dim)
     if params.weights[-1].shape[1] != 1:
         raise ShapeError("input gradient is defined for scalar-output networks")
     for _, delta in _deltas(params, _forward(params, x), np.ones((x.shape[0], 1))):

@@ -3,12 +3,6 @@ import sys
 
 import pytest
 
-# Keep BLAS single-threaded so the two-process experiment sweeps in the
-# acceptance suite do not oversubscribe small CI machines. Must be set
-# before numpy loads.
-for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(var, "1")
-
 sys.path.insert(0, os.path.dirname(__file__))
 
 _SWEEP_FIXTURES = {"experiment1", "experiment2", "experiment3"}

@@ -132,6 +132,20 @@ class TestUsageErrors:
         assert code == 2
         assert "runtime error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("learner", ["t", "tarnet"])
+    def test_model_width_mismatch_exits_2(self, workdir, capsys, learner):
+        for d in (6, 5):
+            cfg = write_config(workdir / f"cfg{d}.json", synth_d=d)
+            assert main(["generate", "--config", str(cfg), "--out-data", f"data{d}.csv",
+                         "--out-truth", f"truth{d}.csv", "--out-meta", f"meta{d}.json"]) == 0
+        assert main(["fit", "--data", "data6.csv", "--learner", learner,
+                     "--config", "cfg6.json", "--out-dir", "model"]) == 0
+        for method in ("saliency", "feature_ablation"):  # gradient and prediction paths
+            code = main(["attribute", "--model", "model", "--data", "data5.csv",
+                         "--method", method, "--out", "attr.csv"])
+            assert code == 2
+            assert "runtime error: input has 5 columns, network expects 6" in capsys.readouterr().err
+
     def test_malformed_data_exits_2(self, workdir, capsys):
         (workdir / "data.csv").write_text("unit_id,w,y,x_0\n0,1,0.5,1.0\n1,0,oops,1.5\n")
         code = main(["fit", "--data", "data.csv", "--learner", "t", "--out-dir", "model"])

@@ -9,6 +9,7 @@ from catebench.dgp import (
     PROGNOSTIC_CONFOUNDING,
     UNIFORM,
     FeatureIndexSets,
+    ObservedData,
     OutcomeModel,
     PropensitySpec,
     ZScoreStats,
@@ -30,6 +31,7 @@ from catebench.dgp import (
 from catebench.errors import (
     InvalidConfigError,
     NormalizationError,
+    NumericError,
     ParseError,
     ShapeError,
 )
@@ -360,6 +362,31 @@ class TestGenerateDataset:
         model = sample_outcome_model(2, 0.0, 1.0, stream(2))
         with pytest.raises(InvalidConfigError):
             generate_dataset(cov, sets, model, PropensitySpec(UNIFORM), -0.1, stream(3))
+
+
+class TestObservedData:
+    _X, _W, _Y = np.zeros((3, 4)), np.array([0, 1, 1]), np.zeros(3)
+
+    def test_valid_arrays_kept(self):
+        obs = ObservedData(self._X, self._W, self._Y)
+        assert obs.x is self._X and obs.w is self._W and obs.y is self._Y
+        assert (obs.n, obs.d) == (3, 4)
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("x", np.zeros(3), ShapeError),
+        ("x", np.zeros((3, 4, 1)), ShapeError),
+        ("w", np.array([0, 1]), ShapeError),
+        ("w", np.array([[0], [1], [1]]), ShapeError),
+        ("y", np.zeros(4), ShapeError),
+        ("w", np.array([0, 2, 1]), InvalidConfigError),
+        ("w", np.array([0.0, 0.5, 1.0]), InvalidConfigError),
+        ("x", np.where(np.eye(3, 4) > 0, np.nan, 0.0), NumericError),
+        ("y", np.array([0.0, np.inf, 1.0]), NumericError),
+    ])
+    def test_rejects_bad_arrays(self, field, value, error):
+        arrays = {"x": self._X, "w": self._W, "y": self._Y, field: value}
+        with pytest.raises(error):
+            ObservedData(**arrays)
 
 
 class TestTrainTestSplit:

@@ -160,6 +160,19 @@ class TestRunExperiment:
         parallel = run_experiment(cfg, workers=2)
         assert _untimed(serial) == _untimed(parallel)
 
+    def test_default_pool_follows_cpu_affinity(self, monkeypatch):
+        import catebench.harness as harness_mod
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("one usable CPU must run the sweep serially")
+
+        monkeypatch.delenv("CATEBENCH_WORKERS", raising=False)
+        monkeypatch.setattr(harness_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(harness_mod.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(harness_mod, "run_cell", lambda config, value, seed: [])
+        assert run_experiment(tiny_config(seeds=2)) == []
+
     def test_aggregate_constant_metric(self):
         recs = [
             ResultRecord("d", "t", "m", "k", 1.0, s, 0.5, 0.25, 1.0, 0.0) for s in range(4)
