@@ -5,9 +5,14 @@ models. Gradient methods need a function that exposes exact gradients;
 perturbation methods need only values. A brute-force Shapley enumeration
 is included as the verification oracle for the Monte-Carlo sampler.
 ``attribute_batch`` looks each method up in one table that calls these
-same public functions (gradient methods on the whole batch); its
-``AttributionMatrix`` of scores, method and scored rows is saved and read
-back as a table through ``tables``.
+same public functions (gradient methods and ablation on the whole batch);
+its ``AttributionMatrix`` of scores, method and scored rows is saved and
+read back as a table through ``tables``.
+
+Every method evaluates its points (IG path points, Shapley coalitions,
+ablation and permutation points, saliency rows) in blocks from
+``_blocks``, so one evaluation's activations stay a few MB whatever the
+row cap, IG steps or Shapley permutations.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ SHAPLEY_MC = "shapley_mc"
 SHAPLEY_EXACT = "shapley_exact"
 
 _EXACT_SHAPLEY_MAX_D = 15
-_EVAL_CHUNK = 65536
+_BLOCK_POINTS = 4096  # points per evaluation: 3.3 MB per 100-unit activation
 
 
 @dataclass
@@ -57,6 +62,21 @@ def _gradient_of(fn: ScalarFunction, method: str):
     return fn.gradient
 
 
+def _blocks(n_items: int, points_per_item: int = 1):
+    """Consecutive ``(start, stop)`` item ranges of at most ``_BLOCK_POINTS`` points.
+
+    An item is what a method cannot split: one Shapley ordering with its
+    d+1 prefix points, say. An item wider than a block gets a block alone.
+    """
+    per_block = max(1, _BLOCK_POINTS // points_per_item)
+    for start in range(0, n_items, per_block):
+        yield start, min(start + per_block, n_items)
+
+
+def _values(fn: ScalarFunction, points: np.ndarray) -> np.ndarray:
+    return np.asarray(fn.value(points), dtype=float).reshape(-1)
+
+
 def _baseline_for(baseline, d: int) -> np.ndarray:
     """The zero vector for None, else ``baseline`` checked to have ``d`` entries."""
     if baseline is None:
@@ -78,7 +98,7 @@ def _point(f, x, baseline):
 def saliency(f, x) -> np.ndarray:
     """Plain gradient at the input."""
     fn, x, _ = _point(f, x, None)
-    return _gradient_of(fn, SALIENCY)(x[None, :])[0]
+    return _batched_saliency(fn, x[None])[0]
 
 
 def integrated_gradients(f, x, baseline=None, steps: int = 50) -> np.ndarray:
@@ -90,12 +110,7 @@ def integrated_gradients(f, x, baseline=None, steps: int = 50) -> np.ndarray:
 def feature_ablation(f, x, baseline=None) -> np.ndarray:
     """Drop in output when each coordinate is reset to its baseline."""
     fn, x, b = _point(f, x, baseline)
-    d = len(x)
-    points = np.tile(x, (d + 1, 1))
-    for i in range(d):
-        points[i + 1, i] = b[i]
-    vals = np.asarray(fn.value(points), dtype=float).reshape(-1)
-    return vals[0] - vals[1:]
+    return _batched_ablation(fn, x[None], b)[0]
 
 
 def feature_permutation(f, x_query: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -109,12 +124,16 @@ def feature_permutation(f, x_query: np.ndarray, rng: np.random.Generator) -> np.
     m, d = x_query.shape
     if m < 2:
         raise InvalidConfigError("feature_permutation needs at least 2 query rows")
-    base_vals = np.asarray(fn.value(x_query), dtype=float).reshape(-1)
+    base_vals = np.empty(m)
+    for start, stop in _blocks(m):
+        base_vals[start:stop] = _values(fn, x_query[start:stop])
     scores = np.empty((m, d))
     for i in range(d):
-        shuffled = x_query.copy()
-        shuffled[:, i] = x_query[rng.permutation(m), i]
-        scores[:, i] = base_vals - np.asarray(fn.value(shuffled), dtype=float).reshape(-1)
+        order = rng.permutation(m)
+        for start, stop in _blocks(m):
+            shuffled = x_query[start:stop].copy()
+            shuffled[:, i] = x_query[order[start:stop], i]
+            scores[start:stop, i] = base_vals[start:stop] - _values(fn, shuffled)
     return scores
 
 
@@ -132,22 +151,17 @@ def shapley_mc(f, x, baseline=None, n_permutations: int = 1000, rng=None) -> np.
         raise InvalidConfigError("shapley_mc requires a seeded generator")
     d = len(x)
     totals = np.zeros(d)
-    # Evaluate permutations in blocks: each contributes d+1 prefix points.
-    block = max(1, _EVAL_CHUNK // (d + 1))
-    done = 0
-    while done < n_permutations:
-        k = min(block, n_permutations - done)
+    for start, stop in _blocks(n_permutations, d + 1):
+        k = stop - start
         orders = np.array([rng.permutation(d) for _ in range(k)])
         points = np.empty((k, d + 1, d))
         points[:, 0, :] = b
+        rows = np.arange(k)
         for step in range(d):
             points[:, step + 1, :] = points[:, step, :]
-            rows = np.arange(k)
             points[rows, step + 1, orders[:, step]] = x[orders[:, step]]
-        vals = np.asarray(fn.value(points.reshape(-1, d)), dtype=float).reshape(k, d + 1)
-        marginals = np.diff(vals, axis=1)
+        marginals = np.diff(_values(fn, points.reshape(-1, d)).reshape(k, d + 1), axis=1)
         np.add.at(totals, orders.reshape(-1), marginals.reshape(-1))
-        done += k
     return totals / n_permutations
 
 
@@ -160,13 +174,9 @@ def shapley_exact(f, x, baseline=None) -> np.ndarray:
     n_sets = 1 << d
     masks = np.arange(n_sets)
     member = ((masks[:, None] >> np.arange(d)) & 1).astype(bool)
-    points = np.where(member, x, b)
     values = np.empty(n_sets)
-    for start in range(0, n_sets, _EVAL_CHUNK):
-        chunk = points[start : start + _EVAL_CHUNK]
-        values[start : start + _EVAL_CHUNK] = np.asarray(
-            fn.value(chunk), dtype=float
-        ).reshape(-1)
+    for start, stop in _blocks(n_sets):
+        values[start:stop] = _values(fn, np.where(member[start:stop], x, b))
     sizes = member.sum(axis=1)
     fact = np.array([math.factorial(k) for k in range(d + 1)], dtype=float)
     phi = np.zeros(d)
@@ -206,6 +216,16 @@ class AttributionSettings:
     max_rows: int = 1000
     seed: int = 0
 
+    def __post_init__(self):
+        if self.max_rows < 1:
+            raise InvalidConfigError(f"the attribution row cap must be >= 1, got {self.max_rows}")
+        if self.steps < 1:
+            raise InvalidConfigError(f"IG steps must be >= 1, got {self.steps}")
+        if self.n_permutations is not None and self.n_permutations < 1:
+            raise InvalidConfigError(
+                f"Shapley permutations must be >= 1, got {self.n_permutations}"
+            )
+
 
 def _rowwise(x: np.ndarray, kernel) -> np.ndarray:
     """Scores of every row ``k`` of ``x`` from ``kernel(k, x[k])``."""
@@ -216,9 +236,9 @@ def _rowwise(x: np.ndarray, kernel) -> np.ndarray:
 # MC Shapley draws row k's orderings from stream(seed, 2, k), permutation
 # importance its column shuffles from stream(seed, 1).
 _BATCH_METHODS = {
-    SALIENCY: lambda fn, x, b, s: _gradient_of(fn, SALIENCY)(x),
+    SALIENCY: lambda fn, x, b, s: _batched_saliency(fn, x),
     INTEGRATED_GRADIENTS: lambda fn, x, b, s: _batched_ig(fn, x, b, s.steps),
-    FEATURE_ABLATION: lambda fn, x, b, s: _rowwise(x, lambda k, row: feature_ablation(fn, row, b)),
+    FEATURE_ABLATION: lambda fn, x, b, s: _batched_ablation(fn, x, b),
     FEATURE_PERMUTATION: lambda fn, x, b, s: feature_permutation(fn, x, stream(s.seed, 1)),
     SHAPLEY_MC: lambda fn, x, b, s: _rowwise(x, lambda k, row: shapley_mc(
         fn, row, b, 100 * len(b) if s.n_permutations is None else s.n_permutations,
@@ -257,20 +277,40 @@ def attribute_batch(
     )
 
 
+def _batched_saliency(fn: ScalarFunction, x_sel: np.ndarray) -> np.ndarray:
+    gradient = _gradient_of(fn, SALIENCY)
+    out = np.empty(x_sel.shape)
+    for start, stop in _blocks(len(x_sel)):
+        out[start:stop] = gradient(x_sel[start:stop])
+    return out
+
+
 def _batched_ig(fn: ScalarFunction, x_sel: np.ndarray, baseline: np.ndarray, steps: int):
     gradient = _gradient_of(fn, INTEGRATED_GRADIENTS)
     if steps < 1:
         raise InvalidConfigError("steps must be >= 1")
     m, d = x_sel.shape
     ts = (np.arange(steps) + 0.5) / steps
-    # (m, steps, d) path points, one gradient sweep per chunk of rows.
-    rows_per_chunk = max(1, _EVAL_CHUNK // max(steps, 1))
+    span = x_sel - baseline
+    # Path point p is row p // steps at step p % steps; a block may split a
+    # row's steps, and np.add.at still sums each row's gradients in step order.
+    totals = np.zeros((m, d))
+    for start, stop in _blocks(m * steps):
+        row, step = np.divmod(np.arange(start, stop), steps)
+        np.add.at(totals, row, gradient(baseline + ts[step, None] * span[row]))
+    return span * (totals / steps)
+
+
+def _batched_ablation(fn: ScalarFunction, x_sel: np.ndarray, baseline: np.ndarray):
+    """Row k's points: x_k, then x_k with coordinate i at the baseline, for each i."""
+    m, d = x_sel.shape
+    coords = np.arange(d)
     out = np.empty((m, d))
-    for start in range(0, m, rows_per_chunk):
-        xs = x_sel[start : start + rows_per_chunk]
-        pts = baseline + ts[None, :, None] * (xs[:, None, :] - baseline)
-        grads = gradient(pts.reshape(-1, d)).reshape(len(xs), steps, d)
-        out[start : start + rows_per_chunk] = (xs - baseline) * grads.mean(axis=1)
+    for start, stop in _blocks(m, d + 1):
+        points = np.repeat(x_sel[start:stop, None, :], d + 1, axis=1)
+        points[:, coords + 1, coords] = baseline
+        vals = _values(fn, points.reshape(-1, d)).reshape(stop - start, d + 1)
+        out[start:stop] = vals[:, :1] - vals[:, 1:]
     return out
 
 

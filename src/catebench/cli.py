@@ -14,7 +14,10 @@ import logging
 import sys
 from pathlib import Path
 
-from . import attribution, dgp, harness, learners, metrics, svgplot
+# harness (which loads the process pool) and svgplot are imported inside
+# the commands that use them: attribute and evaluate, which run once per
+# model and method, start without them.
+from . import attribution, dgp, learners, metrics
 from .errors import CatebenchError, InvalidConfigError
 from .rng import stream
 
@@ -28,7 +31,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-def _load_config(path: str | None) -> harness.ExperimentConfig:
+def _load_config(path: str | None):
+    from . import harness
+
     if path is None:
         return harness.ExperimentConfig()
     p = Path(path)
@@ -38,7 +43,9 @@ def _load_config(path: str | None) -> harness.ExperimentConfig:
         return harness.ExperimentConfig.from_dict(json.load(fh))
 
 
-def _apply_overrides(config: harness.ExperimentConfig, args) -> harness.ExperimentConfig:
+def _apply_overrides(config, args):
+    from . import harness
+
     updates = {}
     if getattr(args, "seeds", None) is not None:
         updates["seeds"] = args.seeds
@@ -107,13 +114,15 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("plot", help="plot an existing result CSV")
     p.add_argument("--results", required=True)
-    p.add_argument("--metric", default="attr_pred", choices=sorted(svgplot.METRIC_FIELDS))
+    p.add_argument("--metric", default="attr_pred", choices=sorted(metrics.METRIC_FIELDS))
     p.add_argument("--out", required=True)
 
     return parser
 
 
 def _cmd_generate(args) -> int:
+    from . import harness
+
     config = _apply_overrides(_load_config(args.config), args)
     ds = harness.build_dataset(config, harness.fixed_knob_value(config), args.seed)
     dgp.save_dataset(ds, args.out_data, args.out_truth, args.out_meta)
@@ -123,6 +132,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from . import harness
+
     config = _load_config(args.config)
     obs, _, _ = dgp.load_observed(args.data)
     fit = harness.parse_learner(args.learner)
@@ -133,9 +144,9 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_attribute(args) -> int:
+    settings = attribution.AttributionSettings(max_rows=args.cap, seed=args.seed)
     est = learners.load_estimator(args.model)
     obs, _, unit_ids = dgp.load_observed(args.data)
-    settings = attribution.AttributionSettings(max_rows=args.cap, seed=args.seed)
     mat = attribution.attribute_batch(args.method, est, obs.x, settings)
     attribution.save_attributions(mat, unit_ids[mat.row_indices], args.out)
     print(f"wrote {args.out} ({mat.scores.shape[0]} rows, method {args.method})")
@@ -165,6 +176,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from . import harness, svgplot
+
     if args.preset and args.config:
         raise InvalidConfigError("give either --preset or --config, not both")
     if args.preset:
@@ -177,7 +190,7 @@ def _cmd_experiment(args) -> int:
     print(f"wrote {args.out_csv} ({len(records)} records)")
     if args.out_svg_prefix:
         rows = harness.aggregate(records)
-        for metric in sorted(svgplot.METRIC_FIELDS):
+        for metric in sorted(metrics.METRIC_FIELDS):
             path = f"{args.out_svg_prefix}_{metric}.svg"
             svgplot.emit_plot_svg(rows, metric, path)
             print(f"wrote {path}")
@@ -185,6 +198,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    from . import harness, svgplot
+
     records = harness.load_results(args.results)
     rows = harness.aggregate(records)
     svgplot.emit_plot_svg(rows, args.metric, args.out)

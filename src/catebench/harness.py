@@ -102,8 +102,17 @@ class ExperimentConfig:
             raise InvalidConfigError("omega_nl must lie in [0, 1]")
         if self.attribution_method not in attribution.METHODS:
             raise InvalidConfigError(f"unknown attribution method {self.attribution_method!r}")
+        self.attribution_settings(0)  # rejects a cap, steps or permutations below 1
         for entry in self.learners:
             parse_learner(entry)
+
+    def attribution_settings(self, seed: int) -> attribution.AttributionSettings:
+        return attribution.AttributionSettings(
+            steps=self.ig_steps,
+            n_permutations=self.shapley_permutations,
+            max_rows=self.attribution_cap,
+            seed=seed,
+        )
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -224,12 +233,8 @@ def run_cell(config: ExperimentConfig, knob_value: float, seed: int) -> list[Res
     knob_bits = float_key(knob_value)
     train, test = build_cell_dataset(config, knob_value, seed)
     truth = test.truth
-    attr_seed = int(stream(seed, knob_bits, _S_ATTRIBUTION).integers(2**63))
-    settings = attribution.AttributionSettings(
-        steps=config.ig_steps,
-        n_permutations=config.shapley_permutations,
-        max_rows=config.attribution_cap,
-        seed=attr_seed,
+    settings = config.attribution_settings(
+        int(stream(seed, knob_bits, _S_ATTRIBUTION).integers(2**63))
     )
     records = []
     for entry in config.learners:
@@ -283,18 +288,34 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _workers_from_env() -> int:
+    """``CATEBENCH_WORKERS`` if set, else the usable CPU count."""
+    text = os.environ.get("CATEBENCH_WORKERS")
+    if text is None:
+        return _usable_cpus()
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0  # reported below, like any value under 1
+    if workers < 1:
+        raise InvalidConfigError(f"CATEBENCH_WORKERS must be a positive integer, got {text!r}")
+    return workers
+
+
 def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list[ResultRecord]:
     """Execute grid x seeds; deterministic record order regardless of schedule.
 
-    ``workers`` defaults to ``CATEBENCH_WORKERS``, else one per usable CPU.
-    BLAS runs on one thread in every worker (see the package docstring), so
-    the pool is the only parallelism and records are the same bytes for
-    every worker count.
+    ``workers`` defaults to ``CATEBENCH_WORKERS``, else one per usable CPU;
+    either must be a positive integer. BLAS runs on one thread in every
+    worker (see the package docstring), so the pool is the only parallelism
+    and records are the same bytes for every worker count.
     """
     cells = [(config, v, s) for v in config.knob_grid for s in range(config.seeds)]
     if workers is None:
-        workers = int(os.environ.get("CATEBENCH_WORKERS", "0")) or _usable_cpus()
-    workers = max(1, min(workers, len(cells)))
+        workers = _workers_from_env()
+    if workers < 1:
+        raise InvalidConfigError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, len(cells))
     results: list[ResultRecord] = []
     if workers == 1:
         for cell in cells:

@@ -12,6 +12,14 @@ import numpy as np
 
 from .errors import ShapeError, UndefinedMetricError
 
+# Each per-record metric: its mean and standard-error fields in an
+# aggregate row, and the label its trend chart puts on the y-axis.
+METRIC_FIELDS = {
+    "attr_pred": ("attr_pred_mean", "attr_pred_se", "correct attribution share"),
+    "attr_prog": ("attr_prog_mean", "attr_prog_se", "misattribution share"),
+    "pehe": ("pehe_mean", "pehe_se", "effect RMSE"),
+}
+
 
 def _score_matrix(scores) -> np.ndarray:
     mat = getattr(scores, "scores", scores)

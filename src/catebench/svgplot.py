@@ -10,17 +10,15 @@ decades.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvalidConfigError
-from .harness import AggregateRow
+from .metrics import METRIC_FIELDS
 
-METRIC_FIELDS = {
-    "attr_pred": ("attr_pred_mean", "attr_pred_se", "correct attribution share"),
-    "attr_prog": ("attr_prog_mean", "attr_prog_se", "misattribution share"),
-    "pehe": ("pehe_mean", "pehe_se", "effect RMSE"),
-}
+if TYPE_CHECKING:  # rows come from harness.aggregate; importing it here would load the pool
+    from .harness import AggregateRow
 
 _PALETTE = (
     "#1f77b4",

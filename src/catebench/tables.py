@@ -10,6 +10,7 @@ a bad cell, the 0-based column.
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 from typing import Iterable
 
@@ -19,11 +20,25 @@ from .errors import ParseError
 
 
 def write_table(path: str | Path, header: Iterable, rows: Iterable[Iterable]) -> None:
-    """Write a table; float cells (numpy floats too) get round-trip text, others ``str``."""
+    """Write a table; float cells (numpy floats too) get round-trip text, others ``str``.
+
+    ``csv`` writes each row with ``%.17g`` in its float cells (so it still
+    quotes every other cell and ends the line), and one ``%`` call then
+    formats all of the row's floats; ``%`` in other cells is escaped first.
+    """
+    line = io.StringIO()
+    template = csv.writer(line)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([f"{c:.17g}" if isinstance(c, float) else c for c in row] for row in rows)
+        csv.writer(fh).writerow(header)
+        for row in rows:
+            row = list(row)
+            line.seek(0)
+            line.truncate()
+            template.writerow([
+                "%.17g" if isinstance(c, float) else "" if c is None else str(c).replace("%", "%%")
+                for c in row
+            ])
+            fh.write(line.getvalue() % tuple([c for c in row if isinstance(c, float)]))
 
 
 def read_table(path: str | Path) -> tuple[list[str], list[list[str]]]:

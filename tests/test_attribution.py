@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from catebench import attribution
 from catebench.attribution import (
     FEATURE_ABLATION,
     FEATURE_PERMUTATION,
@@ -21,8 +24,8 @@ from catebench.attribution import (
     shapley_mc,
 )
 from catebench.errors import CapacityError, InvalidConfigError, ShapeError
-from catebench.learners import TEstimator
-from catebench.nn import MlpParams, mlp_forward, mlp_init, mlp_input_gradient
+from catebench.learners import TEstimator, XEstimator
+from catebench.nn import SIGMOID, MlpParams, mlp_forward, mlp_init, mlp_input_gradient
 from catebench.rng import stream
 
 from helpers import fd_scalar_grad
@@ -330,3 +333,64 @@ class TestAttributeBatch:
     def test_nonfinite_scores_rejected(self):
         with pytest.raises(ShapeError):
             AttributionMatrix(np.array([[np.inf]]), SALIENCY, np.array([0]))
+
+
+def random_x_estimator(d, seed):
+    rng = stream(seed)
+    return XEstimator(
+        mlp_init([d, 100, 100, 1], rng=rng),
+        mlp_init([d, 100, 100, 1], rng=rng),
+        mlp_init([d, 100, 100, 1], SIGMOID, rng=rng),
+    )
+
+
+class TestBlocks:
+    """Every method evaluates its points in blocks of at most _BLOCK_POINTS."""
+
+    @pytest.mark.parametrize(
+        "method, cap",
+        [(INTEGRATED_GRADIENTS, 2000), (SHAPLEY_MC, 1), (FEATURE_PERMUTATION, 2000)],
+    )
+    def test_peak_memory_bounded(self, method, cap):
+        # 2000 rows x 50 IG steps, or one row x 3000 orderings x 31 prefix
+        # points: one evaluation of all of them would hold hundreds of MB of
+        # 100-unit activations.
+        est = random_x_estimator(30, 384)
+        x = stream(385).normal(size=(2000, 30))
+        settings = AttributionSettings(max_rows=cap, seed=3)
+        tracemalloc.start()
+        try:
+            attribute_batch(method, est, x, settings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6, f"{method} peaked at {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("method", [
+        SALIENCY, INTEGRATED_GRADIENTS, FEATURE_ABLATION, FEATURE_PERMUTATION, SHAPLEY_MC,
+        SHAPLEY_EXACT,
+    ])
+    def test_blocked_equals_one_block(self, method, monkeypatch):
+        # 97 points split IG rows between their steps, Shapley orderings
+        # between blocks and the 256 coalitions of d = 8 into three blocks.
+        # A product may round a row differently by block height, so the
+        # scores agree to a tolerance, not bit for bit.
+        rng = stream(386)
+        est = TEstimator(mlp_init([8, 16, 1], rng=rng), mlp_init([8, 16, 1], rng=rng))
+        x = stream(387).normal(size=(40, 8))
+        settings = AttributionSettings(n_permutations=50, seed=5)
+        monkeypatch.setattr(attribution, "_BLOCK_POINTS", 1 << 20)
+        reference = attribute_batch(method, est, x, settings).scores
+        monkeypatch.setattr(attribution, "_BLOCK_POINTS", 97)
+        blocked = attribute_batch(method, est, x, settings).scores
+        np.testing.assert_allclose(
+            blocked, reference, rtol=1e-12, atol=1e-12 * np.abs(reference).max()
+        )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_rows", 0), ("max_rows", -5), ("steps", 0), ("n_permutations", 0)],
+    )
+    def test_settings_reject_values_below_one(self, field, value):
+        with pytest.raises(InvalidConfigError):
+            AttributionSettings(**{field: value})

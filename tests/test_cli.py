@@ -1,9 +1,17 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import catebench
 from catebench.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture()
@@ -181,3 +189,70 @@ class TestUsageErrors:
     def test_bad_json_exits_1(self, workdir, capsys):
         (workdir / "bad.json").write_text("{not json")
         assert main(["experiment", "--config", "bad.json"]) == 1
+
+
+def fit_model(workdir):
+    cfg = write_config(workdir / "cfg.json")
+    assert main(["generate", "--config", str(cfg), "--seed", "1"]) == 0
+    assert main(["fit", "--data", "data.csv", "--learner", "t", "--config", str(cfg),
+                 "--out-dir", "model"]) == 0
+
+
+class TestRejectedSettings:
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_attribute_cap_below_one_exits_1(self, workdir, capsys, cap):
+        fit_model(workdir)
+        capsys.readouterr()
+        code = main(["attribute", "--model", "model", "--data", "data.csv", "--cap", cap,
+                     "--out", "attr.csv"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: the attribution row cap must be >= 1")
+        assert not (workdir / "attr.csv").exists()
+
+    @pytest.mark.parametrize(
+        "field, value", [("attribution_cap", -5), ("ig_steps", 0), ("shapley_permutations", 0)]
+    )
+    def test_config_value_below_one_exits_1(self, workdir, capsys, field, value):
+        cfg = write_config(workdir / "cfg.json", **{field: value})
+        assert main(["experiment", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (workdir / "results.csv").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_1(self, workdir, capsys, workers):
+        cfg = write_config(workdir / "cfg.json")
+        assert main(["experiment", "--config", str(cfg), "--workers", workers]) == 1
+        assert capsys.readouterr().err == f"error: workers must be >= 1, got {workers}\n"
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+    def test_bad_workers_variable_exits_1(self, workdir, capsys, monkeypatch, value):
+        cfg = write_config(workdir / "cfg.json")
+        monkeypatch.setenv("CATEBENCH_WORKERS", value)
+        assert main(["experiment", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: CATEBENCH_WORKERS must be a positive integer")
+        assert err.count("\n") == 1
+
+
+class TestStartup:
+    def test_cli_import_leaves_out_harness_and_pool(self):
+        # attribute and evaluate run once per model and method; they load
+        # neither the sweep harness, nor the plots, nor the process pool.
+        probe = ("import sys, catebench.cli; print(sorted(m for m in sys.modules if m in "
+                 "('catebench.harness', 'catebench.svgplot', 'multiprocessing')))")
+        env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_every_public_name_resolves(self):
+        assert catebench.__all__
+        for name in catebench.__all__:
+            value = getattr(catebench, name)
+            module = importlib.import_module(f"catebench.{catebench._HOME[name]}")
+            assert value is getattr(module, name), name
+        assert set(catebench.__all__) <= set(dir(catebench))
+        for module in ("svgplot", "tables"):
+            assert getattr(catebench, module) is importlib.import_module(f"catebench.{module}")
+        with pytest.raises(AttributeError):
+            catebench.no_such_name

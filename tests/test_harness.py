@@ -63,6 +63,15 @@ class TestExperimentConfig:
         with pytest.raises(InvalidConfigError):
             ExperimentConfig.from_dict({"bogus_field": 1})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("attribution_cap", 0), ("attribution_cap", -5), ("ig_steps", 0),
+         ("shapley_permutations", 0)],
+    )
+    def test_attribution_values_below_one_rejected(self, field, value):
+        with pytest.raises(InvalidConfigError):
+            tiny_config(**{field: value})
+
     def test_parse_learner_labels(self):
         for label in ("s", "t", "dr", "x", "tarnet", "cfrnet", "cfrnet:2.5"):
             assert callable(parse_learner(label))
@@ -159,6 +168,22 @@ class TestRunExperiment:
         serial = run_experiment(cfg, workers=1)
         parallel = run_experiment(cfg, workers=2)
         assert _untimed(serial) == _untimed(parallel)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(InvalidConfigError):
+            run_experiment(tiny_config(), workers=workers)
+
+    def test_workers_variable_sets_pool(self, monkeypatch):
+        import catebench.harness as harness_mod
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("CATEBENCH_WORKERS=1 must run the sweep serially")
+
+        monkeypatch.setenv("CATEBENCH_WORKERS", "1")
+        monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(harness_mod, "run_cell", lambda config, value, seed: [])
+        assert run_experiment(tiny_config(seeds=2)) == []
 
     def test_default_pool_follows_cpu_affinity(self, monkeypatch):
         import catebench.harness as harness_mod

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -18,6 +19,7 @@ from catebench.dgp import (
 from catebench.errors import ParseError
 from catebench.harness import ResultRecord, emit_csv, load_results
 from catebench.rng import stream
+from catebench.tables import write_table
 
 
 @pytest.fixture()
@@ -87,3 +89,26 @@ def test_meta_missing_key_names_file_and_key(tables_dir):
     with pytest.raises(ParseError, match=r"meta\.json: missing key 'i_0'"):
         _load_dataset(meta)
 
+
+
+@pytest.mark.parametrize("table", ["mixed", "one column"])
+def test_write_table_bytes_equal_csv_writer(tmp_path, table):
+    # The reference writes every float cell with its own f-string.
+    if table == "mixed":
+        header = ["id", "name, with comma", 'say "hi"', "x", "y"]
+        rows = [
+            [1, "plain", 'a "quoted" cell', 0.1, np.float64(-0.0)],
+            [2, "comma, inside", "line\nbreak", float("nan"), float("inf")],
+            [3, "", "cr\rcell", -float("inf"), np.float64(1e-300)],
+            [-4, "100% sure", "50%, quoted", 123456789.0, -2.5e17],
+            [None, "only strings", "%s %.17g", "", ""],
+        ]
+    else:  # csv quotes a row's only cell when it is empty
+        header = ["only"]
+        rows = [[""], ["x"], [1.5], [None]]
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(
+            [f"{c:.17g}" if isinstance(c, float) else c for c in row] for row in [header, *rows]
+        )
+    write_table(tmp_path / "out.csv", header, iter(rows))
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
