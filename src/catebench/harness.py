@@ -4,12 +4,15 @@ A cell is one (knob value, seed) pair: generate a dataset with the knob's
 config field (``KNOB_FIELDS``) set to the knob value, split it, fit
 every configured learner on the same training part, attribute each fitted
 effect function on the same capped test rows, and score against the sealed
-truth. Sweeps run the grid x seeds product, optionally across processes;
-results are keyed records, so collection order never matters. A learner
-that fails on its data (``NumericError``, ``EmptyGroupError``) yields a
-flagged NaN record; any other error propagates and stops the run. The result
-table has one column per ``ResultRecord`` field and is written and read
-through ``tables``.
+truth. T, DR and X share the cell's one first stage (T's arm regressions
+from T's stream, one propensity model from its own stream), fitted at most
+once and only when one of them is configured. Sweeps run the grid x seeds
+product, optionally across processes; results are keyed records, so
+collection order never matters. A learner that fails on its data
+(``NumericError``, ``EmptyGroupError``), or whose shared first stage did,
+yields a flagged NaN record; any other error propagates and stops the run.
+The result table has one column per ``ResultRecord`` field and is written
+and read through ``tables``.
 """
 
 from __future__ import annotations
@@ -57,6 +60,11 @@ _S_GENERATE = 5
 _S_SPLIT = 6
 _S_LEARNER = 7
 _S_ATTRIBUTION = 8
+_S_PROPENSITY = 9
+
+# Learners that take the cell's shared first stage (``nuisances=``).
+_FIRST_STAGE_LEARNERS = ("t", "dr", "x")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -144,7 +152,9 @@ def parse_learner(entry: str):
     """Map a learner label to its fitting call ``fit(train, config, rng)``.
 
     Labels: s, t, dr, x, tarnet, cfrnet (balancing weight 1) or
-    cfrnet:<gamma> for an explicit balancing weight.
+    cfrnet:<gamma> for an explicit, finite, positive balancing weight.
+    The calls for t, dr and x also take ``nuisances=``, a fitted first
+    stage that they use instead of fitting their own.
     """
     name, _, arg = entry.partition(":")
     if name in _FITS and not arg:
@@ -156,8 +166,10 @@ def parse_learner(entry: str):
             gamma = float(arg) if arg else 1.0
         except ValueError:
             raise InvalidConfigError(f"bad balancing weight in {entry!r}") from None
-        if gamma <= 0:
-            raise InvalidConfigError(f"cfrnet needs a positive balancing weight, got {entry!r}")
+        if not 0.0 < gamma < float("inf"):
+            raise InvalidConfigError(
+                f"cfrnet needs a finite, positive balancing weight, got {entry!r}"
+            )
         return lambda train, cfg, rng: learners.fit_tarnet(train, gamma, cfg, rng)
     raise InvalidConfigError(f"unknown learner {entry!r}")
 
@@ -228,14 +240,46 @@ def build_cell_dataset(config: ExperimentConfig, knob_value: float, seed: int):
     return dgp.train_test_split(ds, config.test_fraction, stream(seed, knob_bits, _S_SPLIT))
 
 
+class _FirstStage:
+    """A cell's one first stage, fitted on first use and at most once.
+
+    mu0 and mu1 are the T-learner's own fits from T's stream, and pi is
+    fitted from the cell's propensity stream. A data failure is kept and
+    raised again to every later caller, so the fit is not rerun.
+    """
+
+    def __init__(self, train, config: TrainConfig, seed: int, knob_bits: int):
+        self.train, self.config, self.seed, self.knob_bits = train, config, seed, knob_bits
+        self._result = None
+
+    def nuisances(self) -> learners.NuisanceSet:
+        if self._result is None:
+            t_rng = stream(self.seed, self.knob_bits, _S_LEARNER, label_key("t"))
+            pi_rng = stream(self.seed, self.knob_bits, _S_PROPENSITY)
+            try:
+                t = learners.fit_t_learner(self.train, self.config, t_rng)
+                pi = learners.fit_propensity(self.train, self.config, pi_rng)
+                self._result = learners.NuisanceSet(t.mu0, t.mu1, pi)
+            except (NumericError, EmptyGroupError) as err:
+                self._result = err
+        if isinstance(self._result, Exception):
+            raise self._result
+        return self._result
+
+
 def run_cell(config: ExperimentConfig, knob_value: float, seed: int) -> list[ResultRecord]:
-    """Fit, attribute and score every configured learner on one cell."""
+    """Fit, attribute and score every configured learner on one cell.
+
+    T, DR and X share one first stage (``_FirstStage``); the first of them
+    in the learner list fits it, and its ``wall_ms`` includes that fit.
+    """
     knob_bits = float_key(knob_value)
     train, test = build_cell_dataset(config, knob_value, seed)
     truth = test.truth
     settings = config.attribution_settings(
         int(stream(seed, knob_bits, _S_ATTRIBUTION).integers(2**63))
     )
+    first_stage = _FirstStage(train.observed, config.train, seed, knob_bits)
     records = []
     for entry in config.learners:
         fit = parse_learner(entry)
@@ -243,7 +287,10 @@ def run_cell(config: ExperimentConfig, knob_value: float, seed: int) -> list[Res
         started = time.perf_counter()
         a_pred = a_prog = pehe_val = float("nan")
         try:
-            est = fit(train.observed, config.train, rng)
+            if entry in _FIRST_STAGE_LEARNERS:
+                est = fit(train.observed, config.train, rng, nuisances=first_stage.nuisances())
+            else:
+                est = fit(train.observed, config.train, rng)
             tau_hat = est.predict_cate(test.covariates.x)
             pehe_val = metrics.pehe(tau_hat, truth.tau)  # whole test set
             mat = attribution.attribute_batch(

@@ -11,6 +11,13 @@ attribution methods. Every network is fitted on ``nn``'s one training path
 gradient of its factual loss and balancing penalty through the shared
 trunk.
 
+T, DR and X take an optional fitted first stage (``nuisances=``, a
+``NuisanceSet`` of mu0, mu1 and pi) in place of fitting their own: T's
+arms are its mu0 and mu1, and DR and X then fit only their second stage,
+drawing it from the same child streams as when they fit the first stage
+themselves. The sweep harness fits one such stage per cell and passes it
+to all three.
+
 A fitted estimator is saved as a directory: ``manifest.json`` holds the
 strategy and every scalar field, and ``weights.npz`` every array field and
 every network, layer by layer. Save and load both follow the estimator
@@ -100,18 +107,28 @@ class NuisanceSet:
         return mlp_forward(self.pi, x)[:, 0]
 
 
-def fit_nuisances(train: ObservedData, config: TrainConfig, rng: np.random.Generator) -> NuisanceSet:
-    """Fit mu0 on controls, mu1 on treated, propensity on everyone."""
-    _check_groups(train.w)
-    r0, r1, rp = rng.spawn(3)
+def _fit_arms(train: ObservedData, config: TrainConfig, r0, r1) -> tuple[MlpParams, MlpParams]:
+    """mu0 on controls from ``r0``, mu1 on treated from ``r1``."""
     controls = train.w == 0
     treated = train.w == 1
     mu0 = _fit_regression(train.x[controls], train.y[controls], config, r0)
     mu1 = _fit_regression(train.x[treated], train.y[treated], config, r1)
-    pi = _fit_regression(
-        train.x, train.w.astype(float), config, rp, SIGMOID, "binary_cross_entropy"
+    return mu0, mu1
+
+
+def fit_propensity(train: ObservedData, config: TrainConfig, rng: np.random.Generator) -> MlpParams:
+    """Propensity model: a sigmoid-output regression of w on x under cross-entropy."""
+    _check_groups(train.w)
+    return _fit_regression(
+        train.x, train.w.astype(float), config, rng, SIGMOID, "binary_cross_entropy"
     )
-    return NuisanceSet(mu0, mu1, pi)
+
+
+def fit_nuisances(train: ObservedData, config: TrainConfig, rng: np.random.Generator) -> NuisanceSet:
+    """Fit mu0 on controls, mu1 on treated, propensity on everyone."""
+    _check_groups(train.w)
+    r0, r1, rp = rng.spawn(3)
+    return NuisanceSet(*_fit_arms(train, config, r0, r1), fit_propensity(train, config, rp))
 
 
 class CateEstimator:
@@ -248,14 +265,17 @@ def fit_s_learner(train: ObservedData, config: TrainConfig, rng: np.random.Gener
     return SEstimator(_fit_regression(xw, train.y, config, rng))
 
 
-def fit_t_learner(train: ObservedData, config: TrainConfig, rng: np.random.Generator) -> TEstimator:
+def fit_t_learner(
+    train: ObservedData,
+    config: TrainConfig,
+    rng: np.random.Generator,
+    nuisances: NuisanceSet | None = None,
+) -> TEstimator:
+    """Two arm regressions; given ``nuisances``, their mu0 and mu1 are the arms."""
     _check_groups(train.w)
-    r0, r1 = rng.spawn(2)
-    controls = train.w == 0
-    mu0 = _fit_regression(train.x[controls], train.y[controls], config, r0)
-    treated = train.w == 1
-    mu1 = _fit_regression(train.x[treated], train.y[treated], config, r1)
-    return TEstimator(mu0, mu1)
+    if nuisances is not None:
+        return TEstimator(nuisances.mu0, nuisances.mu1)
+    return TEstimator(*_fit_arms(train, config, *rng.spawn(2)))
 
 
 def fit_tarnet(
@@ -265,8 +285,8 @@ def fit_tarnet(
     rng: np.random.Generator,
 ) -> TarnetEstimator:
     """Joint fit of trunk and heads; factual loss plus gamma * MMD^2 per batch."""
-    if gamma < 0:
-        raise InvalidConfigError("gamma must be >= 0")
+    if not gamma >= 0:  # NaN included
+        raise InvalidConfigError(f"gamma must be >= 0, got {gamma}")
     _check_groups(train.w)
     r_init, r_split, r_train = rng.spawn(3)
 
@@ -357,11 +377,17 @@ def fit_dr_learner(
     return DrEstimator(_fit_regression(train.x, pseudo, config, r_stage2))
 
 
-def fit_x_learner(train: ObservedData, config: TrainConfig, rng: np.random.Generator) -> XEstimator:
+def fit_x_learner(
+    train: ObservedData,
+    config: TrainConfig,
+    rng: np.random.Generator,
+    nuisances: NuisanceSet | None = None,
+) -> XEstimator:
     """Arm-wise effect regressions on imputed contrasts, blended by pi_hat."""
     _check_groups(train.w)
     r_nuis, r_tau0, r_tau1 = rng.spawn(3)
-    nuisances = fit_nuisances(train, config, r_nuis)
+    if nuisances is None:
+        nuisances = fit_nuisances(train, config, r_nuis)
     treated = train.w == 1
     # Treated arm: observed outcome minus imputed control outcome.
     target1 = train.y[treated] - nuisances.mu0_at(train.x[treated])

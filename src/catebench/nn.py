@@ -297,6 +297,10 @@ class TrainConfig:
     patience: int = 10
 
     def __post_init__(self):
+        if not 0.0 < self.learning_rate < float("inf"):  # NaN included
+            raise InvalidConfigError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
         if not 0.0 < self.val_fraction < 1.0:
             raise InvalidConfigError("val_fraction must lie strictly between 0 and 1")
         if self.batch_size < 1:

@@ -218,6 +218,28 @@ class TestRejectedSettings:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (workdir / "results.csv").exists()
 
+    @pytest.mark.parametrize("rate", [0.0, -1e-3, float("nan")])
+    def test_bad_learning_rate_exits_1(self, workdir, capsys, rate):
+        cfg = write_config(workdir / "cfg.json")
+        config = json.loads(cfg.read_text())
+        config["train"]["learning_rate"] = rate
+        cfg.write_text(json.dumps(config))  # NaN is written as the bare token NaN
+        assert main(["experiment", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: learning_rate must be finite and > 0")
+        assert not (workdir / "results.csv").exists()
+
+    @pytest.mark.parametrize("label", ["cfrnet:nan", "cfrnet:inf", "cfrnet:1e400"])
+    def test_nonfinite_balancing_weight_exits_1(self, workdir, capsys, label):
+        cfg = write_config(workdir / "cfg.json")
+        assert main(["experiment", "--config", str(cfg), "--learners", label]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cfrnet needs a finite, positive balancing weight")
+        assert not (workdir / "results.csv").exists()
+        assert main(["generate", "--config", str(cfg)]) == 0
+        assert main(["fit", "--data", "data.csv", "--learner", label, "--config", str(cfg),
+                     "--out-dir", "model"]) == 1
+        assert not (workdir / "model").exists()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exits_1(self, workdir, capsys, workers):
         cfg = write_config(workdir / "cfg.json")

@@ -80,6 +80,13 @@ class TestExperimentConfig:
         with pytest.raises(InvalidConfigError):
             parse_learner("cfrnet:-1")
 
+    @pytest.mark.parametrize("label", ["cfrnet:nan", "cfrnet:inf", "cfrnet:1e400"])
+    def test_nonfinite_balancing_weight_rejected(self, label):
+        with pytest.raises(InvalidConfigError):
+            parse_learner(label)
+        with pytest.raises(InvalidConfigError):
+            tiny_config(learners=("s", label))
+
     def test_presets(self):
         one = experiment_preset("predictive_scale")
         assert one.knob_grid == (1e-3, 1e-2, 1e-1, 0.5, 1.0)
@@ -156,6 +163,59 @@ class TestRunCell:
             run_cell(tiny_config(learners=("t",)), 1.0, 0)
 
 
+class TestSharedFirstStage:
+    SIX = ("s", "t", "tarnet", "dr", "x", "cfrnet:10")
+
+    def test_six_learner_cell_fits_nine_networks(self, monkeypatch):
+        import catebench.learners as learners_mod
+        import catebench.nn as nn_mod
+
+        calls = []
+        original = nn_mod.minibatch_fit
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(nn_mod, "minibatch_fit", counted)
+        monkeypatch.setattr(learners_mod, "minibatch_fit", counted)
+        run_cell(tiny_config(learners=self.SIX), 1.0, 0)
+        # S 1, TARNet 1, CFRNet 1, shared mu0/mu1/pi 3, DR stage 2 1, X tau0/tau1 2.
+        assert len(calls) == 9
+
+    def test_other_records_do_not_depend_on_dr_and_x(self):
+        with_two_stage = run_cell(tiny_config(learners=self.SIX), 1.0, 4)
+        without = run_cell(tiny_config(learners=("s", "t", "tarnet", "cfrnet:10")), 1.0, 4)
+        kept = [r for r in with_two_stage if r.learner not in ("dr", "x")]
+        assert _untimed(kept) == _untimed(without)
+
+    def test_t_record_is_the_standalone_t_fit(self):
+        cfg = tiny_config(learners=("x", "t"))  # X fits the shared stage first
+        [_, rec] = run_cell(cfg, 1.0, 2)
+        [alone] = run_cell(tiny_config(learners=("t",)), 1.0, 2)
+        assert _untimed([rec]) == _untimed([alone])
+
+    def test_failed_first_stage_flags_each_user_once(self, monkeypatch, caplog):
+        import catebench.learners as learners_mod
+
+        calls = []
+
+        def broken(*args, **kwargs):
+            calls.append(1)
+            raise NumericError("propensity diverged")
+
+        monkeypatch.setattr(learners_mod, "fit_propensity", broken)
+        recs = {r.learner: r for r in run_cell(tiny_config(learners=self.SIX), 1.0, 0)}
+        assert len(calls) == 1
+        for learner in ("t", "dr", "x"):
+            r = recs[learner]
+            assert np.isnan(r.attr_pred) and np.isnan(r.attr_prog) and np.isnan(r.pehe)
+        for learner in ("s", "tarnet", "cfrnet:10"):
+            assert np.isfinite(recs[learner].pehe)
+        failed = [m for m in caplog.messages if m.startswith("learner ")]
+        assert sorted(m.split()[1] for m in failed) == ["dr", "t", "x"]
+
+
 class TestRunExperiment:
     def test_cardinality_and_order(self):
         cfg = tiny_config(knob_grid=(0.0, 0.5, 1.0), seeds=2)
@@ -164,10 +224,11 @@ class TestRunExperiment:
         assert [r.key for r in recs] == sorted(r.key for r in recs)
 
     def test_parallel_matches_serial(self):
-        cfg = tiny_config(seeds=2)
-        serial = run_experiment(cfg, workers=1)
-        parallel = run_experiment(cfg, workers=2)
-        assert _untimed(serial) == _untimed(parallel)
+        for learners in (("t", "s"), ("s", "t", "dr", "x")):
+            cfg = tiny_config(seeds=2, learners=learners)
+            serial = run_experiment(cfg, workers=1)
+            parallel = run_experiment(cfg, workers=2)
+            assert _untimed(serial) == _untimed(parallel), learners
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -180,6 +181,11 @@ class TestTarnet:
         with pytest.raises(InvalidConfigError):
             fit_tarnet(train, -1.0, FAST, stream(99))
 
+    def test_nan_gamma_rejected(self):
+        train, _ = additive_data(100, 98)
+        with pytest.raises(InvalidConfigError):
+            fit_tarnet(train, float("nan"), FAST, stream(99))
+
     def test_capacity_layout(self):
         train, _ = additive_data(300, 100)
         cfg = TrainConfig(learning_rate=1e-3, batch_size=128, max_epochs=2, patience=1)
@@ -297,6 +303,29 @@ class TestXLearner:
         est = fit_x_learner(train, FAST, stream(123))
         obs, tau = additive_data(1000, 124)
         assert pehe(est.predict_cate(obs.x), tau) < 0.2
+
+
+class TestGivenNuisances:
+    """A first stage passed in equals the one the learner would fit itself."""
+
+    CFG = TrainConfig(learning_rate=1e-3, batch_size=128, max_epochs=4, patience=2)
+
+    @pytest.mark.parametrize("fit, n_children", [(fit_dr_learner, 2), (fit_x_learner, 3)])
+    def test_same_weights_as_standalone(self, fit, n_children):
+        train, _ = additive_data(400, 140)
+        nuisances = fit_nuisances(train, self.CFG, stream(141).spawn(n_children)[0])
+        given = fit(train, self.CFG, stream(141), nuisances=nuisances)
+        alone = fit(train, self.CFG, stream(141))
+        for f in fields(given):
+            a, b = getattr(given, f.name), getattr(alone, f.name)
+            for wa, wb in zip(a.arrays(), b.arrays()):
+                assert np.array_equal(wa, wb)
+
+    def test_t_learner_takes_the_arms(self):
+        train, _ = additive_data(400, 142)
+        nuisances = fit_nuisances(train, self.CFG, stream(143))
+        est = fit_t_learner(train, self.CFG, stream(144), nuisances=nuisances)
+        assert est.mu0 is nuisances.mu0 and est.mu1 is nuisances.mu1
 
 
 class TestGradients:

@@ -275,6 +275,11 @@ class TestTrainEarlyStop:
         with pytest.raises(InvalidConfigError):
             TrainConfig(patience=0)
 
+    @pytest.mark.parametrize("rate", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_learning_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(InvalidConfigError):
+            TrainConfig(learning_rate=rate)
+
 
 class TestMmd2Linear:
     def test_identical_groups_zero(self):
