@@ -2,13 +2,15 @@
 
 Subcommands: generate, fit, attribute, evaluate, experiment, plot. Each
 reads a JSON config file (where applicable) plus flag overrides. Exit
-codes: 0 success, 1 configuration/usage error, 2 runtime error (a
-malformed input file included).
+codes: 0 success, 1 configuration/usage error (a malformed config file
+included), 2 runtime error (a malformed input file included). Every file
+is read and written through ``tables``, which names a malformed one.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -17,8 +19,8 @@ from pathlib import Path
 # harness (which loads the process pool) and svgplot are imported inside
 # the commands that use them: attribute and evaluate, which run once per
 # model and method, start without them.
-from . import attribution, dgp, learners, metrics
-from .errors import CatebenchError, InvalidConfigError
+from . import attribution, dgp, learners, metrics, tables
+from .errors import CatebenchError, InvalidConfigError, ParseError
 from .rng import stream
 
 
@@ -39,13 +41,13 @@ def _load_config(path: str | None):
     p = Path(path)
     if not p.exists():
         raise InvalidConfigError(f"config file not found: {p}")
-    with open(p) as fh:
-        return harness.ExperimentConfig.from_dict(json.load(fh))
+    try:
+        return harness.ExperimentConfig.from_dict(tables.read_json(p))
+    except ParseError as err:
+        raise InvalidConfigError(str(err)) from None
 
 
 def _apply_overrides(config, args):
-    from . import harness
-
     updates = {}
     if getattr(args, "seeds", None) is not None:
         updates["seeds"] = args.seeds
@@ -53,9 +55,7 @@ def _apply_overrides(config, args):
         updates["learners"] = tuple(args.learners.split(","))
     if getattr(args, "sigma", None) is not None:
         updates["sigma"] = args.sigma
-    if not updates:
-        return config
-    return harness.ExperimentConfig.from_dict({**config.to_dict(), **updates})
+    return dataclasses.replace(config, **updates)
 
 
 def _build_parser() -> _Parser:
@@ -167,11 +167,10 @@ def _cmd_evaluate(args) -> int:
         est = learners.load_estimator(args.model)
         ds = dgp.load_dataset(args.data, args.truth, args.meta)
         out["pehe"] = metrics.pehe(est.predict_cate(ds.covariates.x), ds.truth.tau)
-    text = json.dumps(out, indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        tables.write_json(args.out, out)
     else:
-        print(text)
+        print(json.dumps(out, indent=2))
     return 0
 
 
@@ -227,7 +226,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (InvalidConfigError, FileNotFoundError, json.JSONDecodeError) as err:
+    except (InvalidConfigError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except CatebenchError as err:

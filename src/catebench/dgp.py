@@ -5,8 +5,8 @@ and assignments are simulated on top of them from sampled prognostic and
 predictive components, so the true potential outcomes, effect function,
 propensities and driver indices are all known. Ground truth travels in a
 sealed sidecar of the dataset: model fitting only ever sees (X, W, Y).
-A saved dataset is three files: the observed table and the truth table,
-written and read through ``tables``, and a JSON sidecar that only
+A saved dataset is three files, all written and read through ``tables``:
+the observed table, the truth table, and a JSON sidecar that only
 ``load_meta`` reads. ``train_test_split`` draws its partition through
 ``nn.holdout_split``, the package's one seeded split.
 
@@ -24,7 +24,6 @@ assumptions hold by construction rather than by hope:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -511,9 +510,7 @@ def save_dataset(
             "irrelevant_index": t.propensity.irrelevant_index,
         },
     }
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    tables.write_json(meta_path, meta)
 
 
 def load_observed(data_path: str | Path) -> tuple[ObservedData, list[str], np.ndarray]:
@@ -540,8 +537,7 @@ def load_meta(
     meta_path: str | Path,
 ) -> tuple[list[str], FeatureIndexSets, OutcomeModel, PropensitySpec, float]:
     """Read the JSON sidecar: (feature names, index sets, outcome model, propensity, sigma)."""
-    with open(meta_path) as fh:
-        meta = json.load(fh)
+    meta = tables.read_json(meta_path)
     try:
         prop = meta["propensity"]
         return (

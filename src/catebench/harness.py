@@ -23,6 +23,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -68,7 +69,7 @@ _FIRST_STAGE_LEARNERS = ("t", "dr", "x")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one sweep needs; serializable to/from JSON."""
+    """Everything one sweep needs; ``from_dict`` checks each JSON value's type."""
 
     dataset_tag: str = "synthetic"
     covariates_csv: str | None = None
@@ -78,13 +79,13 @@ class ExperimentConfig:
     synth_rho: float = 0.0
     n_i: int | None = None  # None: floor(0.2 * d)
     knob: str = KNOB_PREDICTIVE_SCALE
-    knob_grid: tuple = (1e-3, 1e-2, 1e-1, 0.5, 1.0)
+    knob_grid: tuple[float, ...] = (1e-3, 1e-2, 1e-1, 0.5, 1.0)
     omega_pred: float = 1.0
     omega_nl: float = 0.0
     sigma: float = 0.1
     propensity_kind: str = dgp.UNIFORM
     omega_pi: float = 0.0
-    learners: tuple = DEFAULT_LEARNERS
+    learners: tuple[str, ...] = DEFAULT_LEARNERS
     attribution_method: str = attribution.INTEGRATED_GRADIENTS
     ig_steps: int = 50
     shapley_permutations: int | None = None
@@ -102,8 +103,12 @@ class ExperimentConfig:
             raise InvalidConfigError("knob grid must be nonempty")
         if self.seeds < 1:
             raise InvalidConfigError("seeds must be >= 1")
-        if any(v < 0 for v in self.knob_grid):
+        if not all(v >= 0 for v in self.knob_grid):  # NaN included
             raise InvalidConfigError("knob values must be >= 0")
+        if len(set(self.knob_grid)) < len(self.knob_grid):  # as floats: 0.0 == -0.0
+            raise InvalidConfigError(f"knob values repeat in {list(self.knob_grid)}")
+        if len(set(self.learners)) < len(self.learners):  # as written: cfrnet != cfrnet:1
+            raise InvalidConfigError(f"learner labels repeat in {list(self.learners)}")
         if self.knob == KNOB_NONLINEARITY_SCALE and any(v > 1 for v in self.knob_grid):
             raise InvalidConfigError("nonlinearity values must lie in [0, 1]")
         if not 0.0 <= self.omega_nl <= 1.0:
@@ -130,13 +135,43 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        if "train" in d and isinstance(d["train"], dict):
-            d["train"] = TrainConfig(**d["train"])
-        try:
-            return ExperimentConfig(**d)
-        except TypeError as err:
-            raise InvalidConfigError(str(err)) from None
+        return _decode(ExperimentConfig, d)
+
+
+# What a JSON value may be for each field type, and how to say so.
+_JSON_KINDS = {
+    str: ((str,), "a string"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    tuple: ((), "an array"),
+    TrainConfig: ((), "a JSON object"),
+}
+
+
+def _decode(cls, obj: dict, prefix: str = ""):
+    """``cls`` from a JSON object of its fields; InvalidConfigError on an unknown key."""
+    kinds = {f.name: kind for f, kind in learners._field_kinds(cls)}
+    for key in obj:
+        if key not in kinds:
+            raise InvalidConfigError(f"unknown config key {prefix + key!r}")
+    return cls(**{key: _decode_value(kinds[key], v, prefix + key) for key, v in obj.items()})
+
+
+def _decode_value(kind, value, key: str):
+    """A JSON value of field type ``kind``: arrays become tuples, integral floats ints."""
+    args = get_args(kind)
+    if type(None) in args:  # X | None
+        return None if value is None else _decode_value(args[0], value, key)
+    if get_origin(kind) is tuple and type(value) is list:
+        return tuple(_decode_value(args[0], v, key) for v in value)
+    if kind is TrainConfig and type(value) is dict:
+        return _decode(kind, value, key + ".")
+    if kind is int and type(value) is float and value.is_integer():
+        value = int(value)
+    types, expected = _JSON_KINDS[get_origin(kind) or kind]
+    if type(value) not in types:  # never a bool
+        raise InvalidConfigError(f"config key {key!r} must be {expected}, got {value!r}")
+    return value
 
 
 # Learner labels that take no argument, mapped to their fitting functions.

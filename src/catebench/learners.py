@@ -22,12 +22,12 @@ A fitted estimator is saved as a directory: ``manifest.json`` holds the
 strategy and every scalar field, and ``weights.npz`` every array field and
 every network, layer by layer. Save and load both follow the estimator
 class's own fields, so no strategy has persistence code of its own; the
-loader also checks that every network's layers chain into one output.
+manifest is JSON through ``tables``, and the loader also checks that every
+network's layers chain into one output.
 """
 
 from __future__ import annotations
 
-import json
 import zipfile
 from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
@@ -35,9 +35,11 @@ from typing import get_type_hints
 
 import numpy as np
 
+from . import tables
 from .dgp import ObservedData
 from .errors import EmptyGroupError, InvalidConfigError, ParseError
 from .nn import (
+    BINARY_CROSS_ENTROPY,
     IDENTITY,
     SIGMOID,
     SQUARED_ERROR,
@@ -120,7 +122,7 @@ def fit_propensity(train: ObservedData, config: TrainConfig, rng: np.random.Gene
     """Propensity model: a sigmoid-output regression of w on x under cross-entropy."""
     _check_groups(train.w)
     return _fit_regression(
-        train.x, train.w.astype(float), config, rng, SIGMOID, "binary_cross_entropy"
+        train.x, train.w.astype(float), config, rng, SIGMOID, BINARY_CROSS_ENTROPY
     )
 
 
@@ -290,9 +292,7 @@ def fit_tarnet(
     _check_groups(train.w)
     r_init, r_split, r_train = rng.spawn(3)
 
-    d = train.d
-    s = np.sqrt(6.0 / (d + HIDDEN_UNITS))
-    init = [r_init.uniform(-s, s, size=(d, HIDDEN_UNITS)), np.zeros(HIDDEN_UNITS)]
+    init = mlp_init([train.d, HIDDEN_UNITS], IDENTITY, r_init).arrays()
     for _ in range(2):
         init += mlp_init([HIDDEN_UNITS, HIDDEN_UNITS, 1], IDENTITY, r_init).arrays()
     flat = flatten(init)
@@ -457,9 +457,7 @@ def save_estimator(est: CateEstimator, out_dir: str | Path) -> None:
             arrays[f.name] = value
         else:
             manifest[f.name] = value
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    tables.write_json(out_dir / "manifest.json", manifest)
     np.savez(out_dir / "weights.npz", **arrays)
 
 
@@ -467,17 +465,14 @@ def load_estimator(in_dir: str | Path) -> CateEstimator:
     """Rebuild an estimator from ``save_estimator``'s files.
 
     The manifest's strategy picks the class, and the class's fields say
-    what to read. A malformed directory (a missing key, unchained layers,
-    a non-number scalar, a non-npz weights file) raises ``ParseError``
-    naming the file and the key.
+    what to read. A malformed directory (a manifest that is not a JSON
+    object, a missing key, unchained layers, a non-number scalar, a non-npz
+    weights file) raises ``ParseError`` naming the file and the key.
     """
     manifest_path = Path(in_dir) / "manifest.json"
     weights_path = Path(in_dir) / "weights.npz"
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    if not isinstance(manifest, dict):
-        raise ParseError(f"{manifest_path}: expected a JSON object with key 'strategy'")
-    strategy = _entry(manifest, "strategy", manifest_path)
+    manifest = tables.read_json(manifest_path, ("strategy",))
+    strategy = manifest["strategy"]
     if not isinstance(strategy, str) or strategy not in _ESTIMATOR_CLASSES:
         raise ParseError(f"{manifest_path}: unknown strategy {strategy!r} at key 'strategy'")
     cls = _ESTIMATOR_CLASSES[strategy]

@@ -1,16 +1,19 @@
-"""The CSV table format shared by every file the package writes or reads.
+"""The one CSV and JSON format of every file the package writes or reads.
 
 A table is one header row plus data rows, written and read with Python's
 ``csv`` module. Float cells are written with 17 significant digits, so
 they read back bit for bit. Readers report a malformed file as a
 ``ParseError`` naming the 1-based data row (the header is row 0) and, for
-a bad cell, the 0-based column.
+a bad cell, the 0-based column. Every other file is one JSON object with
+two-space indents and a final newline; one that is not JSON, or not an
+object, reads as a ``ParseError`` naming the file.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 from pathlib import Path
 from typing import Iterable
 
@@ -73,3 +76,24 @@ def parse_block(
                         f"{kind.__name__}", row=r, col=c
                     ) from None
         raise
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write ``obj`` as indented JSON ending in a newline."""
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+
+
+def read_json(path: str | Path, keys: tuple[str, ...] = ()) -> dict:
+    """The JSON object in ``path``; ParseError unless it is one and has each of ``keys``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except ValueError as err:  # JSONDecodeError and UnicodeDecodeError
+        raise ParseError(f"{path}: not JSON ({err})") from None
+    if not isinstance(obj, dict):
+        named = f" with {', '.join(map(repr, keys))}" if keys else ""
+        raise ParseError(f"{path}: expected a JSON object{named}, got {type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise ParseError(f"{path}: missing key {key!r}")
+    return obj

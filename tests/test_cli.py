@@ -79,7 +79,9 @@ class TestPipeline:
             "--model", "model", "--data", "data.csv", "--truth", "truth.csv",
             "--out", "metrics.json",
         ]) == 0
-        metrics = json.loads((workdir / "metrics.json").read_text())
+        text = (workdir / "metrics.json").read_text()
+        metrics = json.loads(text)
+        assert text == json.dumps(metrics, indent=2) + "\n"
         assert set(metrics) == {"attr_pred", "attr_prog", "n_eval", "pehe"}
         assert 0.0 <= metrics["attr_pred"] <= 1.0
         assert metrics["pehe"] >= 0.0
@@ -182,6 +184,24 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "runtime error:" in err and "weights.npz" in err and "'mu0_w1'" in err
 
+    @pytest.mark.parametrize("name", ["manifest.json", "meta.json"])
+    def test_truncated_json_exits_2(self, workdir, capsys, name):
+        fit_model(workdir)
+        assert main(["attribute", "--model", "model", "--data", "data.csv",
+                     "--method", "saliency", "--out", "attr.csv"]) == 0
+        path = workdir / "model" / name if name == "manifest.json" else workdir / name
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        capsys.readouterr()
+        if name == "manifest.json":
+            code = main(["attribute", "--model", "model", "--data", "data.csv", "--out", "a.csv"])
+        else:
+            code = main(["evaluate", "--attributions", "attr.csv", "--meta", "meta.json"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"runtime error: {path.relative_to(workdir)}: not JSON (")
+        assert err.count("\n") == 1
+
     def test_unknown_learner_exits_1(self, workdir, capsys):
         cfg = write_config(workdir / "cfg.json", learners=["qlearner"])
         assert main(["experiment", "--config", str(cfg)]) == 1
@@ -239,6 +259,38 @@ class TestRejectedSettings:
         assert main(["fit", "--data", "data.csv", "--learner", label, "--config", str(cfg),
                      "--out-dir", "model"]) == 1
         assert not (workdir / "model").exists()
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ([1], "cfg.json: expected a JSON object, got list"),
+            ({"train": 5}, "config key 'train' must be a JSON object, got 5"),
+            ({"train": {"bogus": 1}}, "unknown config key 'train.bogus'"),
+            ({"seeds": 2.5}, "config key 'seeds' must be an integer, got 2.5"),
+            ({"synth_n": "100"}, "config key 'synth_n' must be an integer"),
+            ({"train": {"learning_rate": "abc"}}, "config key 'train.learning_rate' must be a number"),
+            ({"train": {"batch_size": 1.5}}, "config key 'train.batch_size' must be an integer"),
+            ({"knob_grid": 5}, "config key 'knob_grid' must be an array, got 5"),
+            ({"knob_grid": [0.0, "1"]}, "config key 'knob_grid' must be a number"),
+            ({"learners": "st"}, "config key 'learners' must be an array"),
+            ({"seeds": True}, "config key 'seeds' must be an integer, got True"),
+            ({"attribution_method": None}, "config key 'attribution_method' must be a string"),
+            ({"learners": ["s", "s"]}, "learner labels repeat"),
+            ({"knob_grid": [1.0, 1.0]}, "knob values repeat"),
+            ({"knob_grid": [0.0, -0.0]}, "knob values repeat"),
+        ],
+    )
+    def test_bad_config_value_exits_1(self, workdir, capsys, value, message):
+        cfg = workdir / "cfg.json"
+        if isinstance(value, dict):
+            write_config(cfg, **value)
+        else:
+            cfg.write_text(json.dumps(value))
+        assert main(["experiment", "--config", str(cfg), "--workers", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (workdir / "results.csv").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exits_1(self, workdir, capsys, workers):

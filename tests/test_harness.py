@@ -65,6 +65,23 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize(
         "field, value",
+        [("learners", ("s", "s")), ("knob_grid", (1.0, 1.0)), ("knob_grid", (0.0, -0.0))],
+    )
+    def test_repeats_rejected(self, field, value):
+        with pytest.raises(InvalidConfigError, match="repeat"):
+            tiny_config(**{field: value})
+        # labels compare as written: two spellings of one weight are two learners
+        assert tiny_config(learners=("cfrnet", "cfrnet:1")).learners == ("cfrnet", "cfrnet:1")
+
+    def test_from_dict_takes_json_numbers(self):
+        cfg = ExperimentConfig.from_dict(
+            {"knob_grid": [0, 2], "sigma": 1, "seeds": 2.0, "train": {"max_epochs": 150.0}}
+        )
+        assert cfg.knob_grid == (0.0, 2.0) and cfg.sigma == 1
+        assert type(cfg.seeds) is int and type(cfg.train.max_epochs) is int
+
+    @pytest.mark.parametrize(
+        "field, value",
         [("attribution_cap", 0), ("attribution_cap", -5), ("ig_steps", 0),
          ("shapley_permutations", 0)],
     )

@@ -411,6 +411,12 @@ class TestSerialization:
         assert np.array_equal(back.predict_cate(x), x_est.predict_cate(x))
         assert back.pi.output_activation == SIGMOID
 
+    def test_manifest_bytes(self, tmp_path):
+        cfr_est = TestGradients()._estimators()[0][2]
+        save_estimator(cfr_est, tmp_path)
+        expected = {"strategy": "cfrnet", "gamma": cfr_est.gamma}
+        assert (tmp_path / "manifest.json").read_text() == json.dumps(expected, indent=2) + "\n"
+
     def test_weight_entry_names_and_order(self, tmp_path):
         def net(name, layers):
             return [f"{name}_{p}{k}" for k in range(layers) for p in "wb"]
@@ -430,6 +436,7 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "case, file, key",
         [
+            ("manifest not JSON", "manifest.json", None),
             ("non-object manifest", "manifest.json", "strategy"),
             ("missing strategy", "manifest.json", "strategy"),
             ("unknown strategy", "manifest.json", "strategy"),
@@ -456,7 +463,9 @@ class TestSerialization:
                 arrays = {k: blob[k] for k in blob.files}
             np.savez(model / "weights.npz", **{**arrays, **changes(arrays)})
 
-        if case == "non-object manifest":
+        if case == "manifest not JSON":
+            manifest.write_text(manifest.read_text()[:-5])
+        elif case == "non-object manifest":
             manifest.write_text("[]")
         elif case == "missing strategy":
             manifest.write_text("{}")

@@ -90,6 +90,24 @@ def test_meta_missing_key_names_file_and_key(tables_dir):
         _load_dataset(meta)
 
 
+@pytest.mark.parametrize(
+    "defect, message",
+    [("truncated", r"meta\.json: not JSON \("), ("list", r"meta\.json: expected a JSON object")],
+)
+def test_malformed_meta_names_file(tables_dir, defect, message):
+    meta = tables_dir / "meta.json"
+    text = meta.read_text()
+    meta.write_text(text[: len(text) // 2] if defect == "truncated" else
+                    json.dumps(list(json.loads(text).values())))
+    with pytest.raises(ParseError, match=message):
+        _load_dataset(meta)
+
+
+def test_meta_bytes(tables_dir):
+    text = (tables_dir / "meta.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
 
 @pytest.mark.parametrize("table", ["mixed", "one column"])
 def test_write_table_bytes_equal_csv_writer(tmp_path, table):
