@@ -137,7 +137,16 @@ def _cmd_fit(args) -> int:
     config = _load_config(args.config)
     obs, _, _ = dgp.load_observed(args.data)
     fit = harness.parse_learner(args.learner)
-    est = fit(obs, config.train, stream(args.seed))
+    if args.learner in ("dr", "x"):
+        # The first stage is child 0 of the seed's stream; T's arms draw from
+        # it and the propensity from its child 2, each from a fresh copy.
+        stage = learners.fit_nuisances(
+            obs, config.train, stream(args.seed).spawn(1)[0],
+            stream(args.seed).spawn(1)[0].spawn(3)[2],
+        )
+        est = fit(obs, config.train, stream(args.seed), stage)
+    else:
+        est = fit(obs, config.train, stream(args.seed))
     learners.save_estimator(est, args.out_dir)
     print(f"fitted {args.learner} on {obs.n} units -> {args.out_dir}")
     return 0

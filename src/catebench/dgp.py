@@ -149,8 +149,8 @@ class OutcomeModel:
             raise InvalidConfigError(f"unknown nonlinearity {self.nonlinearity!r}")
         if not 0.0 <= self.omega_nl <= 1.0:
             raise InvalidConfigError("omega_nl must lie in [0, 1]")
-        if self.omega_pred < 0.0:
-            raise InvalidConfigError("omega_pred must be >= 0")
+        if not 0.0 <= self.omega_pred < float("inf"):  # NaN included
+            raise InvalidConfigError(f"omega_pred must be finite and >= 0, got {self.omega_pred}")
 
 
 @dataclass(frozen=True)
@@ -162,8 +162,8 @@ class PropensitySpec:
     def __post_init__(self):
         if self.kind not in PROPENSITY_KINDS:
             raise InvalidConfigError(f"unknown propensity kind {self.kind!r}")
-        if self.omega_pi < 0.0:
-            raise InvalidConfigError("omega_pi must be >= 0")
+        if not 0.0 <= self.omega_pi < float("inf"):  # NaN included
+            raise InvalidConfigError(f"omega_pi must be finite and >= 0, got {self.omega_pi}")
         if self.kind == NONCONFOUNDED and self.irrelevant_index is None:
             raise InvalidConfigError("nonconfounded propensity needs irrelevant_index")
 
@@ -428,8 +428,8 @@ def generate_dataset(
     rng: np.random.Generator,
 ) -> SemiSyntheticDataset:
     """Simulate assignments and outcomes over the given covariates."""
-    if sigma < 0.0:
-        raise InvalidConfigError("noise sigma must be >= 0")
+    if not 0.0 <= sigma < float("inf"):  # NaN included
+        raise InvalidConfigError(f"noise sigma must be finite and >= 0, got {sigma}")
     if int(sets.all_relevant.max()) >= covariates.d:
         raise ShapeError("driver index exceeds covariate dimension")
     x = covariates.x

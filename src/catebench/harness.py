@@ -4,9 +4,10 @@ A cell is one (knob value, seed) pair: generate a dataset with the knob's
 config field (``KNOB_FIELDS``) set to the knob value, split it, fit
 every configured learner on the same training part, attribute each fitted
 effect function on the same capped test rows, and score against the sealed
-truth. T, DR and X share the cell's one first stage (T's arm regressions
-from T's stream, one propensity model from its own stream), fitted at most
-once and only when one of them is configured. Sweeps run the grid x seeds
+truth. T, DR and X share the cell's one first stage (``fit_nuisances``
+from T's stream and the cell's propensity stream), fitted at most once
+and only when one of them is configured: T's record is its two arms, and
+DR and X fit their second stage on it. Sweeps run the grid x seeds
 product, optionally across processes; results are keyed records, so
 collection order never matters. A learner that fails on its data
 (``NumericError``, ``EmptyGroupError``), or whose shared first stage did,
@@ -21,7 +22,7 @@ import logging
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin
 
@@ -63,9 +64,6 @@ _S_LEARNER = 7
 _S_ATTRIBUTION = 8
 _S_PROPENSITY = 9
 
-# Learners that take the cell's shared first stage (``nuisances=``).
-_FIRST_STAGE_LEARNERS = ("t", "dr", "x")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -103,8 +101,12 @@ class ExperimentConfig:
             raise InvalidConfigError("knob grid must be nonempty")
         if self.seeds < 1:
             raise InvalidConfigError("seeds must be >= 1")
-        if not all(v >= 0 for v in self.knob_grid):  # NaN included
-            raise InvalidConfigError("knob values must be >= 0")
+        if not all(0.0 <= v < float("inf") for v in self.knob_grid):  # NaN included
+            raise InvalidConfigError(f"knob values must be finite and >= 0: {list(self.knob_grid)}")
+        for name in ("sigma", "omega_pred", "omega_pi"):
+            value = getattr(self, name)
+            if not 0.0 <= value < float("inf"):  # NaN included
+                raise InvalidConfigError(f"{name} must be finite and >= 0, got {value}")
         if len(set(self.knob_grid)) < len(self.knob_grid):  # as floats: 0.0 == -0.0
             raise InvalidConfigError(f"knob values repeat in {list(self.knob_grid)}")
         if len(set(self.learners)) < len(self.learners):  # as written: cfrnet != cfrnet:1
@@ -126,12 +128,6 @@ class ExperimentConfig:
             max_rows=self.attribution_cap,
             seed=seed,
         )
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["knob_grid"] = list(self.knob_grid)
-        d["learners"] = list(self.learners)
-        return d
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
@@ -188,8 +184,8 @@ def parse_learner(entry: str):
 
     Labels: s, t, dr, x, tarnet, cfrnet (balancing weight 1) or
     cfrnet:<gamma> for an explicit, finite, positive balancing weight.
-    The calls for t, dr and x also take ``nuisances=``, a fitted first
-    stage that they use instead of fitting their own.
+    The calls for dr and x take a fourth argument, the fitted first stage
+    (``learners.fit_nuisances``) that their second stage regresses on.
     """
     name, _, arg = entry.partition(":")
     if name in _FITS and not arg:
@@ -275,38 +271,12 @@ def build_cell_dataset(config: ExperimentConfig, knob_value: float, seed: int):
     return dgp.train_test_split(ds, config.test_fraction, stream(seed, knob_bits, _S_SPLIT))
 
 
-class _FirstStage:
-    """A cell's one first stage, fitted on first use and at most once.
-
-    mu0 and mu1 are the T-learner's own fits from T's stream, and pi is
-    fitted from the cell's propensity stream. A data failure is kept and
-    raised again to every later caller, so the fit is not rerun.
-    """
-
-    def __init__(self, train, config: TrainConfig, seed: int, knob_bits: int):
-        self.train, self.config, self.seed, self.knob_bits = train, config, seed, knob_bits
-        self._result = None
-
-    def nuisances(self) -> learners.NuisanceSet:
-        if self._result is None:
-            t_rng = stream(self.seed, self.knob_bits, _S_LEARNER, label_key("t"))
-            pi_rng = stream(self.seed, self.knob_bits, _S_PROPENSITY)
-            try:
-                t = learners.fit_t_learner(self.train, self.config, t_rng)
-                pi = learners.fit_propensity(self.train, self.config, pi_rng)
-                self._result = learners.NuisanceSet(t.mu0, t.mu1, pi)
-            except (NumericError, EmptyGroupError) as err:
-                self._result = err
-        if isinstance(self._result, Exception):
-            raise self._result
-        return self._result
-
-
 def run_cell(config: ExperimentConfig, knob_value: float, seed: int) -> list[ResultRecord]:
     """Fit, attribute and score every configured learner on one cell.
 
-    T, DR and X share one first stage (``_FirstStage``); the first of them
-    in the learner list fits it, and its ``wall_ms`` includes that fit.
+    T, DR and X share one first stage; the first of them in the learner
+    list fits it, and its ``wall_ms`` includes that fit. A data failure of
+    that fit is kept and raised to each of them, so it is not rerun.
     """
     knob_bits = float_key(knob_value)
     train, test = build_cell_dataset(config, knob_value, seed)
@@ -314,7 +284,24 @@ def run_cell(config: ExperimentConfig, knob_value: float, seed: int) -> list[Res
     settings = config.attribution_settings(
         int(stream(seed, knob_bits, _S_ATTRIBUTION).integers(2**63))
     )
-    first_stage = _FirstStage(train.observed, config.train, seed, knob_bits)
+    stage = None
+
+    def first_stage() -> learners.NuisanceSet:
+        nonlocal stage
+        if stage is None:
+            try:
+                stage = learners.fit_nuisances(
+                    train.observed,
+                    config.train,
+                    stream(seed, knob_bits, _S_LEARNER, label_key("t")),
+                    stream(seed, knob_bits, _S_PROPENSITY),
+                )
+            except (NumericError, EmptyGroupError) as err:
+                stage = err
+        if isinstance(stage, Exception):
+            raise stage
+        return stage
+
     records = []
     for entry in config.learners:
         fit = parse_learner(entry)
@@ -322,8 +309,11 @@ def run_cell(config: ExperimentConfig, knob_value: float, seed: int) -> list[Res
         started = time.perf_counter()
         a_pred = a_prog = pehe_val = float("nan")
         try:
-            if entry in _FIRST_STAGE_LEARNERS:
-                est = fit(train.observed, config.train, rng, nuisances=first_stage.nuisances())
+            if entry == "t":  # T is the first stage's two arms
+                nuisances = first_stage()
+                est = learners.TEstimator(nuisances.mu0, nuisances.mu1)
+            elif entry in ("dr", "x"):
+                est = fit(train.observed, config.train, rng, first_stage())
             else:
                 est = fit(train.observed, config.train, rng)
             tau_hat = est.predict_cate(test.covariates.x)
@@ -485,21 +475,21 @@ def load_results(path: str | Path) -> list[ResultRecord]:
 
 def experiment_preset(name: str, **overrides) -> ExperimentConfig:
     """Named sweep defaults for the three standard experiments."""
-    if name in ("predictive_scale", "1"):
+    if name == "predictive_scale":
         base = dict(
             knob=KNOB_PREDICTIVE_SCALE,
             knob_grid=(1e-3, 1e-2, 1e-1, 0.5, 1.0),
             omega_nl=0.0,
             seeds=30,
         )
-    elif name in ("nonlinearity", "2"):
+    elif name == "nonlinearity":
         base = dict(
             knob=KNOB_NONLINEARITY_SCALE,
             knob_grid=(0.0, 0.25, 0.5, 0.75, 1.0),
             omega_pred=1.0,
             seeds=30,
         )
-    elif name in ("confounding", "3"):
+    elif name == "confounding":
         base = dict(
             knob=KNOB_PROPENSITY_SCALE,
             knob_grid=(0.0, 0.5, 1.0, 2.0, 4.0),

@@ -11,12 +11,12 @@ attribution methods. Every network is fitted on ``nn``'s one training path
 gradient of its factual loss and balancing penalty through the shared
 trunk.
 
-T, DR and X take an optional fitted first stage (``nuisances=``, a
-``NuisanceSet`` of mu0, mu1 and pi) in place of fitting their own: T's
-arms are its mu0 and mu1, and DR and X then fit only their second stage,
-drawing it from the same child streams as when they fit the first stage
-themselves. The sweep harness fits one such stage per cell and passes it
-to all three.
+DR and X are second stages on a fitted first stage, a ``NuisanceSet`` of
+mu0, mu1 and pi, which they take as an argument. ``fit_nuisances`` is the
+one function that fits it: mu0 and mu1 are the T-learner's arms from
+``fit_t_learner`` and pi is ``fit_propensity``'s model. DR and X draw
+their own networks from children 1 and up of their stream and leave child
+0 to the first stage, which ``cli`` fits from it.
 
 A fitted estimator is saved as a directory: ``manifest.json`` holds the
 strategy and every scalar field, and ``weights.npz`` every array field and
@@ -109,28 +109,12 @@ class NuisanceSet:
         return mlp_forward(self.pi, x)[:, 0]
 
 
-def _fit_arms(train: ObservedData, config: TrainConfig, r0, r1) -> tuple[MlpParams, MlpParams]:
-    """mu0 on controls from ``r0``, mu1 on treated from ``r1``."""
-    controls = train.w == 0
-    treated = train.w == 1
-    mu0 = _fit_regression(train.x[controls], train.y[controls], config, r0)
-    mu1 = _fit_regression(train.x[treated], train.y[treated], config, r1)
-    return mu0, mu1
-
-
 def fit_propensity(train: ObservedData, config: TrainConfig, rng: np.random.Generator) -> MlpParams:
     """Propensity model: a sigmoid-output regression of w on x under cross-entropy."""
     _check_groups(train.w)
     return _fit_regression(
         train.x, train.w.astype(float), config, rng, SIGMOID, BINARY_CROSS_ENTROPY
     )
-
-
-def fit_nuisances(train: ObservedData, config: TrainConfig, rng: np.random.Generator) -> NuisanceSet:
-    """Fit mu0 on controls, mu1 on treated, propensity on everyone."""
-    _check_groups(train.w)
-    r0, r1, rp = rng.spawn(3)
-    return NuisanceSet(*_fit_arms(train, config, r0, r1), fit_propensity(train, config, rp))
 
 
 class CateEstimator:
@@ -267,17 +251,26 @@ def fit_s_learner(train: ObservedData, config: TrainConfig, rng: np.random.Gener
     return SEstimator(_fit_regression(xw, train.y, config, rng))
 
 
-def fit_t_learner(
+def fit_t_learner(train: ObservedData, config: TrainConfig, rng: np.random.Generator) -> TEstimator:
+    """mu0 on controls from ``rng``'s child 0, mu1 on treated from its child 1."""
+    _check_groups(train.w)
+    r0, r1 = rng.spawn(2)
+    controls = train.w == 0
+    treated = train.w == 1
+    mu0 = _fit_regression(train.x[controls], train.y[controls], config, r0)
+    mu1 = _fit_regression(train.x[treated], train.y[treated], config, r1)
+    return TEstimator(mu0, mu1)
+
+
+def fit_nuisances(
     train: ObservedData,
     config: TrainConfig,
-    rng: np.random.Generator,
-    nuisances: NuisanceSet | None = None,
-) -> TEstimator:
-    """Two arm regressions; given ``nuisances``, their mu0 and mu1 are the arms."""
-    _check_groups(train.w)
-    if nuisances is not None:
-        return TEstimator(nuisances.mu0, nuisances.mu1)
-    return TEstimator(*_fit_arms(train, config, *rng.spawn(2)))
+    rng_arms: np.random.Generator,
+    rng_pi: np.random.Generator,
+) -> NuisanceSet:
+    """The first stage: T's two arms from ``rng_arms``, the propensity from ``rng_pi``."""
+    t = fit_t_learner(train, config, rng_arms)
+    return NuisanceSet(t.mu0, t.mu1, fit_propensity(train, config, rng_pi))
 
 
 def fit_tarnet(
@@ -360,13 +353,11 @@ def fit_dr_learner(
     train: ObservedData,
     config: TrainConfig,
     rng: np.random.Generator,
-    nuisances: NuisanceSet | None = None,
+    nuisances: NuisanceSet,
 ) -> DrEstimator:
-    """Stage 1: nuisances; stage 2: regress pseudo-outcomes on covariates."""
+    """Stage 2: regress pseudo-outcomes from ``nuisances`` on covariates."""
     _check_groups(train.w)
-    r_nuis, r_stage2 = rng.spawn(2)
-    if nuisances is None:
-        nuisances = fit_nuisances(train, config, r_nuis)
+    r_stage2 = rng.spawn(2)[1]  # child 0 is the first stage's
     pseudo = dr_pseudo_outcome(
         train.y,
         train.w,
@@ -381,13 +372,11 @@ def fit_x_learner(
     train: ObservedData,
     config: TrainConfig,
     rng: np.random.Generator,
-    nuisances: NuisanceSet | None = None,
+    nuisances: NuisanceSet,
 ) -> XEstimator:
     """Arm-wise effect regressions on imputed contrasts, blended by pi_hat."""
     _check_groups(train.w)
-    r_nuis, r_tau0, r_tau1 = rng.spawn(3)
-    if nuisances is None:
-        nuisances = fit_nuisances(train, config, r_nuis)
+    r_tau0, r_tau1 = rng.spawn(3)[1:]  # child 0 is the first stage's
     treated = train.w == 1
     # Treated arm: observed outcome minus imputed control outcome.
     target1 = train.y[treated] - nuisances.mu0_at(train.x[treated])

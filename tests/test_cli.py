@@ -10,6 +10,10 @@ import pytest
 
 import catebench
 from catebench.cli import main
+from catebench.dgp import load_observed
+from catebench.learners import fit_dr_learner, fit_nuisances, fit_x_learner, save_estimator
+from catebench.nn import TrainConfig
+from catebench.rng import stream
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -86,6 +90,21 @@ class TestPipeline:
         assert 0.0 <= metrics["attr_pred"] <= 1.0
         assert metrics["pehe"] >= 0.0
 
+    @pytest.mark.parametrize("learner", ["dr", "x"])
+    def test_fit_two_stage_learner_streams(self, workdir, learner):
+        """`fit --learner dr|x --seed 2` fits the first stage from child 0 of stream(2)."""
+        cfg = write_config(workdir / "cfg.json")
+        assert main(["generate", "--config", str(cfg), "--seed", "1"]) == 0
+        assert main(["fit", "--data", "data.csv", "--learner", learner,
+                     "--config", str(cfg), "--seed", "2", "--out-dir", "model"]) == 0
+        obs, _, _ = load_observed("data.csv")
+        train = TrainConfig(**json.loads(cfg.read_text())["train"])
+        stage = fit_nuisances(obs, train, stream(2).spawn(1)[0], stream(2).spawn(1)[0].spawn(3)[2])
+        fit = fit_dr_learner if learner == "dr" else fit_x_learner
+        save_estimator(fit(obs, train, stream(2), stage), "by_hand")
+        weights = (workdir / "model" / "weights.npz").read_bytes()
+        assert weights == (workdir / "by_hand" / "weights.npz").read_bytes()
+
 
 class TestExperiment:
     def test_seeds_override_and_outputs(self, workdir, capsys):
@@ -118,7 +137,7 @@ class TestExperiment:
 
     def test_preset_and_config_conflict(self, workdir, capsys):
         cfg = write_config(workdir / "cfg.json")
-        assert main(["experiment", "--config", str(cfg), "--preset", "1"]) == 1
+        assert main(["experiment", "--config", str(cfg), "--preset", "predictive_scale"]) == 1
 
 
 class TestUsageErrors:
@@ -278,6 +297,10 @@ class TestRejectedSettings:
             ({"learners": ["s", "s"]}, "learner labels repeat"),
             ({"knob_grid": [1.0, 1.0]}, "knob values repeat"),
             ({"knob_grid": [0.0, -0.0]}, "knob values repeat"),
+            ({"sigma": float("nan")}, "sigma must be finite and >= 0, got nan"),
+            ({"omega_pi": float("nan")}, "omega_pi must be finite and >= 0, got nan"),
+            ({"omega_pred": float("inf")}, "omega_pred must be finite and >= 0, got inf"),
+            ({"knob_grid": [float("inf")]}, "knob values must be finite and >= 0: [inf]"),
         ],
     )
     def test_bad_config_value_exits_1(self, workdir, capsys, value, message):

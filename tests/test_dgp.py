@@ -363,6 +363,26 @@ class TestGenerateDataset:
         with pytest.raises(InvalidConfigError):
             generate_dataset(cov, sets, model, PropensitySpec(UNIFORM), -0.1, stream(3))
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_nonfinite_sigma_rejected(self, sigma):
+        cov = synth_covariates(20, 10, rng=stream(0))
+        sets = sample_feature_sets(10, 2, stream(1))
+        model = sample_outcome_model(2, 0.0, 1.0, stream(2))
+        with pytest.raises(InvalidConfigError, match="noise sigma must be finite and >= 0"):
+            generate_dataset(cov, sets, model, PropensitySpec(UNIFORM), sigma, stream(3))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+class TestNonfiniteScalesRejected:
+    def test_omega_pred(self, value):
+        with pytest.raises(InvalidConfigError, match="omega_pred must be finite and >= 0"):
+            _model([0.5], [0.5], [0.5], omega_pred=value)
+
+    def test_omega_pi(self, value):
+        for kind in (PREDICTIVE_CONFOUNDING, PROGNOSTIC_CONFOUNDING):
+            with pytest.raises(InvalidConfigError, match="omega_pi must be finite and >= 0"):
+                PropensitySpec(kind, value)
+
 
 class TestObservedData:
     _X, _W, _Y = np.zeros((3, 4)), np.array([0, 1, 1]), np.zeros(3)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -45,9 +47,13 @@ def tiny_config(**overrides):
 
 class TestExperimentConfig:
     def test_round_trip_via_dict(self):
-        cfg = tiny_config()
-        again = ExperimentConfig.from_dict(cfg.to_dict())
-        assert again == cfg
+        text = """{
+            "synth_n": 240, "synth_d": 10, "knob": "predictive_scale",
+            "knob_grid": [0.0, 1.0], "sigma": 0.1, "learners": ["t", "s"],
+            "seeds": 1, "attribution_cap": 50,
+            "train": {"learning_rate": 0.001, "batch_size": 128, "max_epochs": 3, "patience": 2}
+        }"""
+        assert ExperimentConfig.from_dict(json.loads(text)) == tiny_config()
 
     def test_validation(self):
         with pytest.raises(InvalidConfigError):
@@ -114,8 +120,9 @@ class TestExperimentConfig:
         assert three.propensity_kind == PREDICTIVE_CONFOUNDING
         assert "cfrnet:10" in three.learners
         assert three.seeds == 10
-        with pytest.raises(InvalidConfigError):
-            experiment_preset("four")
+        for name in ("four", "1", "2", "3"):  # each preset has one name
+            with pytest.raises(InvalidConfigError):
+                experiment_preset(name)
 
 
 class TestRunCell:
@@ -171,13 +178,13 @@ class TestRunCell:
 
     def test_failing_learner_yields_flagged_record(self, monkeypatch):
         self._failing_learners(monkeypatch, NumericError("boom"))
-        [rec] = run_cell(tiny_config(learners=("t",)), 1.0, 0)
+        [rec] = run_cell(tiny_config(learners=("s",)), 1.0, 0)
         assert np.isnan(rec.attr_pred) and np.isnan(rec.attr_prog) and np.isnan(rec.pehe)
 
     def test_programming_error_propagates(self, monkeypatch):
         self._failing_learners(monkeypatch, RuntimeError("boom"))
         with pytest.raises(RuntimeError, match="boom"):
-            run_cell(tiny_config(learners=("t",)), 1.0, 0)
+            run_cell(tiny_config(learners=("s",)), 1.0, 0)
 
 
 class TestSharedFirstStage:
@@ -199,6 +206,48 @@ class TestSharedFirstStage:
         run_cell(tiny_config(learners=self.SIX), 1.0, 0)
         # S 1, TARNet 1, CFRNet 1, shared mu0/mu1/pi 3, DR stage 2 1, X tau0/tau1 2.
         assert len(calls) == 9
+
+    def test_t_dr_x_cell_fits_t_and_propensity_once(self, monkeypatch):
+        import catebench.harness as harness_mod
+        import catebench.learners as learners_mod
+
+        calls = []
+        for name in ("fit_t_learner", "fit_propensity"):
+            original = getattr(learners_mod, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            # Every reference: the module's and the learner table's.
+            monkeypatch.setattr(learners_mod, name, counted)
+            for label, fit in list(harness_mod._FITS.items()):
+                if fit is original:
+                    monkeypatch.setitem(harness_mod._FITS, label, counted)
+        run_cell(tiny_config(learners=("t", "dr", "x")), 1.0, 0)
+        assert sorted(calls) == ["fit_propensity", "fit_t_learner"]
+
+    def test_dr_and_x_records_are_fits_on_fit_nuisances(self):
+        """The stage is fit_nuisances from T's stream and the propensity stream."""
+        from catebench import attribution, learners, metrics
+        from catebench.rng import float_key, label_key, stream
+
+        cfg = tiny_config(learners=("dr", "x"))
+        records = run_cell(cfg, 1.0, 6)
+        train, test = build_cell_dataset(cfg, 1.0, 6)
+        bits = float_key(1.0)
+        stage = learners.fit_nuisances(
+            train.observed, cfg.train, stream(6, bits, 7, label_key("t")), stream(6, bits, 9)
+        )
+        settings = cfg.attribution_settings(int(stream(6, bits, 8).integers(2**63)))
+        for rec, fit in zip(records, (learners.fit_dr_learner, learners.fit_x_learner)):
+            rng = stream(6, bits, 7, label_key(rec.learner))
+            est = fit(train.observed, cfg.train, rng, stage)
+            mat = attribution.attribute_batch(cfg.attribution_method, est, test.covariates.x,
+                                              settings)
+            assert rec.pehe == metrics.pehe(est.predict_cate(test.covariates.x), test.truth.tau)
+            assert rec.attr_pred == metrics.attr_pred(mat, test.truth.sets.predictive)
+            assert rec.attr_prog == metrics.attr_prog(mat, test.truth.sets.prognostic)
 
     def test_other_records_do_not_depend_on_dr_and_x(self):
         with_two_stage = run_cell(tiny_config(learners=self.SIX), 1.0, 4)

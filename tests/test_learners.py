@@ -1,5 +1,4 @@
 import json
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -52,6 +51,13 @@ def pehe(tau_hat, tau):
     return float(np.sqrt(np.mean((tau_hat - tau) ** 2)))
 
 
+def cli_first_stage(train, config, seed):
+    """The first stage `catebench fit --learner dr|x --seed <seed>` fits."""
+    return fit_nuisances(
+        train, config, stream(seed).spawn(1)[0], stream(seed).spawn(1)[0].spawn(3)[2]
+    )
+
+
 @pytest.fixture(scope="module")
 def randomized_nuisances():
     """One shared nuisance fit on a noiseless shifted-outcome design."""
@@ -60,7 +66,7 @@ def randomized_nuisances():
     w = (rng.random(4000) < 0.5).astype(int)
     y = x[:, 0] + w * 1.0
     cfg = TrainConfig(batch_size=512, max_epochs=400, patience=10)  # default 1e-4 rate
-    return fit_nuisances(ObservedData(x, w, y), cfg, stream(61))
+    return fit_nuisances(ObservedData(x, w, y), cfg, stream(61), stream(61).spawn(3)[2])
 
 
 class TestFitNuisances:
@@ -78,7 +84,9 @@ class TestFitNuisances:
     def test_empty_group_rejected(self):
         x = np.ones((10, 4))
         with pytest.raises(EmptyGroupError):
-            fit_nuisances(ObservedData(x, np.ones(10, dtype=int), np.ones(10)), FAST, stream(0))
+            fit_nuisances(
+                ObservedData(x, np.ones(10, dtype=int), np.ones(10)), FAST, stream(0), stream(1)
+            )
 
 
 class TestSLearner:
@@ -257,8 +265,8 @@ class TestDrLearner:
     def test_deterministic(self):
         train, _ = additive_data(500, 115)
         cfg = TrainConfig(learning_rate=1e-3, batch_size=256, max_epochs=8, patience=4)
-        a = fit_dr_learner(train, cfg, stream(116))
-        b = fit_dr_learner(train, cfg, stream(116))
+        a = fit_dr_learner(train, cfg, stream(116), cli_first_stage(train, cfg, 116))
+        b = fit_dr_learner(train, cfg, stream(116), cli_first_stage(train, cfg, 116))
         x = stream(117).normal(size=(30, 5))
         assert np.array_equal(a.predict_cate(x), b.predict_cate(x))
 
@@ -300,32 +308,9 @@ class TestXLearner:
 
     def test_linear_dgp_convergence(self):
         train, _ = additive_data(4000, 122)
-        est = fit_x_learner(train, FAST, stream(123))
+        est = fit_x_learner(train, FAST, stream(123), cli_first_stage(train, FAST, 123))
         obs, tau = additive_data(1000, 124)
         assert pehe(est.predict_cate(obs.x), tau) < 0.2
-
-
-class TestGivenNuisances:
-    """A first stage passed in equals the one the learner would fit itself."""
-
-    CFG = TrainConfig(learning_rate=1e-3, batch_size=128, max_epochs=4, patience=2)
-
-    @pytest.mark.parametrize("fit, n_children", [(fit_dr_learner, 2), (fit_x_learner, 3)])
-    def test_same_weights_as_standalone(self, fit, n_children):
-        train, _ = additive_data(400, 140)
-        nuisances = fit_nuisances(train, self.CFG, stream(141).spawn(n_children)[0])
-        given = fit(train, self.CFG, stream(141), nuisances=nuisances)
-        alone = fit(train, self.CFG, stream(141))
-        for f in fields(given):
-            a, b = getattr(given, f.name), getattr(alone, f.name)
-            for wa, wb in zip(a.arrays(), b.arrays()):
-                assert np.array_equal(wa, wb)
-
-    def test_t_learner_takes_the_arms(self):
-        train, _ = additive_data(400, 142)
-        nuisances = fit_nuisances(train, self.CFG, stream(143))
-        est = fit_t_learner(train, self.CFG, stream(144), nuisances=nuisances)
-        assert est.mu0 is nuisances.mu0 and est.mu1 is nuisances.mu1
 
 
 class TestGradients:
