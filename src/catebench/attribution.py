@@ -315,13 +315,17 @@ def _batched_ablation(fn: ScalarFunction, x_sel: np.ndarray, baseline: np.ndarra
 
 
 def load_attributions(path: str | Path) -> tuple[AttributionMatrix, np.ndarray]:
-    """Read a score CSV back: (matrix, unit ids)."""
+    """Read a score CSV back: (matrix, unit ids); every row names one method, scores finite."""
     header, rows = tables.read_table(path)
     if header[:2] != ["unit_id", "method"]:
         raise ParseError(f"{path}: expected header starting unit_id,method", row=0)
     unit_ids = tables.parse_block(path, rows, 0, 1, int)[:, 0]
-    scores = tables.parse_block(path, rows, 2)
-    mat = AttributionMatrix(scores, rows[0][1], np.arange(len(rows)))
+    scores = tables.finite_block(path, rows, 2)
+    method = rows[0][1]
+    for r, row in enumerate(rows, start=1):
+        if row[1] != method:
+            raise ParseError(f"{path}: row {r} names method {row[1]!r}, row 1 {method!r}", row=r)
+    mat = AttributionMatrix(scores, method, np.arange(len(rows)))
     return mat, unit_ids
 
 

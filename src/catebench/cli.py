@@ -48,13 +48,12 @@ def _load_config(path: str | None):
 
 
 def _apply_overrides(config, args):
+    """``experiment``'s --seeds and --learners over the config."""
     updates = {}
-    if getattr(args, "seeds", None) is not None:
+    if args.seeds is not None:
         updates["seeds"] = args.seeds
-    if getattr(args, "learners", None):
+    if args.learners:
         updates["learners"] = tuple(args.learners.split(","))
-    if getattr(args, "sigma", None) is not None:
-        updates["sigma"] = args.sigma
     return dataclasses.replace(config, **updates)
 
 
@@ -66,7 +65,6 @@ def _build_parser() -> _Parser:
                        help="generate one semi-synthetic dataset")
     p.add_argument("--config", help="experiment config JSON")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sigma", type=float)
     p.add_argument("--out-data", default="data.csv")
     p.add_argument("--out-truth", default="truth.csv")
     p.add_argument("--out-meta", default="meta.json")
@@ -104,7 +102,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--preset", help="predictive_scale | nonlinearity | confounding")
     p.add_argument("--seeds", type=int)
     p.add_argument("--learners", help="comma-separated learner list override")
-    p.add_argument("--sigma", type=float)
     p.add_argument("--workers", type=int)
     p.add_argument("--timing", action="store_true",
                    help="record wall times in the CSV (breaks byte determinism)")
@@ -123,7 +120,7 @@ def _build_parser() -> _Parser:
 def _cmd_generate(args) -> int:
     from . import harness
 
-    config = _apply_overrides(_load_config(args.config), args)
+    config = _load_config(args.config)
     ds = harness.build_dataset(config, harness.fixed_knob_value(config), args.seed)
     dgp.save_dataset(ds, args.out_data, args.out_truth, args.out_meta)
     print(f"wrote {args.out_data}, {args.out_truth}, {args.out_meta} "
@@ -164,7 +161,10 @@ def _cmd_attribute(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     mat, _ = attribution.load_attributions(args.attributions)
-    sets = dgp.load_meta(args.meta)[1]
+    names, sets = dgp.load_meta(args.meta)[:2]
+    if mat.scores.shape[1] != len(names):
+        raise ParseError(f"{args.attributions}: {mat.scores.shape[1]} score columns, but "
+                         f"{args.meta} names {len(names)} features", row=0)
     out = {
         "attr_pred": metrics.attr_pred(mat, sets.predictive),
         "attr_prog": metrics.attr_prog(mat, sets.prognostic),

@@ -42,6 +42,7 @@ from .nn import holdout_split, sigmoid
 NORM_NONE = "none"
 NORM_MINMAX = "minmax"
 NORM_ZSCORE = "zscore"
+NORMALIZATIONS = (NORM_NONE, NORM_MINMAX, NORM_ZSCORE)
 
 UNIFORM = "uniform"
 PREDICTIVE_CONFOUNDING = "predictive_confounding"
@@ -111,10 +112,6 @@ class FeatureIndexSets:
         union = np.concatenate([a, b, c])
         if len(np.unique(union)) != len(union):
             raise InvalidConfigError("index sets must be pairwise disjoint")
-
-    @property
-    def n_i(self) -> int:
-        return len(self.prognostic)
 
     @property
     def predictive(self) -> np.ndarray:
@@ -249,7 +246,7 @@ class SemiSyntheticDataset:
 
 def load_covariates_csv(path: str | Path, normalize: str = NORM_NONE) -> CovariateMatrix:
     """Read a numeric CSV with a header row of feature names."""
-    if normalize not in (NORM_NONE, NORM_MINMAX, NORM_ZSCORE):
+    if normalize not in NORMALIZATIONS:
         raise InvalidConfigError(f"unknown normalization {normalize!r}")
     header, rows = tables.read_table(path)
     if _all_numeric(header):
@@ -329,21 +326,15 @@ def _component(model: OutcomeModel, alpha: np.ndarray, x_sub: np.ndarray) -> np.
 
 
 def eval_components(model: OutcomeModel, sets: FeatureIndexSets, x: np.ndarray):
-    """Prognostic and per-arm predictive component values.
-
-    Accepts one unit (d,) or a batch (N, d); returns three floats or three
-    length-N vectors accordingly.
-    """
+    """Prognostic and per-arm predictive components of an (N, d) batch: three length-N vectors."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xm = np.atleast_2d(x)
-    if xm.shape[1] <= int(sets.all_relevant.max()):
+    if x.ndim != 2:
+        raise ShapeError(f"covariates must be an (N, d) batch, got shape {x.shape}")
+    if x.shape[1] <= int(sets.all_relevant.max()):
         raise ShapeError("covariate vector shorter than the largest driver index")
-    mu = _component(model, model.alpha_prog, xm[:, sets.prognostic])
-    f0 = _component(model, model.alpha_0, xm[:, sets.predictive_0])
-    f1 = _component(model, model.alpha_1, xm[:, sets.predictive_1])
-    if single:
-        return float(mu[0]), float(f0[0]), float(f1[0])
+    mu = _component(model, model.alpha_prog, x[:, sets.prognostic])
+    f0 = _component(model, model.alpha_0, x[:, sets.predictive_0])
+    f1 = _component(model, model.alpha_1, x[:, sets.predictive_1])
     return mu, f0, f1
 
 
@@ -428,8 +419,7 @@ def generate_dataset(
     rng: np.random.Generator,
 ) -> SemiSyntheticDataset:
     """Simulate assignments and outcomes over the given covariates."""
-    if not 0.0 <= sigma < float("inf"):  # NaN included
-        raise InvalidConfigError(f"noise sigma must be finite and >= 0, got {sigma}")
+    _check_sigma(sigma)
     if int(sets.all_relevant.max()) >= covariates.d:
         raise ShapeError("driver index exceeds covariate dimension")
     x = covariates.x
@@ -444,6 +434,11 @@ def generate_dataset(
     y = w * y1 + (1 - w) * y0 + eps
     truth = GroundTruth(y0, y1, tau, pi, sets, model, float(sigma), spec)
     return SemiSyntheticDataset(covariates, w, y, truth, np.arange(covariates.n))
+
+
+def _check_sigma(sigma: float) -> None:
+    if not 0.0 <= sigma < float("inf"):  # NaN included
+        raise InvalidConfigError(f"noise sigma must be finite and >= 0, got {sigma}")
 
 
 def _take(ds: SemiSyntheticDataset, idx: np.ndarray) -> SemiSyntheticDataset:
@@ -536,10 +531,15 @@ def load_observed(data_path: str | Path) -> tuple[ObservedData, list[str], np.nd
 def load_meta(
     meta_path: str | Path,
 ) -> tuple[list[str], FeatureIndexSets, OutcomeModel, PropensitySpec, float]:
-    """Read the JSON sidecar: (feature names, index sets, outcome model, propensity, sigma)."""
+    """Read the JSON sidecar: (feature names, index sets, outcome model, propensity, sigma).
+
+    A missing key, or a value that the constructors (or ``generate_dataset``,
+    for sigma) would reject, raises ``ParseError`` naming the file.
+    """
     meta = tables.read_json(meta_path)
     try:
         prop = meta["propensity"]
+        _check_sigma(meta["sigma"])
         return (
             meta["feature_names"],
             FeatureIndexSets(meta["i_prog"], meta["i_0"], meta["i_1"]),
@@ -552,22 +552,22 @@ def load_meta(
         )
     except KeyError as err:
         raise ParseError(f"{meta_path}: missing key {err}") from None
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, InvalidConfigError) as err:
         raise ParseError(f"{meta_path}: malformed sidecar: {err}") from None
 
 
 def load_dataset(
     data_path: str | Path, truth_path: str | Path, meta_path: str | Path
 ) -> SemiSyntheticDataset:
-    """Rebuild a full dataset from the three exported files."""
+    """Rebuild a full dataset from the three exported files; every truth value must be finite."""
     obs, _, unit_ids = load_observed(data_path)
     header, rows = tables.read_table(truth_path)
     if header != _TRUTH_HEADER:
         raise ParseError(f"{truth_path}: expected header unit_id,y0,y1,tau,pi", row=0)
     truth_ids = tables.parse_block(truth_path, rows, 0, 1, int)[:, 0]
-    tbody = tables.parse_block(truth_path, rows)
+    tbody = tables.finite_block(truth_path, rows)
     if not np.array_equal(truth_ids, unit_ids):
-        raise ParseError("truth file unit ids do not match data file")
+        raise ParseError(f"{truth_path}: unit ids do not match {data_path}")
     names, sets, model, spec, sigma = load_meta(meta_path)
     truth = GroundTruth(
         tbody[:, 1], tbody[:, 2], tbody[:, 3], tbody[:, 4], sets, model, sigma, spec

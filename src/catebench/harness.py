@@ -52,6 +52,7 @@ KNOB_FIELDS = {
 }
 
 DEFAULT_LEARNERS = ("s", "t", "tarnet", "dr", "x")
+TEST_FRACTION = 0.2  # share of a cell's units held out for attribution and scoring
 
 # Sub-stream labels under the (seed, knob bits) root.
 _S_COVARIATES = 1
@@ -75,7 +76,6 @@ class ExperimentConfig:
     synth_n: int = 5000
     synth_d: int = 30
     synth_rho: float = 0.0
-    n_i: int | None = None  # None: floor(0.2 * d)
     knob: str = KNOB_PREDICTIVE_SCALE
     knob_grid: tuple[float, ...] = (1e-3, 1e-2, 1e-1, 0.5, 1.0)
     omega_pred: float = 1.0
@@ -88,7 +88,6 @@ class ExperimentConfig:
     ig_steps: int = 50
     shapley_permutations: int | None = None
     seeds: int = 5
-    test_fraction: float = 0.2
     attribution_cap: int = 1000
     train: TrainConfig = field(default_factory=TrainConfig)
 
@@ -97,6 +96,10 @@ class ExperimentConfig:
         object.__setattr__(self, "learners", tuple(self.learners))
         if self.knob not in KNOB_FIELDS:
             raise InvalidConfigError(f"unknown knob {self.knob!r}")
+        if self.covariates_normalize not in dgp.NORMALIZATIONS:
+            raise InvalidConfigError(f"unknown normalization {self.covariates_normalize!r}")
+        if self.propensity_kind not in dgp.PROPENSITY_KINDS:
+            raise InvalidConfigError(f"unknown propensity kind {self.propensity_kind!r}")
         if not self.knob_grid:
             raise InvalidConfigError("knob grid must be nonempty")
         if self.seeds < 1:
@@ -250,7 +253,7 @@ def build_dataset(
     cell = replace(config, **{KNOB_FIELDS[config.knob]: knob_value})  # the knob set to its value
     covariates = _cell_covariates(config, seed, knob_bits)
     d = covariates.d
-    n_i = config.n_i if config.n_i is not None else int(np.floor(0.2 * d))
+    n_i = int(np.floor(0.2 * d))  # covariates per index set
     sets = dgp.sample_feature_sets(d, n_i, stream(seed, knob_bits, _S_SETS))
     model = dgp.sample_outcome_model(
         n_i, cell.omega_nl, cell.omega_pred, stream(seed, knob_bits, _S_MODEL)
@@ -268,7 +271,7 @@ def build_cell_dataset(config: ExperimentConfig, knob_value: float, seed: int):
     """Dataset and split for one cell; shared by every learner in it."""
     ds = build_dataset(config, knob_value, seed)
     knob_bits = float_key(knob_value)
-    return dgp.train_test_split(ds, config.test_fraction, stream(seed, knob_bits, _S_SPLIT))
+    return dgp.train_test_split(ds, TEST_FRACTION, stream(seed, knob_bits, _S_SPLIT))
 
 
 def run_cell(config: ExperimentConfig, knob_value: float, seed: int) -> list[ResultRecord]:

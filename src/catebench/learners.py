@@ -43,6 +43,7 @@ from .nn import (
     IDENTITY,
     SIGMOID,
     SQUARED_ERROR,
+    VALIDATION_FRACTION,
     MlpParams,
     TrainConfig,
     _backprop,
@@ -293,7 +294,7 @@ def fit_tarnet(
     trunk_w, trunk_b = views[:2]
     heads = [MlpParams.from_arrays(views[i : i + 4], IDENTITY) for i in (2, 6)]
 
-    train_idx, val_idx = holdout_split(train.n, config.val_fraction, r_split)
+    train_idx, val_idx = holdout_split(train.n, VALIDATION_FRACTION, r_split)
     x_tr, y_tr, w_tr = train.x[train_idx], train.y[train_idx], train.w[train_idx]
     x_val, y_val, w_val = train.x[val_idx], train.y[val_idx], train.w[val_idx]
 
@@ -412,6 +413,14 @@ def _entry(source, key: str, path: Path):
         raise ParseError(f"{path}: missing key {key!r}") from None
 
 
+def _array(blob, key: str, path: Path) -> np.ndarray:
+    """``blob[key]``; ParseError naming the file and key unless it is there and finite."""
+    value = _entry(blob, key, path)
+    if not np.isfinite(value).all():
+        raise ParseError(f"{path}: {key!r} holds a non-finite entry")
+    return value
+
+
 def _check_layers(keys: list[str], arrays: list[np.ndarray], path: Path) -> None:
     """ParseError unless [w0, b0, w1, b1, ...] chain layer to layer into one output."""
     width = arrays[0].shape[0] if arrays[0].ndim else None
@@ -455,8 +464,9 @@ def load_estimator(in_dir: str | Path) -> CateEstimator:
 
     The manifest's strategy picks the class, and the class's fields say
     what to read. A malformed directory (a manifest that is not a JSON
-    object, a missing key, unchained layers, a non-number scalar, a non-npz
-    weights file) raises ``ParseError`` naming the file and the key.
+    object, a missing key, unchained layers, a non-finite array entry, a
+    non-number scalar, a non-npz weights file) raises ``ParseError`` naming
+    the file and the key.
     """
     manifest_path = Path(in_dir) / "manifest.json"
     weights_path = Path(in_dir) / "weights.npz"
@@ -477,13 +487,13 @@ def load_estimator(in_dir: str | Path) -> CateEstimator:
                 while k == 0 or f"{f.name}_w{k}" in blob:  # layer 0 must be there
                     keys += [f"{f.name}_w{k}", f"{f.name}_b{k}"]
                     k += 1
-                arrays = [_entry(blob, key, weights_path) for key in keys]
+                arrays = [_array(blob, key, weights_path) for key in keys]
                 first = list(f.metadata.get("input_layer", ()))  # a layer this net reads from
                 _check_layers(first + keys, [values[key] for key in first] + arrays, weights_path)
                 activation = f.metadata.get("output_activation", IDENTITY)
                 values[f.name] = MlpParams.from_arrays(arrays, activation)
             elif kind is np.ndarray:
-                values[f.name] = _entry(blob, f.name, weights_path)
+                values[f.name] = _array(blob, f.name, weights_path)
             else:
                 values[f.name] = value = _entry(manifest, f.name, manifest_path)
                 if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -47,10 +47,6 @@ class MlpParams:
     output_activation: str = IDENTITY
 
     @property
-    def layer_sizes(self) -> list[int]:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
-
-    @property
     def input_dim(self) -> int:
         return self.weights[0].shape[0]
 
@@ -77,20 +73,20 @@ class MlpParams:
 
 
 def mlp_init(
-    layer_sizes: Sequence[int],
+    sizes: Sequence[int],
     output_activation: str = IDENTITY,
     rng: np.random.Generator | None = None,
 ) -> MlpParams:
     """Glorot-uniform weights, zero biases; deterministic given ``rng``."""
     if rng is None:
         raise InvalidConfigError("mlp_init requires a seeded generator")
-    if len(layer_sizes) < 2 or any(int(s) <= 0 for s in layer_sizes):
-        raise InvalidConfigError(f"layer_sizes must have >= 2 positive entries, got {layer_sizes}")
+    if len(sizes) < 2 or any(int(s) <= 0 for s in sizes):
+        raise InvalidConfigError(f"layer sizes must have >= 2 positive entries, got {sizes}")
     if output_activation not in (IDENTITY, SIGMOID):
         raise InvalidConfigError(f"unknown output activation {output_activation!r}")
     weights = []
     biases = []
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         s = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-s, s, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
@@ -288,11 +284,13 @@ def loss_output_grad(loss: str, pred: np.ndarray, target: np.ndarray) -> np.ndar
 # --- Training ------------------------------------------------------------
 
 
+VALIDATION_FRACTION = 0.30  # share of a network's rows held out for early stopping
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-4
     batch_size: int = 1024
-    val_fraction: float = 0.30
     max_epochs: int = 1000
     patience: int = 10
 
@@ -301,8 +299,6 @@ class TrainConfig:
             raise InvalidConfigError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate}"
             )
-        if not 0.0 < self.val_fraction < 1.0:
-            raise InvalidConfigError("val_fraction must lie strictly between 0 and 1")
         if self.batch_size < 1:
             raise InvalidConfigError("batch_size must be >= 1")
         if self.patience < 1:
@@ -374,7 +370,7 @@ def train_early_stop(
 ) -> MlpParams:
     """Fit one network with minibatch Adam and validation early stopping.
 
-    A seeded random split holds out ``config.val_fraction`` of the samples;
+    A seeded random split holds out ``VALIDATION_FRACTION`` of the samples;
     the returned parameters are the snapshot with the best validation loss.
     ``net`` itself is not modified.
     """
@@ -384,7 +380,7 @@ def train_early_stop(
     target = np.asarray(target, dtype=float).reshape(-1)
     if not np.all(np.isfinite(target)):
         raise NumericError("targets must be finite")
-    train_idx, val_idx = holdout_split(x.shape[0], config.val_fraction, rng)
+    train_idx, val_idx = holdout_split(x.shape[0], VALIDATION_FRACTION, rng)
     x_tr, y_tr = x[train_idx], target[train_idx]
     x_val, y_val = x[val_idx], target[val_idx]
     flat = flatten(net.arrays())

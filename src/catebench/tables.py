@@ -78,6 +78,18 @@ def parse_block(
         raise
 
 
+def finite_block(path: str | Path, rows: list[list[str]], start: int = 0) -> np.ndarray:
+    """Cells ``start:`` of every row as floats; ParseError naming the first non-finite cell."""
+    block = parse_block(path, rows, start)
+    bad = np.argwhere(~np.isfinite(block))
+    if bad.size:
+        r, c = int(bad[0][0]) + 1, int(bad[0][1]) + start
+        raise ParseError(
+            f"{path}: non-finite cell {rows[r - 1][c]!r} at row {r}, column {c}", row=r, col=c
+        )
+    return block
+
+
 def write_json(path: str | Path, obj) -> None:
     """Write ``obj`` as indented JSON ending in a newline."""
     Path(path).write_text(json.dumps(obj, indent=2) + "\n")

@@ -145,6 +145,14 @@ class TestUsageErrors:
         assert main(["experiment", "--bogus"]) == 1
         assert "usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["generate", "experiment"])
+    def test_sigma_flag_removed(self, workdir, capsys, command):
+        cfg = write_config(workdir / "cfg.json")
+        workers = ["--workers", "1"] if command == "experiment" else []
+        assert main([command, "--config", str(cfg), "--sigma", "0.5", *workers]) == 1
+        assert "unrecognized arguments: --sigma" in capsys.readouterr().err
+        assert [p.name for p in workdir.iterdir()] == ["cfg.json"]
+
     def test_runtime_error_exits_2(self, workdir, capsys):
         # Exact Shapley enumeration is capped at 15 features; 16 must fail
         # at runtime, not at configuration time.
@@ -301,6 +309,11 @@ class TestRejectedSettings:
             ({"omega_pi": float("nan")}, "omega_pi must be finite and >= 0, got nan"),
             ({"omega_pred": float("inf")}, "omega_pred must be finite and >= 0, got inf"),
             ({"knob_grid": [float("inf")]}, "knob values must be finite and >= 0: [inf]"),
+            ({"covariates_normalize": "bogus"}, "unknown normalization 'bogus'"),
+            ({"propensity_kind": "bogus"}, "unknown propensity kind 'bogus'"),
+            ({"n_i": 2}, "unknown config key 'n_i'"),
+            ({"test_fraction": 0.2}, "unknown config key 'test_fraction'"),
+            ({"train": {"val_fraction": 0.3}}, "unknown config key 'train.val_fraction'"),
         ],
     )
     def test_bad_config_value_exits_1(self, workdir, capsys, value, message):
@@ -329,6 +342,88 @@ class TestRejectedSettings:
         err = capsys.readouterr().err
         assert err.startswith("error: CATEBENCH_WORKERS must be a positive integer")
         assert err.count("\n") == 1
+
+
+class TestBadInputFiles:
+    """Each malformed input file exits 2 with one ``runtime error:`` line naming it."""
+
+    @pytest.fixture()
+    def scored(self, workdir, capsys):
+        fit_model(workdir)
+        assert main(["attribute", "--model", "model", "--data", "data.csv",
+                     "--method", "saliency", "--out", "attr.csv"]) == 0
+        capsys.readouterr()
+        return workdir
+
+    @staticmethod
+    def _evaluate(with_model=False):
+        model = ["--model", "model", "--data", "data.csv", "--truth", "truth.csv"]
+        return main(["evaluate", "--attributions", "attr.csv", "--meta", "meta.json",
+                     *(model if with_model else [])])
+
+    @staticmethod
+    def _error(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("omega_pi", -1.0, "omega_pi must be finite and >= 0, got -1.0"),
+            ("i_prog", [0, 0], "index sets must"),
+            ("sigma", float("nan"), "noise sigma must be finite and >= 0, got nan"),
+        ],
+    )
+    def test_meta_value_out_of_domain(self, scored, capsys, key, value, message):
+        meta = json.loads((scored / "meta.json").read_text())
+        (meta["propensity"] if key == "omega_pi" else meta)[key] = value
+        (scored / "meta.json").write_text(json.dumps(meta))
+        assert self._evaluate() == 2
+        err = self._error(capsys)
+        assert err.startswith("runtime error: meta.json: ") and message in err
+
+    def test_nonfinite_truth_cell(self, scored, capsys):
+        lines = (scored / "truth.csv").read_text().split("\n")
+        cells = lines[1].split(",")
+        cells[3] = "nan"  # tau
+        lines[1] = ",".join(cells)
+        (scored / "truth.csv").write_text("\n".join(lines))
+        assert self._evaluate(with_model=True) == 2
+        assert "truth.csv: non-finite cell 'nan' at row 1, column 3" in self._error(capsys)
+
+    def test_nonfinite_weight(self, scored, capsys):
+        path = scored / "model" / "weights.npz"
+        with np.load(path) as blob:
+            arrays = {k: blob[k] for k in blob.files}
+        arrays["mu0_w0"][0, 0] = np.nan
+        np.savez(path, **arrays)
+        assert self._evaluate(with_model=True) == 2
+        assert "weights.npz: 'mu0_w0' holds a non-finite entry" in self._error(capsys)
+        assert main(["attribute", "--model", "model", "--data", "data.csv",
+                     "--out", "attr2.csv"]) == 2
+        assert "weights.npz: 'mu0_w0' holds a non-finite entry" in self._error(capsys)
+
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            ("nan", "attr.csv: non-finite cell 'nan' at row 1, column 2"),
+            ("method", "attr.csv: row 2 names method 'shapley_mc', row 1 'saliency'"),
+            ("narrow", "attr.csv: 9 score columns, but meta.json names 10 features"),
+        ],
+    )
+    def test_malformed_attributions(self, scored, capsys, defect, message):
+        path = scored / "attr.csv"
+        rows = [line.split(",") for line in path.read_text().strip().split("\n")]
+        if defect == "nan":
+            rows[1][2] = "nan"
+        elif defect == "method":
+            rows[2][1] = "shapley_mc"
+        else:
+            rows = [row[:-1] for row in rows]
+        path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        assert self._evaluate() == 2
+        assert message in self._error(capsys)
 
 
 class TestStartup:

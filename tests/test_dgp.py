@@ -102,7 +102,7 @@ class TestSynthCovariates:
 class TestSampleFeatureSets:
     def test_disjoint_union(self):
         sets = sample_feature_sets(10, 2, stream(4))
-        assert sets.n_i == 2
+        assert len(sets.prognostic) == 2
         assert len(sets.all_relevant) == 6
 
     def test_tight_dimension_rejected(self):
@@ -121,11 +121,11 @@ class TestSampleOutcomeModel:
     def test_linear_when_omega_nl_zero(self):
         model = sample_outcome_model(2, 0.0, 1.0, stream(6))
         sets = _sets([0, 1], [2, 3], [4, 5])
-        x = stream(7).normal(size=8)
+        x = stream(7).normal(size=(1, 8))
         mu, f0, f1 = eval_components(model, sets, x)
-        assert mu == pytest.approx(float(x[[0, 1]] @ model.alpha_prog))
-        assert f0 == pytest.approx(float(x[[2, 3]] @ model.alpha_0))
-        assert f1 == pytest.approx(float(x[[4, 5]] @ model.alpha_1))
+        assert mu == pytest.approx(x[:, [0, 1]] @ model.alpha_prog)
+        assert f0 == pytest.approx(x[:, [2, 3]] @ model.alpha_0)
+        assert f1 == pytest.approx(x[:, [4, 5]] @ model.alpha_1)
 
     def test_deterministic(self):
         a = sample_outcome_model(3, 0.5, 2.0, stream(8))
@@ -151,23 +151,23 @@ class TestEvalComponents:
     def test_linear_hand_value(self):
         model = _model([1.0, -1.0], [1.0, 1.0], [1.0, 1.0])
         sets = _sets([2, 3], [0, 1], [4, 5])
-        x = np.array([9.0, 9.0, 0.0, 1.0, 9.0, 9.0])
+        x = np.array([[9.0, 9.0, 0.0, 1.0, 9.0, 9.0]])
         mu, _, _ = eval_components(model, sets, x)
-        assert mu == pytest.approx(-1.0)
+        assert mu == pytest.approx([-1.0])
 
     def test_pure_nonlinearity_abs(self):
         model = _model([1.0], [1.0], [1.0], chi="abs", omega_nl=1.0)
         sets = _sets([0], [1], [2])
-        x = np.array([-2.0, 0.0, 0.0, 0.0])
+        x = np.array([[-2.0, 0.0, 0.0, 0.0]])
         mu, _, _ = eval_components(model, sets, x)
-        assert mu == pytest.approx(2.0)
+        assert mu == pytest.approx([2.0])
 
     def test_half_mix_cos_at_zero(self):
         model = _model([1.0], [1.0], [1.0], chi="cos", omega_nl=0.5)
         sets = _sets([0], [1], [2])
-        x = np.zeros(4)
+        x = np.zeros((1, 4))
         mu, _, _ = eval_components(model, sets, x)
-        assert mu == pytest.approx(0.5)
+        assert mu == pytest.approx([0.5])
 
     def test_function_set_matches_definitions(self):
         s = np.linspace(-2.0, 2.0, 41)
@@ -195,7 +195,12 @@ class TestEvalComponents:
         model = _model([1.0], [1.0], [1.0])
         sets = _sets([0], [1], [9])
         with pytest.raises(ShapeError):
-            eval_components(model, sets, np.zeros(4))
+            eval_components(model, sets, np.zeros((1, 4)))
+
+    def test_single_unit_rejected(self):
+        model = _model([1.0], [1.0], [1.0])
+        with pytest.raises(ShapeError, match=r"an \(N, d\) batch"):
+            eval_components(model, _sets([0], [1], [2]), np.zeros(4))
 
 
 class TestTrueCateGradient:

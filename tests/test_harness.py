@@ -95,6 +95,20 @@ class TestExperimentConfig:
         with pytest.raises(InvalidConfigError):
             tiny_config(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [("covariates_normalize", "unknown normalization 'bogus'"),
+         ("propensity_kind", "unknown propensity kind 'bogus'")],
+    )
+    def test_unknown_names_rejected_when_built(self, field, message):
+        with pytest.raises(InvalidConfigError, match=message):
+            tiny_config(**{field: "bogus"})
+
+    def test_cell_follows_the_fixed_fractions(self):
+        train, test = build_cell_dataset(tiny_config(synth_d=15), 1.0, 0)
+        assert len(train.truth.sets.prognostic) == 3  # floor(0.2 * d) covariates per set
+        assert (train.n, test.n) == (192, 48)  # TEST_FRACTION of 240 units held out
+
     def test_parse_learner_labels(self):
         for label in ("s", "t", "dr", "x", "tarnet", "cfrnet", "cfrnet:2.5"):
             assert callable(parse_learner(label))

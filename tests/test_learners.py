@@ -114,7 +114,9 @@ class TestSLearner:
         train, _ = additive_data(200, 77)
         cfg = TrainConfig(learning_rate=1e-3, batch_size=128, max_epochs=2, patience=1)
         est = fit_s_learner(train, cfg, stream(78))
-        assert est.net.layer_sizes == [6, HIDDEN_UNITS, HIDDEN_UNITS, 1]
+        assert [w.shape for w in est.net.weights] == [
+            (6, HIDDEN_UNITS), (HIDDEN_UNITS, HIDDEN_UNITS), (HIDDEN_UNITS, 1)
+        ]
 
 
 class TestTLearner:
@@ -199,8 +201,10 @@ class TestTarnet:
         cfg = TrainConfig(learning_rate=1e-3, batch_size=128, max_epochs=2, patience=1)
         est = fit_tarnet(train, 0.0, cfg, stream(101))
         assert est.trunk_w.shape == (5, HIDDEN_UNITS)
-        assert est.head0.layer_sizes == [HIDDEN_UNITS, HIDDEN_UNITS, 1]
-        assert est.head1.layer_sizes == [HIDDEN_UNITS, HIDDEN_UNITS, 1]
+        for head in (est.head0, est.head1):
+            assert [w.shape for w in head.weights] == [
+                (HIDDEN_UNITS, HIDDEN_UNITS), (HIDDEN_UNITS, 1)
+            ]
 
 
 class TestDrPseudoOutcome:
@@ -434,12 +438,14 @@ class TestSerialization:
             ("trunk width", "weights.npz", "head0_w0"),
             ("gamma not a number", "manifest.json", "gamma"),
             ("not an npz archive", "weights.npz", None),
+            ("NaN weight", "weights.npz", "mu1_w0"),
+            ("infinite trunk bias", "weights.npz", "trunk_b"),
         ],
     )
     def test_malformed_directory_names_file_and_key(self, tmp_path, case, file, key):
         t_est, cfr_est = TestGradients()._estimators()[0][1:3]
         model = tmp_path / "model"
-        cfr_cases = ("missing gamma", "trunk width", "gamma not a number")
+        cfr_cases = ("missing gamma", "trunk width", "gamma not a number", "infinite trunk bias")
         save_estimator(cfr_est if case in cfr_cases else t_est, model)
         manifest = model / "manifest.json"
 
@@ -474,6 +480,12 @@ class TestSerialization:
             edit_weights(lambda a: {"trunk_w": a["trunk_w"][:, :5], "trunk_b": a["trunk_b"][:5]})
         elif case == "gamma not a number":
             manifest.write_text('{"strategy": "cfrnet", "gamma": "abc"}')
+        elif case in ("NaN weight", "infinite trunk bias"):  # one entry of the array
+            key, value = ("mu1_w0", np.nan) if case == "NaN weight" else ("trunk_b", np.inf)
+            with np.load(model / "weights.npz") as blob:
+                bad = blob[key].copy()
+            bad.flat[0] = value
+            edit_weights(lambda a: {key: bad})
         else:
             (model / "weights.npz").write_text("garbage")
         with pytest.raises(ParseError) as err:

@@ -13,9 +13,11 @@ from catebench.nn import (
     BINARY_CROSS_ENTROPY,
     SIGMOID,
     SQUARED_ERROR,
+    VALIDATION_FRACTION,
     MlpParams,
     TrainConfig,
     adam_init,
+    holdout_split,
     adam_step,
     mlp_backward,
     mlp_forward,
@@ -182,7 +184,7 @@ class TestTrainEarlyStop:
         cfg = TrainConfig(learning_rate=1e-3, batch_size=256, max_epochs=400, patience=20)
         fitted = train_early_stop(net, x, y, SQUARED_ERROR, config=cfg, rng=stream(2))
         perm = stream(2).permutation(2000)
-        val = perm[: int(round(2000 * cfg.val_fraction))]
+        val = perm[: int(round(2000 * VALIDATION_FRACTION))]
         rmse = np.sqrt(np.mean((mlp_forward(fitted, x[val])[:, 0] - y[val]) ** 2))
         assert rmse < 0.05
 
@@ -269,8 +271,6 @@ class TestTrainEarlyStop:
 
     def test_config_validation(self):
         with pytest.raises(InvalidConfigError):
-            TrainConfig(val_fraction=0.0)
-        with pytest.raises(InvalidConfigError):
             TrainConfig(batch_size=0)
         with pytest.raises(InvalidConfigError):
             TrainConfig(patience=0)
@@ -279,6 +279,11 @@ class TestTrainEarlyStop:
     def test_learning_rate_must_be_finite_and_positive(self, rate):
         with pytest.raises(InvalidConfigError):
             TrainConfig(learning_rate=rate)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0])
+    def test_holdout_fraction_must_lie_inside_unit_interval(self, fraction):
+        with pytest.raises(InvalidConfigError, match="split fraction must lie strictly in"):
+            holdout_split(10, fraction, stream(0))
 
 
 class TestMmd2Linear:

@@ -19,7 +19,7 @@ from catebench.dgp import (
 from catebench.errors import ParseError
 from catebench.harness import ResultRecord, emit_csv, load_results
 from catebench.rng import stream
-from catebench.tables import write_table
+from catebench.tables import read_table, write_table
 
 
 @pytest.fixture()
@@ -81,6 +81,60 @@ def test_malformed_table_names_row_and_column(tables_dir, reader, defect):
     assert err.value.col == {"cell": col, "short": None, "id": 0}[defect]
 
 
+def _edit_cell(path, row, col, text):
+    lines = path.read_text().split("\n")
+    cells = lines[row].split(",")
+    cells[col] = text
+    lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines))
+
+
+@pytest.mark.parametrize("reader", ["observed", "truth", "attributions"])
+def test_wrong_header_rejected(tables_dir, reader):
+    load, name, _ = READERS[reader]
+    path = tables_dir / name
+    _edit_cell(path, 0, 0, "id")
+    with pytest.raises(ParseError, match=rf"{name}: expected header") as err:
+        load(path)
+    assert err.value.row == 0
+
+
+@pytest.mark.parametrize("reader, col", [("truth", 3), ("attributions", 3)])
+@pytest.mark.parametrize("cell", ["nan", "-inf"])
+def test_nonfinite_cell_names_row_and_column(tables_dir, reader, col, cell):
+    load, name, _ = READERS[reader]
+    path = tables_dir / name
+    _edit_cell(path, 2, col, cell)
+    with pytest.raises(ParseError) as err:
+        load(path)
+    assert f"{name}: non-finite cell '{cell}' at row 2, column {col}" in str(err.value)
+    assert (err.value.row, err.value.col) == (2, col)
+
+
+def test_attribution_rows_name_one_method(tables_dir):
+    path = tables_dir / "attr.csv"
+    _edit_cell(path, 3, 1, "integrated_gradients")
+    with pytest.raises(ParseError) as err:
+        load_attributions(path)
+    assert "attr.csv: row 3 names method 'integrated_gradients', row 1 'saliency'" in str(err.value)
+    assert err.value.row == 3
+
+
+def test_truth_unit_ids_must_match_data(tables_dir):
+    _edit_cell(tables_dir / "truth.csv", 1, 0, "99")
+    with pytest.raises(ParseError, match=r"truth\.csv: unit ids do not match .*data\.csv"):
+        _load_dataset(tables_dir / "truth.csv")
+
+
+@pytest.mark.parametrize("text, row, message", [("", 0, "empty file"), ("a\n", 1, "no data rows")])
+def test_read_table_needs_header_and_data(tmp_path, text, row, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message) as err:
+        read_table(path)
+    assert err.value.row == row and str(path) in str(err.value)
+
+
 def test_meta_missing_key_names_file_and_key(tables_dir):
     meta = tables_dir / "meta.json"
     content = json.loads(meta.read_text())
@@ -90,15 +144,37 @@ def test_meta_missing_key_names_file_and_key(tables_dir):
         _load_dataset(meta)
 
 
+# meta.json values outside their domain: (enclosing object, key, value)
+META_VALUES = {
+    "omega_pi": ("propensity", "omega_pi", -1.0),
+    "i_prog": (None, "i_prog", [0, 0]),
+    "sigma": (None, "sigma", float("nan")),
+}
+
+
 @pytest.mark.parametrize(
     "defect, message",
-    [("truncated", r"meta\.json: not JSON \("), ("list", r"meta\.json: expected a JSON object")],
+    [
+        ("truncated", r"meta\.json: not JSON \("),
+        ("list", r"meta\.json: expected a JSON object"),
+        ("omega_pi", r"meta\.json: malformed sidecar: omega_pi must be finite and >= 0, got -1\.0"),
+        ("i_prog", r"meta\.json: malformed sidecar: index sets must be"),
+        ("sigma", r"meta\.json: malformed sidecar: noise sigma must be finite and >= 0, got nan"),
+    ],
 )
 def test_malformed_meta_names_file(tables_dir, defect, message):
     meta = tables_dir / "meta.json"
     text = meta.read_text()
-    meta.write_text(text[: len(text) // 2] if defect == "truncated" else
-                    json.dumps(list(json.loads(text).values())))
+    if defect == "truncated":
+        text = text[: len(text) // 2]
+    elif defect == "list":
+        text = json.dumps(list(json.loads(text).values()))
+    else:
+        content = json.loads(text)
+        parent, key, value = META_VALUES[defect]
+        (content[parent] if parent else content)[key] = value
+        text = json.dumps(content)
+    meta.write_text(text)
     with pytest.raises(ParseError, match=message):
         _load_dataset(meta)
 
