@@ -137,7 +137,7 @@ def feature_permutation(f, x_query: np.ndarray, rng: np.random.Generator) -> np.
     return scores
 
 
-def shapley_mc(f, x, baseline=None, n_permutations: int = 1000, rng=None) -> np.ndarray:
+def shapley_mc(f, x, baseline=None, *, n_permutations: int, rng=None) -> np.ndarray:
     """Monte-Carlo Shapley values from sampled feature orderings.
 
     Walks each sampled ordering from the baseline, crediting every feature
@@ -210,7 +210,6 @@ class AttributionMatrix:
 
 @dataclass(frozen=True)
 class AttributionSettings:
-    baseline: np.ndarray | None = None  # None means the zero vector
     steps: int = 50
     n_permutations: int | None = None  # None means 100 * d
     max_rows: int = 1000
@@ -241,8 +240,9 @@ _BATCH_METHODS = {
     FEATURE_ABLATION: lambda fn, x, b, s: _batched_ablation(fn, x, b),
     FEATURE_PERMUTATION: lambda fn, x, b, s: feature_permutation(fn, x, stream(s.seed, 1)),
     SHAPLEY_MC: lambda fn, x, b, s: _rowwise(x, lambda k, row: shapley_mc(
-        fn, row, b, 100 * len(b) if s.n_permutations is None else s.n_permutations,
-        stream(s.seed, 2, k),
+        fn, row, b,
+        n_permutations=100 * len(b) if s.n_permutations is None else s.n_permutations,
+        rng=stream(s.seed, 2, k),
     )),
     SHAPLEY_EXACT: lambda fn, x, b, s: _rowwise(x, lambda k, row: shapley_exact(fn, row, b)),
 }
@@ -259,7 +259,8 @@ def attribute_batch(
 
     When the query exceeds ``settings.max_rows``, the scored subset is the
     first ``max_rows`` rows of a seeded shuffle (reported in ascending
-    order via ``row_indices``).
+    order via ``row_indices``). Every method scores against the zero
+    baseline; the single-point functions take another.
     """
     if method not in _BATCH_METHODS:
         raise InvalidConfigError(f"unknown attribution method {method!r}")
@@ -271,9 +272,8 @@ def attribute_batch(
         rows = np.sort(shuffle[: settings.max_rows])
     else:
         rows = np.arange(m)
-    baseline = _baseline_for(settings.baseline, d)
     return AttributionMatrix(
-        _BATCH_METHODS[method](fn, x_query[rows], baseline, settings), method, rows
+        _BATCH_METHODS[method](fn, x_query[rows], np.zeros(d), settings), method, rows
     )
 
 

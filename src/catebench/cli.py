@@ -5,6 +5,7 @@ reads a JSON config file (where applicable) plus flag overrides. Exit
 codes: 0 success, 1 configuration/usage error (a malformed config file
 included), 2 runtime error (a malformed input file included). Every file
 is read and written through ``tables``, which names a malformed one.
+``fit`` hands its learner label to ``learners.fit_learner``.
 """
 
 from __future__ import annotations
@@ -129,21 +130,17 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    from . import harness
-
     config = _load_config(args.config)
     obs, _, _ = dgp.load_observed(args.data)
-    fit = harness.parse_learner(args.learner)
-    if args.learner in ("dr", "x"):
-        # The first stage is child 0 of the seed's stream; T's arms draw from
-        # it and the propensity from its child 2, each from a fresh copy.
-        stage = learners.fit_nuisances(
+    # DR and X fit the first stage from child 0 of the seed's stream: T's arms
+    # from it and the propensity from its child 2, each from a fresh copy.
+    est = learners.fit_learner(
+        args.learner, obs, config.train, stream(args.seed),
+        lambda: learners.fit_nuisances(
             obs, config.train, stream(args.seed).spawn(1)[0],
             stream(args.seed).spawn(1)[0].spawn(3)[2],
-        )
-        est = fit(obs, config.train, stream(args.seed), stage)
-    else:
-        est = fit(obs, config.train, stream(args.seed))
+        ),
+    )
     learners.save_estimator(est, args.out_dir)
     print(f"fitted {args.learner} on {obs.n} units -> {args.out_dir}")
     return 0

@@ -251,7 +251,7 @@ def load_covariates_csv(path: str | Path, normalize: str = NORM_NONE) -> Covaria
     header, rows = tables.read_table(path)
     if _all_numeric(header):
         raise ParseError(f"{path}: first row is numeric; a header row is required", row=0)
-    body = tables.parse_block(path, rows)
+    body = tables.finite_block(path, rows)
     if normalize == NORM_MINMAX:
         lo, hi = body.min(axis=0), body.max(axis=0)
         span = np.where(hi > lo, hi - lo, 1.0)  # constant columns map to 0
@@ -420,6 +420,7 @@ def generate_dataset(
 ) -> SemiSyntheticDataset:
     """Simulate assignments and outcomes over the given covariates."""
     _check_sigma(sigma)
+    _check_weights(sets, model)
     if int(sets.all_relevant.max()) >= covariates.d:
         raise ShapeError("driver index exceeds covariate dimension")
     x = covariates.x
@@ -439,6 +440,16 @@ def generate_dataset(
 def _check_sigma(sigma: float) -> None:
     if not 0.0 <= sigma < float("inf"):  # NaN included
         raise InvalidConfigError(f"noise sigma must be finite and >= 0, got {sigma}")
+
+
+def _check_weights(sets: FeatureIndexSets, model: OutcomeModel) -> None:
+    """InvalidConfigError unless each alpha_* has one entry per index of its set."""
+    for name in ("alpha_prog", "alpha_0", "alpha_1"):
+        shape = getattr(model, name).shape
+        if shape != sets.prognostic.shape:  # the three sets have equal sizes
+            raise InvalidConfigError(
+                f"{name} has shape {shape}, but its index set has {len(sets.prognostic)} entries"
+            )
 
 
 def _take(ds: SemiSyntheticDataset, idx: np.ndarray) -> SemiSyntheticDataset:
@@ -534,22 +545,21 @@ def load_meta(
     """Read the JSON sidecar: (feature names, index sets, outcome model, propensity, sigma).
 
     A missing key, or a value that the constructors (or ``generate_dataset``,
-    for sigma) would reject, raises ``ParseError`` naming the file.
+    for sigma and the weights' lengths) would reject, raises ``ParseError``
+    naming the file.
     """
     meta = tables.read_json(meta_path)
     try:
         prop = meta["propensity"]
         _check_sigma(meta["sigma"])
-        return (
-            meta["feature_names"],
-            FeatureIndexSets(meta["i_prog"], meta["i_0"], meta["i_1"]),
-            OutcomeModel(
-                meta["alpha_prog"], meta["alpha_0"], meta["alpha_1"],
-                meta["nonlinearity"], meta["omega_nl"], meta["omega_pred"],
-            ),
-            PropensitySpec(prop["kind"], prop["omega_pi"], prop["irrelevant_index"]),
-            meta["sigma"],
+        sets = FeatureIndexSets(meta["i_prog"], meta["i_0"], meta["i_1"])
+        model = OutcomeModel(
+            meta["alpha_prog"], meta["alpha_0"], meta["alpha_1"],
+            meta["nonlinearity"], meta["omega_nl"], meta["omega_pred"],
         )
+        _check_weights(sets, model)
+        spec = PropensitySpec(prop["kind"], prop["omega_pi"], prop["irrelevant_index"])
+        return meta["feature_names"], sets, model, spec, meta["sigma"]
     except KeyError as err:
         raise ParseError(f"{meta_path}: missing key {err}") from None
     except (TypeError, ValueError, InvalidConfigError) as err:

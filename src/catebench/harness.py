@@ -7,13 +7,13 @@ effect function on the same capped test rows, and score against the sealed
 truth. T, DR and X share the cell's one first stage (``fit_nuisances``
 from T's stream and the cell's propensity stream), fitted at most once
 and only when one of them is configured: T's record is its two arms, and
-DR and X fit their second stage on it. Sweeps run the grid x seeds
-product, optionally across processes; results are keyed records, so
-collection order never matters. A learner that fails on its data
-(``NumericError``, ``EmptyGroupError``), or whose shared first stage did,
-yields a flagged NaN record; any other error propagates and stops the run.
-The result table has one column per ``ResultRecord`` field and is written
-and read through ``tables``.
+``learners.fit_learner`` fits every other label, DR and X on that stage.
+Sweeps run the grid x seeds product, optionally across processes; results
+are keyed records, so collection order never matters. A learner that
+fails on its data (``NumericError``, ``EmptyGroupError``), or whose shared
+first stage did, yields a flagged NaN record; any other error propagates
+and stops the run. The result table has one column per ``ResultRecord``
+field and is written and read through ``tables``.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ class ExperimentConfig:
             raise InvalidConfigError(f"unknown attribution method {self.attribution_method!r}")
         self.attribution_settings(0)  # rejects a cap, steps or permutations below 1
         for entry in self.learners:
-            parse_learner(entry)
+            learners.parse_learner(entry)
 
     def attribution_settings(self, seed: int) -> attribution.AttributionSettings:
         return attribution.AttributionSettings(
@@ -171,41 +171,6 @@ def _decode_value(kind, value, key: str):
     if type(value) not in types:  # never a bool
         raise InvalidConfigError(f"config key {key!r} must be {expected}, got {value!r}")
     return value
-
-
-# Learner labels that take no argument, mapped to their fitting functions.
-_FITS = {
-    "s": learners.fit_s_learner,
-    "t": learners.fit_t_learner,
-    "dr": learners.fit_dr_learner,
-    "x": learners.fit_x_learner,
-}
-
-
-def parse_learner(entry: str):
-    """Map a learner label to its fitting call ``fit(train, config, rng)``.
-
-    Labels: s, t, dr, x, tarnet, cfrnet (balancing weight 1) or
-    cfrnet:<gamma> for an explicit, finite, positive balancing weight.
-    The calls for dr and x take a fourth argument, the fitted first stage
-    (``learners.fit_nuisances``) that their second stage regresses on.
-    """
-    name, _, arg = entry.partition(":")
-    if name in _FITS and not arg:
-        return _FITS[name]
-    if name == "tarnet" and not arg:
-        return lambda train, cfg, rng: learners.fit_tarnet(train, 0.0, cfg, rng)
-    if name == "cfrnet":
-        try:
-            gamma = float(arg) if arg else 1.0
-        except ValueError:
-            raise InvalidConfigError(f"bad balancing weight in {entry!r}") from None
-        if not 0.0 < gamma < float("inf"):
-            raise InvalidConfigError(
-                f"cfrnet needs a finite, positive balancing weight, got {entry!r}"
-            )
-        return lambda train, cfg, rng: learners.fit_tarnet(train, gamma, cfg, rng)
-    raise InvalidConfigError(f"unknown learner {entry!r}")
 
 
 @dataclass(frozen=True)
@@ -307,7 +272,6 @@ def run_cell(config: ExperimentConfig, knob_value: float, seed: int) -> list[Res
 
     records = []
     for entry in config.learners:
-        fit = parse_learner(entry)
         rng = stream(seed, knob_bits, _S_LEARNER, label_key(entry))
         started = time.perf_counter()
         a_pred = a_prog = pehe_val = float("nan")
@@ -315,10 +279,8 @@ def run_cell(config: ExperimentConfig, knob_value: float, seed: int) -> list[Res
             if entry == "t":  # T is the first stage's two arms
                 nuisances = first_stage()
                 est = learners.TEstimator(nuisances.mu0, nuisances.mu1)
-            elif entry in ("dr", "x"):
-                est = fit(train.observed, config.train, rng, first_stage())
             else:
-                est = fit(train.observed, config.train, rng)
+                est = learners.fit_learner(entry, train.observed, config.train, rng, first_stage)
             tau_hat = est.predict_cate(test.covariates.x)
             pehe_val = metrics.pehe(tau_hat, truth.tau)  # whole test set
             mat = attribution.attribute_batch(
@@ -476,7 +438,7 @@ def load_results(path: str | Path) -> list[ResultRecord]:
 # --- Presets ----------------------------------------------------------------
 
 
-def experiment_preset(name: str, **overrides) -> ExperimentConfig:
+def experiment_preset(name: str) -> ExperimentConfig:
     """Named sweep defaults for the three standard experiments."""
     if name == "predictive_scale":
         base = dict(
@@ -504,5 +466,4 @@ def experiment_preset(name: str, **overrides) -> ExperimentConfig:
         )
     else:
         raise InvalidConfigError(f"unknown experiment preset {name!r}")
-    base.update(overrides)
     return ExperimentConfig(**base)

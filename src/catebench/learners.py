@@ -16,7 +16,9 @@ mu0, mu1 and pi, which they take as an argument. ``fit_nuisances`` is the
 one function that fits it: mu0 and mu1 are the T-learner's arms from
 ``fit_t_learner`` and pi is ``fit_propensity``'s model. DR and X draw
 their own networks from children 1 and up of their stream and leave child
-0 to the first stage, which ``cli`` fits from it.
+0 to the first stage. ``fit_learner`` is the one map from a learner label
+to its fit; DR and X call the zero-argument first-stage function that its
+caller passes, and ``cli`` fits that stage from child 0.
 
 A fitted estimator is saved as a directory: ``manifest.json`` holds the
 strategy and every scalar field, and ``weights.npz`` every array field and
@@ -31,7 +33,7 @@ from __future__ import annotations
 import zipfile
 from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
-from typing import get_type_hints
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -386,6 +388,43 @@ def fit_x_learner(
     tau1 = _fit_regression(train.x[treated], target1, config, r_tau1)
     tau0 = _fit_regression(train.x[~treated], target0, config, r_tau0)
     return XEstimator(tau0, tau1, nuisances.pi)
+
+
+def parse_learner(label: str) -> tuple[str, float]:
+    """A learner label's (strategy, balancing weight); only cfrnet[:gamma] weighs > 0."""
+    name, _, arg = label.partition(":")
+    if name in (STRATEGY_S, STRATEGY_T, STRATEGY_TARNET, STRATEGY_DR, STRATEGY_X) and not arg:
+        return name, 0.0
+    if name == STRATEGY_CFRNET:
+        try:
+            gamma = float(arg) if arg else 1.0
+        except ValueError:
+            raise InvalidConfigError(f"bad balancing weight in {label!r}") from None
+        if not 0.0 < gamma < float("inf"):
+            raise InvalidConfigError(
+                f"cfrnet needs a finite, positive balancing weight, got {label!r}"
+            )
+        return name, gamma
+    raise InvalidConfigError(f"unknown learner {label!r}")
+
+
+def fit_learner(label: str, train: ObservedData, config: TrainConfig, rng: np.random.Generator,
+                first_stage: Callable[[], NuisanceSet]) -> CateEstimator:
+    """The estimator ``label`` names, fitted from ``rng``.
+
+    Only DR and X call ``first_stage()``, once, for the ``NuisanceSet``
+    their second stage regresses on.
+    """
+    strategy, gamma = parse_learner(label)
+    if strategy == STRATEGY_S:
+        return fit_s_learner(train, config, rng)
+    if strategy == STRATEGY_T:
+        return fit_t_learner(train, config, rng)
+    if strategy == STRATEGY_DR:
+        return fit_dr_learner(train, config, rng, first_stage())
+    if strategy == STRATEGY_X:
+        return fit_x_learner(train, config, rng, first_stage())
+    return fit_tarnet(train, gamma, config, rng)
 
 
 # --- Serialization ----------------------------------------------------------

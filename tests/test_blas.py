@@ -2,24 +2,31 @@
 
 numpy's bundled OpenBLAS would otherwise start one thread per CPU, and a
 threaded product rounds differently, so result bytes would depend on the
-machine and on the caller's ``OPENBLAS_NUM_THREADS``.
+machine and on the caller's ``OPENBLAS_NUM_THREADS``. The kernel OpenBLAS
+picks by CPU also rounds products its own way: results agree across
+kernels in value, not in bits.
 """
 
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from catebench import _blas
 from catebench.cli import main
+from catebench.harness import aggregate, load_results
+from catebench.metrics import METRIC_FIELDS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 LIB = _blas.openblas()
 needs_openblas = pytest.mark.skipif(
     LIB is None, reason="numpy has no bundled OpenBLAS with scipy_openblas thread calls")
+_CORENAME = "scipy_openblas_get_corename64_"
 
 # Loads numpy and sets its OpenBLAS to 2 threads before catebench is
 # imported, then reads the thread count back inside every cell of a serial
@@ -108,3 +115,56 @@ def test_cli_bytes_ignore_openblas_num_threads(tmp_path, monkeypatch):
                             Path(f"attr-{threads}.csv").read_bytes())
     assert outputs["2"][0] == outputs["1"][0]
     assert outputs["2"][1] == outputs["1"][1]
+
+
+# Prints the OpenBLAS kernel this process loaded, then runs a sweep.
+_KERNEL_SWEEP = f"""
+import ctypes, sys
+from catebench import _blas
+from catebench.cli import main
+
+corename = _blas.openblas().{_CORENAME}
+corename.argtypes, corename.restype = [], ctypes.c_char_p
+print(corename().decode())
+sys.exit(main(["experiment", "--config", sys.argv[1], "--workers", "1", "--out-csv", sys.argv[2]]))
+"""
+
+
+@pytest.mark.skipif(
+    platform.machine() not in ("x86_64", "AMD64") or LIB is None or not hasattr(LIB, _CORENAME),
+    reason=f"OPENBLAS_CORETYPE names x86 kernels; needs numpy's OpenBLAS with {_CORENAME}")
+def test_sweep_agrees_across_blas_kernels(tmp_path, monkeypatch):
+    """The default kernel against Prescott's (SSE-only Katmai), which every x86-64 CPU runs."""
+    monkeypatch.chdir(tmp_path)
+    config = {"synth_n": 400, "synth_d": 12, "knob": "predictive_scale", "knob_grid": [0.01, 1.0],
+              "sigma": 0.1, "learners": ["s", "t"], "seeds": 2, "attribution_cap": 50,
+              "train": {"learning_rate": 1e-3, "batch_size": 128, "max_epochs": 5,
+                        "patience": 3}}
+    Path("cfg.json").write_text(json.dumps(config))
+    kernels, records = [], []
+    for coretype in (None, "Prescott"):
+        env = _env(OPENBLAS_CORETYPE=coretype)
+        if coretype is None:  # OpenBLAS picks the kernel by CPU
+            del env["OPENBLAS_CORETYPE"]
+        out = f"{coretype}.csv"
+        proc = subprocess.run([sys.executable, "-c", _KERNEL_SWEEP, "cfg.json", out], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        kernels.append(proc.stdout.split("\n")[0])
+        records.append(load_results(out))
+    assert kernels[0] != kernels[1], kernels  # else the comparison shows nothing
+    default, forced = records
+    assert [r.key for r in default] == [r.key for r in forced]
+    for name in ("attr_pred", "attr_prog", "pehe"):
+        np.testing.assert_allclose([getattr(r, name) for r in forced],
+                                   [getattr(r, name) for r in default], rtol=1e-12, atol=0)
+
+    def learner_order(recs):
+        """Per knob value and metric, the learners sorted by their mean."""
+        rows = aggregate(recs)
+        return [
+            [r.learner for r in sorted(rows, key=lambda r: getattr(r, mean)) if r.knob_value == v]
+            for v in config["knob_grid"] for mean, _, _ in METRIC_FIELDS.values()
+        ]
+
+    assert learner_order(default) == learner_order(forced)

@@ -11,7 +11,15 @@ import pytest
 import catebench
 from catebench.cli import main
 from catebench.dgp import load_observed
-from catebench.learners import fit_dr_learner, fit_nuisances, fit_x_learner, save_estimator
+from catebench.learners import (
+    fit_dr_learner,
+    fit_nuisances,
+    fit_s_learner,
+    fit_t_learner,
+    fit_tarnet,
+    fit_x_learner,
+    save_estimator,
+)
 from catebench.nn import TrainConfig
 from catebench.rng import stream
 
@@ -90,18 +98,27 @@ class TestPipeline:
         assert 0.0 <= metrics["attr_pred"] <= 1.0
         assert metrics["pehe"] >= 0.0
 
-    @pytest.mark.parametrize("learner", ["dr", "x"])
+    @pytest.mark.parametrize("learner", ["dr", "x", "s", "t", "tarnet", "cfrnet:2.5"])
     def test_fit_two_stage_learner_streams(self, workdir, learner):
-        """`fit --learner dr|x --seed 2` fits the first stage from child 0 of stream(2)."""
+        """`fit --learner L --seed 2` fits from stream(2), DR and X's first stage from child 0."""
         cfg = write_config(workdir / "cfg.json")
         assert main(["generate", "--config", str(cfg), "--seed", "1"]) == 0
         assert main(["fit", "--data", "data.csv", "--learner", learner,
                      "--config", str(cfg), "--seed", "2", "--out-dir", "model"]) == 0
         obs, _, _ = load_observed("data.csv")
         train = TrainConfig(**json.loads(cfg.read_text())["train"])
-        stage = fit_nuisances(obs, train, stream(2).spawn(1)[0], stream(2).spawn(1)[0].spawn(3)[2])
-        fit = fit_dr_learner if learner == "dr" else fit_x_learner
-        save_estimator(fit(obs, train, stream(2), stage), "by_hand")
+        if learner in ("dr", "x"):
+            stage = fit_nuisances(
+                obs, train, stream(2).spawn(1)[0], stream(2).spawn(1)[0].spawn(3)[2]
+            )
+            fit = fit_dr_learner if learner == "dr" else fit_x_learner
+            est = fit(obs, train, stream(2), stage)
+        elif learner in ("s", "t"):
+            est = (fit_s_learner if learner == "s" else fit_t_learner)(obs, train, stream(2))
+        else:
+            gamma = 0.0 if learner == "tarnet" else 2.5
+            est = fit_tarnet(obs, gamma, train, stream(2))
+        save_estimator(est, "by_hand")
         weights = (workdir / "model" / "weights.npz").read_bytes()
         assert weights == (workdir / "by_hand" / "weights.npz").read_bytes()
 

@@ -376,6 +376,15 @@ class TestGenerateDataset:
         with pytest.raises(InvalidConfigError, match="noise sigma must be finite and >= 0"):
             generate_dataset(cov, sets, model, PropensitySpec(UNIFORM), sigma, stream(3))
 
+    def test_weights_must_match_their_index_sets(self):
+        cov = synth_covariates(20, 10, rng=stream(0))
+        sets = sample_feature_sets(10, 2, stream(1))
+        model = sample_outcome_model(2, 0.0, 1.0, stream(2))
+        short = OutcomeModel(model.alpha_prog, model.alpha_0[:1], model.alpha_1,
+                             model.nonlinearity, model.omega_nl, model.omega_pred)
+        with pytest.raises(InvalidConfigError, match=r"alpha_0 has shape \(1,\), but its index"):
+            generate_dataset(cov, sets, short, PropensitySpec(UNIFORM), 0.1, stream(3))
+
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 class TestNonfiniteScalesRejected:

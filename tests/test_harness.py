@@ -14,10 +14,10 @@ from catebench.harness import (
     experiment_preset,
     fixed_knob_value,
     load_results,
-    parse_learner,
     run_cell,
     run_experiment,
 )
+from catebench.learners import fit_t_learner, parse_learner
 from catebench.nn import TrainConfig
 
 TINY_TRAIN = TrainConfig(learning_rate=1e-3, batch_size=128, max_epochs=3, patience=2)
@@ -110,8 +110,10 @@ class TestExperimentConfig:
         assert (train.n, test.n) == (192, 48)  # TEST_FRACTION of 240 units held out
 
     def test_parse_learner_labels(self):
-        for label in ("s", "t", "dr", "x", "tarnet", "cfrnet", "cfrnet:2.5"):
-            assert callable(parse_learner(label))
+        for label, parsed in [("s", ("s", 0.0)), ("t", ("t", 0.0)), ("dr", ("dr", 0.0)),
+                              ("x", ("x", 0.0)), ("tarnet", ("tarnet", 0.0)),
+                              ("cfrnet", ("cfrnet", 1.0)), ("cfrnet:2.5", ("cfrnet", 2.5))]:
+            assert parse_learner(label) == parsed
         with pytest.raises(InvalidConfigError):
             parse_learner("cfrnet:zero")
         with pytest.raises(InvalidConfigError):
@@ -128,8 +130,8 @@ class TestExperimentConfig:
         one = experiment_preset("predictive_scale")
         assert one.knob_grid == (1e-3, 1e-2, 1e-1, 0.5, 1.0)
         assert one.seeds == 30
-        two = experiment_preset("nonlinearity", seeds=3)
-        assert two.knob == "nonlinearity_scale" and two.seeds == 3
+        two = experiment_preset("nonlinearity")
+        assert two.knob == "nonlinearity_scale"
         three = experiment_preset("confounding")
         assert three.propensity_kind == PREDICTIVE_CONFOUNDING
         assert "cfrnet:10" in three.learners
@@ -146,10 +148,9 @@ class TestRunCell:
         train, test = build_cell_dataset(cfg, 0.0, 3)
         assert np.all(test.truth.tau == 0.0)
         assert rec.pehe >= 0.0  # equals RMS of tau_hat since tau is 0
-        fit = parse_learner("t")
         from catebench.rng import float_key, label_key, stream
 
-        est = fit(train.observed, cfg.train, stream(3, float_key(0.0), 7, label_key("t")))
+        est = fit_t_learner(train.observed, cfg.train, stream(3, float_key(0.0), 7, label_key("t")))
         rms = float(np.sqrt(np.mean(est.predict_cate(test.covariates.x) ** 2)))
         assert rec.pehe == pytest.approx(rms)
 
@@ -180,15 +181,12 @@ class TestRunCell:
 
     @staticmethod
     def _failing_learners(monkeypatch, error):
-        import catebench.harness as harness_mod
+        import catebench.learners as learners_mod
 
-        def broken(entry):
-            def fit(*args, **kwargs):
-                raise error
+        def broken(*args, **kwargs):
+            raise error
 
-            return fit
-
-        monkeypatch.setattr(harness_mod, "parse_learner", broken)
+        monkeypatch.setattr(learners_mod, "fit_learner", broken)
 
     def test_failing_learner_yields_flagged_record(self, monkeypatch):
         self._failing_learners(monkeypatch, NumericError("boom"))
@@ -222,7 +220,6 @@ class TestSharedFirstStage:
         assert len(calls) == 9
 
     def test_t_dr_x_cell_fits_t_and_propensity_once(self, monkeypatch):
-        import catebench.harness as harness_mod
         import catebench.learners as learners_mod
 
         calls = []
@@ -233,11 +230,7 @@ class TestSharedFirstStage:
                 calls.append(_name)
                 return _original(*args, **kwargs)
 
-            # Every reference: the module's and the learner table's.
             monkeypatch.setattr(learners_mod, name, counted)
-            for label, fit in list(harness_mod._FITS.items()):
-                if fit is original:
-                    monkeypatch.setitem(harness_mod._FITS, label, counted)
         run_cell(tiny_config(learners=("t", "dr", "x")), 1.0, 0)
         assert sorted(calls) == ["fit_propensity", "fit_t_learner"]
 

@@ -99,7 +99,7 @@ def test_wrong_header_rejected(tables_dir, reader):
     assert err.value.row == 0
 
 
-@pytest.mark.parametrize("reader, col", [("truth", 3), ("attributions", 3)])
+@pytest.mark.parametrize("reader, col", [("truth", 3), ("attributions", 3), ("covariates", 1)])
 @pytest.mark.parametrize("cell", ["nan", "-inf"])
 def test_nonfinite_cell_names_row_and_column(tables_dir, reader, col, cell):
     load, name, _ = READERS[reader]
@@ -149,6 +149,7 @@ META_VALUES = {
     "omega_pi": ("propensity", "omega_pi", -1.0),
     "i_prog": (None, "i_prog", [0, 0]),
     "sigma": (None, "sigma", float("nan")),
+    "alpha_0": (None, "alpha_0", [0.5]),  # one entry short of i_0
 }
 
 
@@ -160,6 +161,7 @@ META_VALUES = {
         ("omega_pi", r"meta\.json: malformed sidecar: omega_pi must be finite and >= 0, got -1\.0"),
         ("i_prog", r"meta\.json: malformed sidecar: index sets must be"),
         ("sigma", r"meta\.json: malformed sidecar: noise sigma must be finite and >= 0, got nan"),
+        ("alpha_0", r"meta\.json: malformed sidecar: alpha_0 has shape \(1,\), but its index"),
     ],
 )
 def test_malformed_meta_names_file(tables_dir, defect, message):
