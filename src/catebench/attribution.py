@@ -12,13 +12,17 @@ read back as a table through ``tables``.
 Every method evaluates its points (IG path points, Shapley coalitions,
 ablation and permutation points, saliency rows) in blocks from
 ``_blocks``, so one evaluation's activations stay a few MB whatever the
-row cap, IG steps or Shapley permutations.
+row cap, IG steps or Shapley permutations. ``attribute_batch`` makes one
+``nn.Workspace`` per call and a fitted estimator runs all of its networks
+in it, block after block, so past the first block no activation buffer is
+allocated; the workspace goes when the call returns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -26,6 +30,8 @@ import numpy as np
 
 from . import tables
 from .errors import CapacityError, InvalidConfigError, ParseError, ShapeError
+from .learners import CateEstimator
+from .nn import Workspace
 from .rng import stream
 
 SALIENCY = "saliency"
@@ -47,10 +53,16 @@ class ScalarFunction:
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
 
 
-def as_function(f) -> ScalarFunction:
-    """Adapt an effect estimator; a ScalarFunction passes through."""
+def as_function(f, ws: Workspace | None = None) -> ScalarFunction:
+    """Adapt an effect estimator; a ScalarFunction passes through.
+
+    A fitted ``CateEstimator`` runs its networks in ``ws`` (each evaluation
+    in a fresh workspace when it is None).
+    """
     if isinstance(f, ScalarFunction):
         return f
+    if isinstance(f, CateEstimator):
+        return ScalarFunction(partial(f.predict_cate, ws=ws), partial(f.gradient, ws=ws))
     if hasattr(f, "predict_cate"):
         return ScalarFunction(f.predict_cate, getattr(f, "gradient", None))
     raise InvalidConfigError(f"cannot interpret {type(f).__name__} as a scalar function")
@@ -260,11 +272,12 @@ def attribute_batch(
     When the query exceeds ``settings.max_rows``, the scored subset is the
     first ``max_rows`` rows of a seeded shuffle (reported in ascending
     order via ``row_indices``). Every method scores against the zero
-    baseline; the single-point functions take another.
+    baseline; the single-point functions take another. A fitted estimator
+    evaluates every block in one workspace that lives for this call.
     """
     if method not in _BATCH_METHODS:
         raise InvalidConfigError(f"unknown attribution method {method!r}")
-    fn = as_function(est)
+    fn = as_function(est, Workspace())
     x_query = np.atleast_2d(np.asarray(x_query, dtype=float))
     m, d = x_query.shape
     if m > settings.max_rows:

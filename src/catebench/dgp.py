@@ -452,6 +452,15 @@ def _check_weights(sets: FeatureIndexSets, model: OutcomeModel) -> None:
             )
 
 
+def _check_indices(sets: FeatureIndexSets, d: int) -> None:
+    """InvalidConfigError naming the sidecar key of an index outside range(d)."""
+    for key, idx in (("i_prog", sets.prognostic), ("i_0", sets.predictive_0),
+                     ("i_1", sets.predictive_1)):
+        outside = idx[(idx < 0) | (idx >= d)]
+        if outside.size:
+            raise InvalidConfigError(f"{key} holds index {outside[0]}, outside the {d} features")
+
+
 def _take(ds: SemiSyntheticDataset, idx: np.ndarray) -> SemiSyntheticDataset:
     t = ds.truth
     return SemiSyntheticDataset(
@@ -544,15 +553,16 @@ def load_meta(
 ) -> tuple[list[str], FeatureIndexSets, OutcomeModel, PropensitySpec, float]:
     """Read the JSON sidecar: (feature names, index sets, outcome model, propensity, sigma).
 
-    A missing key, or a value that the constructors (or ``generate_dataset``,
-    for sigma and the weights' lengths) would reject, raises ``ParseError``
-    naming the file.
+    A missing key, a value that the constructors (or ``generate_dataset``,
+    for sigma and the weights' lengths) would reject, or an index set entry
+    outside ``feature_names`` raises ``ParseError`` naming the file.
     """
     meta = tables.read_json(meta_path)
     try:
         prop = meta["propensity"]
         _check_sigma(meta["sigma"])
         sets = FeatureIndexSets(meta["i_prog"], meta["i_0"], meta["i_1"])
+        _check_indices(sets, len(meta["feature_names"]))
         model = OutcomeModel(
             meta["alpha_prog"], meta["alpha_0"], meta["alpha_1"],
             meta["nonlinearity"], meta["omega_nl"], meta["omega_pred"],

@@ -9,7 +9,14 @@ ReLU layers of 100 units -- and exposes exact input gradients for the
 attribution methods. Every network is fitted on ``nn``'s one training path
 (``holdout_split``, then ``minibatch_fit``); TARNet/CFRNet adds only the
 gradient of its factual loss and balancing penalty through the shared
-trunk.
+trunk, with its trunk, both heads and the flat gradient in buffers of one
+``nn.Workspace`` that lives as long as the fit.
+
+``predict_cate`` and ``gradient`` take an optional workspace that every
+network of the estimator shares (``attribute_batch`` passes one per call);
+their results are always new arrays. X's gradient runs one pass per
+network, which yields the network's output and its input gradient
+together.
 
 DR and X are second stages on a fitted first stage, a ``NuisanceSet`` of
 mu0, mu1 and pi, which they take as an argument. ``fit_nuisances`` is the
@@ -48,9 +55,12 @@ from .nn import (
     VALIDATION_FRACTION,
     MlpParams,
     TrainConfig,
+    Workspace,
     _backprop,
     _batch,
     _forward,
+    _hidden,
+    _take_rows,
     flat_views,
     flatten,
     holdout_split,
@@ -58,6 +68,7 @@ from .nn import (
     loss_value,
     minibatch_fit,
     mlp_forward,
+    mlp_forward_and_input_gradient,
     mlp_init,
     mlp_input_gradient,
     mmd2_linear_with_grad,
@@ -121,14 +132,18 @@ def fit_propensity(train: ObservedData, config: TrainConfig, rng: np.random.Gene
 
 
 class CateEstimator:
-    """Fitted effect model: deterministic predictions and exact gradients."""
+    """Fitted effect model: deterministic predictions and exact gradients.
+
+    Both methods run every network in ``ws`` (a fresh workspace when it is
+    None) and return new arrays.
+    """
 
     strategy: str = ""
 
-    def predict_cate(self, x: np.ndarray) -> np.ndarray:
+    def predict_cate(self, x: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
         raise NotImplementedError
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
+    def gradient(self, x: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -142,18 +157,18 @@ class SEstimator(CateEstimator):
     def _with_flag(self, x, flag):
         return np.hstack([x, np.full((x.shape[0], 1), float(flag))])
 
-    def predict_cate(self, x):
+    def predict_cate(self, x, ws=None):
         x = np.atleast_2d(x)
         return (
-            mlp_forward(self.net, self._with_flag(x, 1))[:, 0]
-            - mlp_forward(self.net, self._with_flag(x, 0))[:, 0]
+            mlp_forward(self.net, self._with_flag(x, 1), ws)[:, 0]
+            - mlp_forward(self.net, self._with_flag(x, 0), ws)[:, 0]
         )
 
-    def gradient(self, x):
+    def gradient(self, x, ws=None):
         x = np.atleast_2d(x)
-        g1 = mlp_input_gradient(self.net, self._with_flag(x, 1))
-        g0 = mlp_input_gradient(self.net, self._with_flag(x, 0))
-        return (g1 - g0)[:, :-1]
+        g1 = mlp_input_gradient(self.net, self._with_flag(x, 1), ws)
+        g1 -= mlp_input_gradient(self.net, self._with_flag(x, 0), ws)
+        return g1[:, :-1]
 
 
 @dataclass
@@ -162,13 +177,15 @@ class TEstimator(CateEstimator):
     mu1: MlpParams
     strategy = STRATEGY_T
 
-    def predict_cate(self, x):
+    def predict_cate(self, x, ws=None):
         x = np.atleast_2d(x)
-        return mlp_forward(self.mu1, x)[:, 0] - mlp_forward(self.mu0, x)[:, 0]
+        return mlp_forward(self.mu1, x, ws)[:, 0] - mlp_forward(self.mu0, x, ws)[:, 0]
 
-    def gradient(self, x):
+    def gradient(self, x, ws=None):
         x = np.atleast_2d(x)
-        return mlp_input_gradient(self.mu1, x) - mlp_input_gradient(self.mu0, x)
+        g = mlp_input_gradient(self.mu1, x, ws)
+        g -= mlp_input_gradient(self.mu0, x, ws)
+        return g
 
 
 @dataclass
@@ -185,18 +202,24 @@ class TarnetEstimator(CateEstimator):
     def strategy(self):
         return STRATEGY_CFRNET if self.gamma > 0 else STRATEGY_TARNET
 
-    def _rep(self, x):
-        """Shared representation; the input width is checked like every network's."""
-        return np.maximum(_batch(x, self.trunk_w.shape[0]) @ self.trunk_w + self.trunk_b, 0.0)
+    def _rep(self, x, ws=None):
+        """Shared representation, in ``ws`` if given; the input width is checked like every network's."""
+        x = _batch(x, self.trunk_w.shape[0])
+        out = None if ws is None else ws.take("rep", len(x), self.trunk_w.shape[1])
+        return _hidden(x, self.trunk_w, self.trunk_b, out)
 
-    def predict_cate(self, x):
-        rep = self._rep(x)
-        return mlp_forward(self.head1, rep)[:, 0] - mlp_forward(self.head0, rep)[:, 0]
+    def predict_cate(self, x, ws=None):
+        ws = Workspace() if ws is None else ws
+        rep = self._rep(x, ws)
+        return mlp_forward(self.head1, rep, ws)[:, 0] - mlp_forward(self.head0, rep, ws)[:, 0]
 
-    def gradient(self, x):
-        rep = self._rep(x)
-        rep_grad = mlp_input_gradient(self.head1, rep) - mlp_input_gradient(self.head0, rep)
-        return (rep_grad * (rep > 0)) @ self.trunk_w.T  # rep > 0 where the trunk ReLU is active
+    def gradient(self, x, ws=None):
+        ws = Workspace() if ws is None else ws
+        rep = self._rep(x, ws)
+        rep_grad = mlp_input_gradient(self.head1, rep, ws, ws.take("rep_grad", *rep.shape))
+        rep_grad -= mlp_input_gradient(self.head0, rep, ws, ws.take("head0_grad", *rep.shape))
+        rep_grad *= np.greater(rep, 0.0, out=ws.take("mask", *rep.shape, dtype=bool))
+        return rep_grad @ self.trunk_w.T  # rep > 0 where the trunk ReLU is active
 
 
 @dataclass
@@ -206,11 +229,11 @@ class DrEstimator(CateEstimator):
     effect: MlpParams
     strategy = STRATEGY_DR
 
-    def predict_cate(self, x):
-        return mlp_forward(self.effect, np.atleast_2d(x))[:, 0]
+    def predict_cate(self, x, ws=None):
+        return mlp_forward(self.effect, np.atleast_2d(x), ws)[:, 0]
 
-    def gradient(self, x):
-        return mlp_input_gradient(self.effect, np.atleast_2d(x))
+    def gradient(self, x, ws=None):
+        return mlp_input_gradient(self.effect, np.atleast_2d(x), ws)
 
 
 @dataclass
@@ -222,27 +245,25 @@ class XEstimator(CateEstimator):
     pi: MlpParams = field(metadata={"output_activation": SIGMOID})
     strategy = STRATEGY_X
 
-    def _parts(self, x):
-        t0 = mlp_forward(self.tau0, x)[:, 0]
-        t1 = mlp_forward(self.tau1, x)[:, 0]
-        g = mlp_forward(self.pi, x)[:, 0]
-        return t0, t1, g
-
-    def predict_cate(self, x):
-        t0, t1, g = self._parts(np.atleast_2d(x))
+    def predict_cate(self, x, ws=None):
+        x = np.atleast_2d(x)
+        t0 = mlp_forward(self.tau0, x, ws)[:, 0]
+        t1 = mlp_forward(self.tau1, x, ws)[:, 0]
+        g = mlp_forward(self.pi, x, ws)[:, 0]
         return g * t1 + (1.0 - g) * t0
 
-    def gradient(self, x):
+    def gradient(self, x, ws=None):
+        """g * dtau1 + (1 - g) * dtau0 + (tau1 - tau0) * dg, one pass per network."""
         x = np.atleast_2d(x)
-        t0, t1, g = self._parts(x)
-        g0 = mlp_input_gradient(self.tau0, x)
-        g1 = mlp_input_gradient(self.tau1, x)
-        gg = mlp_input_gradient(self.pi, x)
-        return (
-            g[:, None] * g1
-            + (1.0 - g)[:, None] * g0
-            + (t1 - t0)[:, None] * gg
-        )
+        t0, g0 = mlp_forward_and_input_gradient(self.tau0, x, ws)
+        t1, g1 = mlp_forward_and_input_gradient(self.tau1, x, ws)
+        g, gg = mlp_forward_and_input_gradient(self.pi, x, ws)
+        g1 *= g
+        g0 *= 1.0 - g
+        gg *= t1 - t0
+        g1 += g0
+        g1 += gg
+        return g1
 
 
 # --- Fitting --------------------------------------------------------------
@@ -300,33 +321,41 @@ def fit_tarnet(
     x_tr, y_tr, w_tr = train.x[train_idx], train.y[train_idx], train.w[train_idx]
     x_val, y_val, w_val = train.x[val_idx], train.y[val_idx], train.w[val_idx]
 
+    grad = np.empty_like(flat)
+    grad_views = flat_views(grad, init)
+    trunk_grad_w, trunk_grad_b = grad_views[:2]
+    head_grads = [MlpParams.from_arrays(grad_views[i : i + 4], IDENTITY) for i in (2, 6)]
+    ws = Workspace()  # one for the fit: trunk, both heads, steps and validation passes
+
     def forward(x, w):
-        """Trunk pre-activation, per-arm rows and head activations, factual prediction."""
-        z = x @ trunk_w + trunk_b
-        rep = np.maximum(z, 0.0)
-        arms = [w == 0, w == 1]
-        acts = [_forward(head, rep[rows]) for head, rows in zip(heads, arms)]
+        """Representation, per-arm row indices and head activations, factual prediction."""
+        rep = _hidden(x, trunk_w, trunk_b, ws.take("rep", len(x), HIDDEN_UNITS))
+        arms = [np.flatnonzero(w == 0), np.flatnonzero(w == 1)]
+        acts = [_forward(head, _take_rows(rep, rows, ws, ("arm", k)), ws, k)
+                for k, (head, rows) in enumerate(zip(heads, arms))]
         pred = np.empty(len(w))
         for rows, a in zip(arms, acts):
             pred[rows] = a[-1][:, 0]
-        return z, rep, arms, acts, pred
+        return rep, arms, acts, pred
 
     def grad_fn(_, idx):
-        xb, yb = x_tr[idx], y_tr[idx]
-        z, rep, arms, acts, pred = forward(xb, w_tr[idx])
-        g_out = loss_output_grad(SQUARED_ERROR, pred, yb)
-        rep_grad = np.zeros_like(rep)
-        head_grads = []
-        for head, rows, a in zip(heads, arms, acts):
-            grads, delta = _backprop(head, a, g_out[rows])
-            head_grads += grads.arrays()
-            rep_grad[rows] = delta @ head.weights[0].T
-        if gamma > 0 and all(rows.any() for rows in arms):  # one-arm batches get no penalty
-            _, m0, m1 = mmd2_linear_with_grad(rep[arms[0]], rep[arms[1]])
-            rep_grad[arms[0]] += gamma * m0
-            rep_grad[arms[1]] += gamma * m1
-        delta = rep_grad * (z > 0)
-        return flatten([xb.T @ delta, delta.sum(axis=0)] + head_grads)
+        xb = _take_rows(x_tr, idx, ws)
+        rep, arms, acts, pred = forward(xb, w_tr[idx])
+        g_out = loss_output_grad(SQUARED_ERROR, pred, y_tr[idx])
+        penalty = [None, None]
+        if gamma > 0 and all(len(rows) for rows in arms):  # one-arm batches get no penalty
+            _, *penalty = mmd2_linear_with_grad(acts[0][0], acts[1][0])
+        rep_grad = ws.take("rep_grad", len(idx), HIDDEN_UNITS)  # the arms cover every row
+        for head, rows, a, grads, m in zip(heads, arms, acts, head_grads, penalty):
+            delta = _backprop(head, a, g_out[rows], ws, grads)
+            arm_grad = np.matmul(delta, head.weights[0].T, out=a[0])  # the head input is spent
+            if m is not None:
+                arm_grad += gamma * m[:1]  # every row of an arm has the same penalty gradient
+            rep_grad[rows] = arm_grad
+        rep_grad *= np.greater(rep, 0.0, out=ws.take("mask", *rep.shape, dtype=bool))
+        np.matmul(xb.T, rep_grad, out=trunk_grad_w)
+        np.sum(rep_grad, axis=0, out=trunk_grad_b)
+        return grad
 
     def val_loss_fn(_):
         return loss_value(SQUARED_ERROR, forward(x_val, w_val)[-1], y_val)

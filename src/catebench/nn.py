@@ -13,6 +13,17 @@ whose activations the backward pass reuses. ``dgp.train_test_split`` also
 splits through ``holdout_split``. Everything is float64 and
 deterministic given the generators passed in; no function touches global
 random state.
+
+Every pass runs in a ``Workspace``: hidden activations are written into
+its buffers by ``np.matmul(..., out=)`` with the bias and ReLU applied in
+place, the backward pass overwrites each activation with its layer's delta
+once that layer's gradient is formed, and parameter gradients go straight
+into views of one flat gradient vector. A workspace lives as long as the
+fit or the attribution call that made it (a public pass called without
+one makes its own), so a training step or an attribution block past the
+first allocates no activation-sized array. A pass's network output and
+input gradient are new arrays (the gradient goes into ``out=`` when the
+caller gives one), so two passes never overwrite each other's results.
 """
 
 from __future__ import annotations
@@ -109,45 +120,87 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
-    """Activations of every layer, input first and network output last."""
+class Workspace:
+    """Reused float64 (and bool) buffers for the passes of one fit or one call.
+
+    ``take(key, rows, width)`` returns the first ``rows`` rows of the
+    buffer kept under ``key`` for that width and dtype, replacing it by a
+    taller one when it holds too few. Nothing is freed before the workspace
+    is, so whoever makes one scopes it: one network fit, or one
+    ``attribution.attribute_batch`` call.
+    """
+
+    def __init__(self):
+        self._buffers: dict = {}
+
+    def take(self, key, rows: int, width: int, dtype=np.float64) -> np.ndarray:
+        slot = (key, width, np.dtype(dtype))
+        buf = self._buffers.get(slot)
+        if buf is None or buf.shape[0] < rows:
+            buf = self._buffers[slot] = np.empty((rows, width), dtype)
+        return buf[:rows]
+
+
+def _hidden(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """max(0, x @ w + b), written into ``out`` (a new array when it is None)."""
+    out = np.matmul(x, w, out=out)
+    out += b
+    return np.maximum(out, 0.0, out=out)
+
+
+def _forward(params: MlpParams, x: np.ndarray, ws: Workspace, tag=None) -> list[np.ndarray]:
+    """Activations of every layer, input first and network output last.
+
+    Hidden activations are ``ws`` buffers keyed by ``(tag, layer)``; the
+    output is a new array.
+    """
     acts = [x]
-    last = len(params.weights) - 1
-    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = acts[-1] @ w + b
-        acts.append(np.maximum(z, 0.0) if k < last else _apply_output(z, params.output_activation))
+    for k, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
+        acts.append(_hidden(acts[-1], w, b, ws.take((tag, k), x.shape[0], w.shape[1])))
+    z = acts[-1] @ params.weights[-1]
+    z += params.biases[-1]
+    acts.append(_apply_output(z, params.output_activation))
     return acts
 
 
-def _deltas(params: MlpParams, acts: list[np.ndarray], g_out: np.ndarray):
-    """Yield (k, loss gradient w.r.t. layer k's pre-activation), last layer first.
+def _backprop(
+    params: MlpParams,
+    acts: list[np.ndarray],
+    g_out: np.ndarray,
+    ws: Workspace,
+    grads: MlpParams | None = None,
+) -> np.ndarray:
+    """The layer-0 delta (loss gradient w.r.t. layer 0's pre-activation).
 
-    Reads the activations of ``_forward``. A hidden unit passes gradient
-    where its ReLU output is positive, which is exactly where its
-    pre-activation is (subgradient 0 at 0). ``delta @ params.weights[0].T``
-    turns the last delta yielded into the input gradient.
+    Walks the activations of ``_forward`` from the output down. Each layer's
+    parameter gradient, when ``grads`` is given, is written into its arrays
+    (views of a flat gradient vector); then the hidden activation below is
+    overwritten by its own delta. A hidden unit passes gradient where its
+    ReLU output is positive, which is exactly where its pre-activation is
+    (subgradient 0 at 0); the mask goes into one reused bool buffer.
+    ``delta @ params.weights[0].T`` turns the returned delta into the input
+    gradient.
     """
     if params.output_activation == SIGMOID:
         s = acts[-1]
         delta = g_out * s * (1.0 - s)
     else:
         delta = g_out
-    for k in range(len(params.weights) - 1, 0, -1):
-        yield k, delta
-        delta = (delta @ params.weights[k].T) * (acts[k] > 0)
-    yield 0, delta
+    for k in range(len(params.weights) - 1, -1, -1):
+        if grads is not None:
+            np.matmul(acts[k].T, delta, out=grads.weights[k])
+            np.sum(delta, axis=0, out=grads.biases[k])
+        if k == 0:
+            return delta
+        mask = np.greater(acts[k], 0.0, out=ws.take("mask", *acts[k].shape, dtype=bool))
+        delta = np.matmul(delta, params.weights[k].T, out=acts[k])
+        delta *= mask
 
 
-def _backprop(
-    params: MlpParams, acts: list[np.ndarray], g_out: np.ndarray
-) -> tuple[MlpParams, np.ndarray]:
-    """Parameter gradients, and the layer-0 delta, from the activations of ``_forward``."""
-    grad_w = [np.empty(0)] * len(params.weights)
-    grad_b = [np.empty(0)] * len(params.weights)
-    for k, delta in _deltas(params, acts, g_out):
-        grad_w[k] = acts[k].T @ delta
-        grad_b[k] = delta.sum(axis=0)
-    return MlpParams(grad_w, grad_b, params.output_activation), delta
+def _gradient_like(params: MlpParams) -> tuple[np.ndarray, MlpParams]:
+    """A flat gradient vector for ``params`` and per-layer views into it."""
+    flat = np.empty(sum(a.size for a in params.arrays()))
+    return flat, MlpParams.from_arrays(flat_views(flat, params.arrays()), params.output_activation)
 
 
 def _batch(x: np.ndarray, width: int) -> np.ndarray:
@@ -158,9 +211,9 @@ def _batch(x: np.ndarray, width: int) -> np.ndarray:
     return x
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Forward pass over a batch; returns an (n, out_dim) array."""
-    return _forward(params, _batch(x, params.input_dim))[-1]
+def mlp_forward(params: MlpParams, x: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+    """Forward pass over a batch; returns a new (n, out_dim) array."""
+    return _forward(params, _batch(x, params.input_dim), Workspace() if ws is None else ws)[-1]
 
 
 def mlp_backward(
@@ -179,21 +232,35 @@ def mlp_backward(
             f"loss gradient shape {g_out.shape} does not match output shape "
             f"({x.shape[0]}, {params.weights[-1].shape[1]})"
         )
-    grads, delta = _backprop(params, _forward(params, x), g_out)
+    ws = Workspace()
+    _, grads = _gradient_like(params)
+    delta = _backprop(params, _forward(params, x, ws), g_out, ws, grads)
     return grads, delta @ params.weights[0].T
 
 
-def mlp_input_gradient(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Per-row gradient of the scalar network output w.r.t. each input row.
+def mlp_forward_and_input_gradient(
+    params: MlpParams, x: np.ndarray, ws: Workspace | None = None, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """A scalar-output network's (n, 1) output and its per-row input gradient.
 
-    Runs the delta recursion only; no parameter gradient is formed.
+    One forward pass feeds both; the delta recursion forms no parameter
+    gradient. The gradient is written into ``out`` when given, else into a
+    new (n, input_dim) array.
     """
     x = _batch(x, params.input_dim)
     if params.weights[-1].shape[1] != 1:
         raise ShapeError("input gradient is defined for scalar-output networks")
-    for _, delta in _deltas(params, _forward(params, x), np.ones((x.shape[0], 1))):
-        pass  # only the layer-0 delta is needed
-    return delta @ params.weights[0].T
+    ws = Workspace() if ws is None else ws
+    acts = _forward(params, x, ws)
+    delta = _backprop(params, acts, np.ones((x.shape[0], 1)), ws)
+    return acts[-1], np.matmul(delta, params.weights[0].T, out=out)
+
+
+def mlp_input_gradient(
+    params: MlpParams, x: np.ndarray, ws: Workspace | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Per-row gradient of the scalar network output w.r.t. each input row."""
+    return mlp_forward_and_input_gradient(params, x, ws, out)[1]
 
 
 # --- Flat parameter vector and Adam ---------------------------------------
@@ -219,22 +286,31 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # fixed for every fit
 
 @dataclass
 class AdamState:
-    """Moment accumulators for one flat parameter vector."""
+    """Moment accumulators for one flat parameter vector, and two work vectors."""
 
     m: np.ndarray
     v: np.ndarray
     step: int
     lr: float
+    work: tuple[np.ndarray, np.ndarray]
 
 
 def adam_init(params: np.ndarray, lr: float) -> AdamState:
     if params.ndim != 1 or params.dtype != np.float64:
         raise ShapeError("Adam optimizes one flat float64 vector; see flatten()")
-    return AdamState(np.zeros_like(params), np.zeros_like(params), 0, lr)
+    return AdamState(
+        np.zeros_like(params), np.zeros_like(params), 0, lr,
+        (np.empty_like(params), np.empty_like(params)),
+    )
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> None:
-    """One bias-corrected Adam update of ``params`` and ``state``, in place."""
+    """One bias-corrected Adam update of ``params`` and ``state``, in place.
+
+    Computes m += (1 - b1) g, v += (1 - b2) g g and
+    params -= lr (m / c1) / (sqrt(v / c2) + eps) in the work vectors,
+    one operation at a time in that order.
+    """
     if grads.shape != params.shape:
         raise ShapeError(f"gradient shape {grads.shape} does not match parameters {params.shape}")
     if not np.isfinite(grads).all():
@@ -242,11 +318,20 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> None:
     state.step += 1
     c1 = 1.0 - ADAM_BETA1**state.step
     c2 = 1.0 - ADAM_BETA2**state.step
+    a, b = state.work
     state.m *= ADAM_BETA1
-    state.m += (1.0 - ADAM_BETA1) * grads
+    state.m += np.multiply(grads, 1.0 - ADAM_BETA1, out=a)
     state.v *= ADAM_BETA2
-    state.v += (1.0 - ADAM_BETA2) * grads * grads
-    params -= state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)
+    a = np.multiply(grads, 1.0 - ADAM_BETA2, out=a)
+    a *= grads
+    state.v += a
+    a = np.divide(state.m, c1, out=a)
+    a *= state.lr
+    b = np.divide(state.v, c2, out=b)
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    a /= b
+    params -= a
 
 
 # --- Losses --------------------------------------------------------------
@@ -324,6 +409,12 @@ def holdout_split(
     return perm[n_out:], perm[:n_out]
 
 
+def _take_rows(x: np.ndarray, idx: np.ndarray, ws: Workspace, key="rows") -> np.ndarray:
+    """``x[idx]`` for a 2-D ``x``, gathered into ``ws``'s buffer under ``key``."""
+    out = ws.take(key, len(idx), x.shape[1])
+    return np.take(x, idx, axis=0, out=out, mode="clip")  # "raise" would copy out first
+
+
 def minibatch_fit(
     params: np.ndarray,
     grad_fn: GradFn,
@@ -372,7 +463,8 @@ def train_early_stop(
 
     A seeded random split holds out ``VALIDATION_FRACTION`` of the samples;
     the returned parameters are the snapshot with the best validation loss.
-    ``net`` itself is not modified.
+    ``net`` itself is not modified. Every step and validation pass runs in
+    one workspace that lives as long as the fit.
     """
     if rng is None:
         raise InvalidConfigError("train_early_stop requires a seeded generator")
@@ -385,14 +477,17 @@ def train_early_stop(
     x_val, y_val = x[val_idx], target[val_idx]
     flat = flatten(net.arrays())
     fit = MlpParams.from_arrays(flat_views(flat, net.arrays()), net.output_activation)
+    grad, fit_grad = _gradient_like(fit)
+    ws = Workspace()
 
     def grad_fn(_, idx):
-        acts = _forward(fit, x_tr[idx])
-        g_out = loss_output_grad(loss, acts[-1], y_tr[idx])
-        return flatten(_backprop(fit, acts, g_out)[0].arrays())
+        xb = _take_rows(x_tr, idx, ws)
+        acts = _forward(fit, xb, ws)
+        _backprop(fit, acts, loss_output_grad(loss, acts[-1], y_tr[idx]), ws, fit_grad)
+        return grad
 
     def val_loss_fn(_):
-        return loss_value(loss, mlp_forward(fit, x_val), y_val)
+        return loss_value(loss, mlp_forward(fit, x_val, ws), y_val)
 
     minibatch_fit(flat, grad_fn, val_loss_fn, len(train_idx), config, rng)
     return fit
@@ -404,7 +499,11 @@ def train_early_stop(
 def mmd2_linear_with_grad(
     rep0: np.ndarray, rep1: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """MMD^2 plus its gradients w.r.t. every row of both representations."""
+    """MMD^2 plus its gradients w.r.t. every row of both representations.
+
+    Every row of a group has the same gradient, so each is a read-only
+    broadcast of one row, shaped like its group.
+    """
     rep0 = np.atleast_2d(np.asarray(rep0, dtype=float))
     rep1 = np.atleast_2d(np.asarray(rep1, dtype=float))
     if rep0.shape[0] == 0 or rep1.shape[0] == 0:
@@ -413,6 +512,6 @@ def mmd2_linear_with_grad(
         raise ShapeError("representation widths differ")
     diff = rep0.mean(axis=0) - rep1.mean(axis=0)
     value = float(diff @ diff)
-    g0 = np.tile(2.0 * diff / rep0.shape[0], (rep0.shape[0], 1))
-    g1 = np.tile(-2.0 * diff / rep1.shape[0], (rep1.shape[0], 1))
+    g0 = np.broadcast_to(2.0 * diff / rep0.shape[0], rep0.shape)
+    g1 = np.broadcast_to(-2.0 * diff / rep1.shape[0], rep1.shape)
     return value, g0, g1

@@ -121,3 +121,84 @@ def random_mlp(rng: np.random.Generator, max_hidden_layers: int = 2, max_units: 
     net = mlp_init(sizes, output_activation, rng)
     x = rng.normal(size=(int(rng.integers(1, 5)), d_in))
     return net, x
+
+
+def random_estimators(d: int, seed: int, hidden: int = 100) -> list:
+    """One estimator of each strategy (S, T, TARNet, DR, X) with random hidden-wide nets."""
+    from catebench.learners import (DrEstimator, SEstimator, TarnetEstimator, TEstimator,
+                                    XEstimator)
+    from catebench.nn import mlp_init
+    from catebench.rng import stream
+
+    rng = stream(seed)
+
+    def net(width, activation="identity"):
+        return mlp_init([width, hidden, hidden, 1], activation, rng)
+
+    trunk = mlp_init([d, hidden], "identity", rng)
+    return [
+        SEstimator(net(d + 1)),
+        TEstimator(net(d), net(d)),
+        TarnetEstimator(trunk.weights[0], rng.uniform(-0.1, 0.1, hidden),
+                        mlp_init([hidden, hidden, 1], "identity", rng),
+                        mlp_init([hidden, hidden, 1], "identity", rng)),
+        DrEstimator(net(d)),
+        XEstimator(net(d), net(d), net(d, "sigmoid")),
+    ]
+
+
+# --- Textbook training: every array allocated anew ---------------------------
+# One plain numpy expression per quantity, in the package's order of
+# operations, so a fit can be compared bit for bit with its in-place one.
+
+
+def textbook_forward(weights, biases, activation, x):
+    """Every layer's activation, input first."""
+    from catebench.nn import sigmoid
+
+    acts = [x]
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        z = acts[-1] @ w + b
+        if k < len(weights) - 1:
+            acts.append(np.maximum(z, 0.0))
+        else:
+            acts.append(sigmoid(z) if activation == "sigmoid" else z)
+    return acts
+
+
+def textbook_backprop(weights, activation, acts, g_out):
+    """(flat [W0, b0, W1, b1, ...] gradient, layer-0 delta)."""
+    s = acts[-1]
+    delta = g_out * s * (1.0 - s) if activation == "sigmoid" else g_out
+    grads = []
+    for k in range(len(weights) - 1, -1, -1):
+        grads = [acts[k].T @ delta, delta.sum(axis=0)] + grads
+        if k > 0:
+            delta = (delta @ weights[k].T) * (acts[k] > 0)
+    return np.concatenate([g.ravel() for g in grads]), delta
+
+
+def textbook_minibatch_fit(params, grad_fn, val_loss_fn, n_train, config, rng):
+    """Adam with early stopping; returns the best vector, ``params`` untouched."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    step = 0
+    best, best_loss, since = params, np.inf, 0
+    for _ in range(config.max_epochs):
+        order = rng.permutation(n_train)
+        for start in range(0, n_train, config.batch_size):
+            g = grad_fn(params, order[start:start + config.batch_size])
+            step += 1
+            m = m * b1 + (1.0 - b1) * g
+            v = v * b2 + (1.0 - b2) * g * g
+            c1, c2 = 1.0 - b1**step, 1.0 - b2**step
+            params = params - config.learning_rate * (m / c1) / (np.sqrt(v / c2) + eps)
+        val = val_loss_fn(params)
+        if val < best_loss:
+            best, best_loss, since = params, val, 0
+        else:
+            since += 1
+            if since >= config.patience:
+                break
+    return best

@@ -28,7 +28,7 @@ from catebench.learners import TEstimator, XEstimator
 from catebench.nn import SIGMOID, MlpParams, mlp_forward, mlp_init, mlp_input_gradient
 from catebench.rng import stream
 
-from helpers import fd_scalar_grad
+from helpers import fd_scalar_grad, random_estimators
 
 
 def linear_fn(weights, bias=0.0):
@@ -365,6 +365,34 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 30e6, f"{method} peaked at {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("kind", range(5), ids=["s", "t", "tarnet", "dr", "x"])
+    def test_ig_blocks_past_the_first_allocate_no_activation(self, kind, monkeypatch):
+        # 300 rows x 50 steps are four blocks of up to 4096 points. With two
+        # covariates every array the blocks need is small, so a traced peak
+        # below one (4096, 100) float64 activation, counted from the start of
+        # the second block, means the estimator's networks reused the call's
+        # workspace.
+        est = random_estimators(2, 388)[kind]
+        x = stream(389).normal(size=(300, 2))
+        gradient = type(est).gradient
+        traced = []  # traced bytes as each block begins
+
+        def gradient_from_block_two(self, q, ws=None):
+            traced.append(tracemalloc.get_traced_memory()[0])
+            if len(traced) == 2:
+                tracemalloc.reset_peak()
+            return gradient(self, q, ws)
+
+        monkeypatch.setattr(type(est), "gradient", gradient_from_block_two)
+        tracemalloc.start()
+        try:
+            attribute_batch(INTEGRATED_GRADIENTS, est, x, AttributionSettings(seed=4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traced) == 4
+        assert peak - traced[1] < 4096 * 100 * 8, f"blocks 2-4 peaked {peak - traced[1]} B higher"
 
     @pytest.mark.parametrize("method", [
         SALIENCY, INTEGRATED_GRADIENTS, FEATURE_ABLATION, FEATURE_PERMUTATION, SHAPLEY_MC,

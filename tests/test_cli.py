@@ -400,6 +400,18 @@ class TestBadInputFiles:
         err = self._error(capsys)
         assert err.startswith("runtime error: meta.json: ") and message in err
 
+    @pytest.mark.parametrize("with_model", [False, True])
+    @pytest.mark.parametrize("index", [40, -1])
+    def test_meta_index_outside_features(self, scored, capsys, index, with_model):
+        meta = json.loads((scored / "meta.json").read_text())
+        meta["i_1"][0] = index  # 10 features
+        (scored / "meta.json").write_text(json.dumps(meta))
+        assert self._evaluate(with_model) == 2
+        assert self._error(capsys) == (
+            f"runtime error: meta.json: malformed sidecar: i_1 holds index {index}, "
+            "outside the 10 features\n"
+        )
+
     def test_nonfinite_truth_cell(self, scored, capsys):
         lines = (scored / "truth.csv").read_text().split("\n")
         cells = lines[1].split(",")

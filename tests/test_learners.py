@@ -23,10 +23,31 @@ from catebench.learners import (
     load_estimator,
     save_estimator,
 )
-from catebench.nn import IDENTITY, SIGMOID, MlpParams, TrainConfig, mlp_init
+from catebench.nn import (
+    IDENTITY,
+    SIGMOID,
+    SQUARED_ERROR,
+    VALIDATION_FRACTION,
+    MlpParams,
+    TrainConfig,
+    Workspace,
+    flat_views,
+    flatten,
+    holdout_split,
+    loss_output_grad,
+    loss_value,
+    mlp_init,
+    mmd2_linear_with_grad,
+)
 from catebench.rng import stream
 
-from helpers import fd_scalar_grad
+from helpers import (
+    fd_scalar_grad,
+    random_estimators,
+    textbook_backprop,
+    textbook_forward,
+    textbook_minibatch_fit,
+)
 
 FAST = TrainConfig(learning_rate=1e-3, batch_size=512, max_epochs=300, patience=15)
 
@@ -205,6 +226,86 @@ class TestTarnet:
             assert [w.shape for w in head.weights] == [
                 (HIDDEN_UNITS, HIDDEN_UNITS), (HIDDEN_UNITS, 1)
             ]
+
+
+def textbook_fit_tarnet(train, gamma, config, rng):
+    """``fit_tarnet`` with every array allocated anew: (flat parameters, one-arm batches)."""
+    r_init, r_split, r_train = rng.spawn(3)
+    init = mlp_init([train.d, HIDDEN_UNITS], IDENTITY, r_init).arrays()
+    for _ in range(2):
+        init += mlp_init([HIDDEN_UNITS, HIDDEN_UNITS, 1], IDENTITY, r_init).arrays()
+    train_idx, val_idx = holdout_split(train.n, VALIDATION_FRACTION, r_split)
+    x_tr, y_tr, w_tr = train.x[train_idx], train.y[train_idx], train.w[train_idx]
+    x_val, y_val, w_val = train.x[val_idx], train.y[val_idx], train.w[val_idx]
+    one_arm = []
+
+    def forward(p, x, w):
+        v = flat_views(p, init)
+        z = x @ v[0] + v[1]
+        rep = np.maximum(z, 0.0)
+        arms = [w == 0, w == 1]
+        heads = [v[2:6], v[6:10]]
+        acts = [textbook_forward(h[0::2], h[1::2], IDENTITY, rep[rows])
+                for h, rows in zip(heads, arms)]
+        pred = np.empty(len(w))
+        for rows, a in zip(arms, acts):
+            pred[rows] = a[-1][:, 0]
+        return z, rep, arms, heads, acts, pred
+
+    def grad_fn(p, idx):
+        xb, yb = x_tr[idx], y_tr[idx]
+        z, rep, arms, heads, acts, pred = forward(p, xb, w_tr[idx])
+        g_out = loss_output_grad(SQUARED_ERROR, pred, yb)
+        rep_grad = np.zeros_like(rep)
+        head_grads = []
+        for h, rows, a in zip(heads, arms, acts):
+            grads, delta = textbook_backprop(h[0::2], IDENTITY, a, g_out[rows])
+            head_grads.append(grads)
+            rep_grad[rows] = delta @ h[0].T
+        one_arm.append(not all(rows.any() for rows in arms))
+        if gamma > 0 and not one_arm[-1]:
+            _, m0, m1 = mmd2_linear_with_grad(rep[arms[0]], rep[arms[1]])
+            rep_grad[arms[0]] += gamma * m0
+            rep_grad[arms[1]] += gamma * m1
+        delta = rep_grad * (z > 0)
+        return np.concatenate([(xb.T @ delta).ravel(), delta.sum(axis=0)] + head_grads)
+
+    def val_loss_fn(p):
+        return loss_value(SQUARED_ERROR, forward(p, x_val, w_val)[-1], y_val)
+
+    best = textbook_minibatch_fit(flatten(init), grad_fn, val_loss_fn, len(train_idx), config,
+                                  r_train)
+    return best, sum(one_arm)
+
+
+class TestWorkspaces:
+    """Estimators share one workspace, yet return arrays of their own."""
+
+    @pytest.mark.parametrize("kind", range(5), ids=["s", "t", "tarnet", "dr", "x"])
+    def test_back_to_back_calls_keep_their_results(self, kind):
+        a = random_estimators(3, 140)[kind]
+        b = random_estimators(3, 141)[kind]
+        x = stream(142).normal(size=(9, 3))
+        ws = Workspace()
+        for method in ("predict_cate", "gradient"):
+            first = getattr(a, method)(x, ws)
+            kept = first.copy()
+            second = getattr(b, method)(x, ws)
+            assert np.array_equal(first, kept)
+            assert not np.shares_memory(first, second)
+            assert np.array_equal(first, getattr(a, method)(x))
+
+    @pytest.mark.parametrize("gamma, batch", [(0.0, 41), (2.5, 41), (2.5, 4)])
+    def test_tarnet_fit_matches_textbook_reference_bit_for_bit(self, gamma, batch):
+        # 60 rows leave 42 for training: batch 41 ends every epoch on a
+        # one-row batch, so one arm is empty; batch 4 gives some by chance.
+        train, _ = additive_data(60, 143, noise=0.1)
+        cfg = TrainConfig(learning_rate=1e-2, batch_size=batch, max_epochs=4, patience=3)
+        est = fit_tarnet(train, gamma, cfg, stream(144))
+        best, one_arm_batches = textbook_fit_tarnet(train, gamma, cfg, stream(144))
+        assert one_arm_batches > 0
+        got = [est.trunk_w, est.trunk_b, *est.head0.arrays(), *est.head1.arrays()]
+        assert np.array_equal(flatten(got), best)
 
 
 class TestDrPseudoOutcome:

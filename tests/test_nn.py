@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catebench import nn
 from catebench.errors import (
     EmptyGroupError,
     InvalidConfigError,
@@ -11,16 +14,21 @@ from catebench.errors import (
 )
 from catebench.nn import (
     BINARY_CROSS_ENTROPY,
+    IDENTITY,
     SIGMOID,
     SQUARED_ERROR,
     VALIDATION_FRACTION,
     MlpParams,
     TrainConfig,
+    Workspace,
     adam_init,
     holdout_split,
     adam_step,
+    loss_output_grad,
+    loss_value,
     mlp_backward,
     mlp_forward,
+    mlp_forward_and_input_gradient,
     mlp_init,
     minibatch_fit,
     mlp_input_gradient,
@@ -29,7 +37,15 @@ from catebench.nn import (
 )
 from catebench.rng import stream
 
-from helpers import assert_close_rel, fd_input_grads, fd_param_grads, random_mlp
+from helpers import (
+    assert_close_rel,
+    fd_input_grads,
+    fd_param_grads,
+    random_mlp,
+    textbook_backprop,
+    textbook_forward,
+    textbook_minibatch_fit,
+)
 
 
 class TestMlpInit:
@@ -284,6 +300,110 @@ class TestTrainEarlyStop:
     def test_holdout_fraction_must_lie_inside_unit_interval(self, fraction):
         with pytest.raises(InvalidConfigError, match="split fraction must lie strictly in"):
             holdout_split(10, fraction, stream(0))
+
+
+def textbook_train_early_stop(net, x, target, loss, config, rng):
+    """``train_early_stop`` with every array allocated anew; returns the flat parameters."""
+    train_idx, val_idx = holdout_split(len(x), VALIDATION_FRACTION, rng)
+    x_tr, y_tr, x_val, y_val = x[train_idx], target[train_idx], x[val_idx], target[val_idx]
+    act = net.output_activation
+
+    def unpack(p):
+        views = nn.flat_views(p, net.arrays())
+        return views[0::2], views[1::2]
+
+    def grad_fn(p, idx):
+        weights, biases = unpack(p)
+        acts = textbook_forward(weights, biases, act, x_tr[idx])
+        return textbook_backprop(weights, act, acts, loss_output_grad(loss, acts[-1], y_tr[idx]))[0]
+
+    def val_loss_fn(p):
+        return loss_value(loss, textbook_forward(*unpack(p), act, x_val)[-1], y_val)
+
+    return textbook_minibatch_fit(nn.flatten(net.arrays()), grad_fn, val_loss_fn,
+                                  len(train_idx), config, rng)
+
+
+class TestWorkspace:
+    """Passes reuse buffers, yet return arrays of their own and the bits of fresh arrays."""
+
+    def test_back_to_back_passes_keep_their_results(self):
+        a = mlp_init([4, 9, 9, 1], rng=stream(300))
+        b = mlp_init([4, 9, 9, 1], SIGMOID, rng=stream(301))
+        x = stream(302).normal(size=(7, 4))
+        ws = Workspace()
+        passes = [
+            mlp_forward,
+            mlp_input_gradient,
+            lambda net, q, w: mlp_forward_and_input_gradient(net, q, w)[0],
+            lambda net, q, w: mlp_forward_and_input_gradient(net, q, w)[1],
+        ]
+        for run in passes:
+            first = run(a, x, ws)
+            kept = first.copy()
+            second = run(b, x, ws)
+            assert np.array_equal(first, kept)
+            assert not np.shares_memory(first, second)
+            assert np.array_equal(first, run(a, x, None))
+
+    def test_forward_and_gradient_pass_equals_the_two_passes(self):
+        net, x = random_mlp(stream(303), output_activation=SIGMOID)
+        out, grad = mlp_forward_and_input_gradient(net, x)
+        assert np.array_equal(out, mlp_forward(net, x))
+        assert np.array_equal(grad, mlp_backward(net, x, np.ones((x.shape[0], 1)))[1])
+
+    def test_taller_request_replaces_the_buffer(self):
+        ws = Workspace()
+        small = ws.take("a", 3, 5)
+        assert small.shape == (3, 5) and np.shares_memory(small, ws.take("a", 2, 5))
+        tall = ws.take("a", 8, 5)
+        assert tall.shape == (8, 5) and not np.shares_memory(small, tall)
+        assert not np.shares_memory(tall, ws.take("a", 8, 6))  # another width, another buffer
+        assert ws.take("m", 4, 5, dtype=bool).dtype == bool
+
+    @pytest.mark.parametrize(
+        "sizes, activation, loss, n, batch",
+        [
+            ([5, 12, 7, 1], IDENTITY, SQUARED_ERROR, 70, 16),  # 49 training rows: a 1-row tail
+            ([3, 6, 1], SIGMOID, BINARY_CROSS_ENTROPY, 60, 8),  # 42 rows: a 2-row tail
+            ([30, 100, 100, 1], IDENTITY, SQUARED_ERROR, 800, 512),  # 560 rows: a 48-row tail
+        ],
+    )
+    def test_fit_matches_textbook_reference_bit_for_bit(self, sizes, activation, loss, n, batch):
+        rng = stream(310)
+        x = rng.normal(size=(n, sizes[0]))
+        y = (x[:, 0] > 0).astype(float) if loss == BINARY_CROSS_ENTROPY else rng.normal(size=n)
+        net = mlp_init(sizes, activation, rng=stream(311))
+        cfg = TrainConfig(learning_rate=1e-2, batch_size=batch, max_epochs=4, patience=3)
+        fitted = train_early_stop(net, x, y, loss, config=cfg, rng=stream(312))
+        best = textbook_train_early_stop(net, x, y, loss, cfg, stream(312))
+        assert np.array_equal(nn.flatten(fitted.arrays()), best)
+
+    def test_step_allocates_no_activation_after_the_first(self, monkeypatch):
+        # A 30-100-100-1 step at batch 512, Adam included: one (512, 100)
+        # float64 array is 409,600 bytes, so a traced peak below that means
+        # the step allocated no activation or delta.
+        captured = {}
+
+        def capture(params, grad_fn, val_loss_fn, n_train, config, rng):
+            captured.update(params=params, grad_fn=grad_fn, n_train=n_train)
+
+        monkeypatch.setattr(nn, "minibatch_fit", capture)
+        rng = stream(320)
+        x, y = rng.normal(size=(2000, 30)), rng.normal(size=2000)
+        net = mlp_init([30, 100, 100, 1], rng=stream(321))
+        train_early_stop(net, x, y, config=TrainConfig(batch_size=512), rng=stream(322))
+        params, grad_fn = captured["params"], captured["grad_fn"]
+        order = stream(323).permutation(captured["n_train"])
+        state = adam_init(params, lr=1e-3)
+        adam_step(state, params, grad_fn(params, order[:512]))  # makes the buffers
+        tracemalloc.start()
+        try:
+            adam_step(state, params, grad_fn(params, order[512:1024]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 100 * 8, f"a step peaked at {peak} bytes"
 
 
 class TestMmd2Linear:

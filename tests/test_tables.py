@@ -150,6 +150,8 @@ META_VALUES = {
     "i_prog": (None, "i_prog", [0, 0]),
     "sigma": (None, "sigma", float("nan")),
     "alpha_0": (None, "alpha_0", [0.5]),  # one entry short of i_0
+    "i_1_high": (None, "i_1", [40, 41]),  # the fixture has 8 features
+    "i_1_negative": (None, "i_1", [-1, -2]),
 }
 
 
@@ -162,6 +164,8 @@ META_VALUES = {
         ("i_prog", r"meta\.json: malformed sidecar: index sets must be"),
         ("sigma", r"meta\.json: malformed sidecar: noise sigma must be finite and >= 0, got nan"),
         ("alpha_0", r"meta\.json: malformed sidecar: alpha_0 has shape \(1,\), but its index"),
+        ("i_1_high", r"meta\.json: malformed sidecar: i_1 holds index 40, outside the 8 "),
+        ("i_1_negative", r"meta\.json: malformed sidecar: i_1 holds index -1, outside the 8 "),
     ],
 )
 def test_malformed_meta_names_file(tables_dir, defect, message):
