@@ -24,9 +24,8 @@ pin_one_thread()  # before any submodule imports numpy
 # attribute`` never loads the sweep harness or its process pool.
 _EXPORTS = {
     "attribution": (
-        "AttributionMatrix", "AttributionSettings", "attribute_batch", "feature_ablation",
-        "feature_permutation", "integrated_gradients", "saliency", "shapley_exact",
-        "shapley_mc",
+        "AttributionMatrix", "attribute_batch", "feature_ablation", "feature_permutation",
+        "integrated_gradients", "saliency", "shapley_exact", "shapley_mc",
     ),
     "dgp": (
         "CovariateMatrix", "FeatureIndexSets", "ObservedData", "OutcomeModel",

@@ -5,9 +5,10 @@ models. Gradient methods need a function that exposes exact gradients;
 perturbation methods need only values. A brute-force Shapley enumeration
 is included as the verification oracle for the Monte-Carlo sampler.
 ``attribute_batch`` looks each method up in one table that calls these
-same public functions (gradient methods and ablation on the whole batch);
-its ``AttributionMatrix`` of scores, method and scored rows is saved and
-read back as a table through ``tables``.
+same public functions (gradient methods and ablation on the whole batch)
+on one fixed schedule: ``IG_STEPS`` midpoints per IG path and 100·d
+orderings per MC Shapley row. Its ``AttributionMatrix`` of scores, method
+and scored rows is saved and read back as a table through ``tables``.
 
 Every method evaluates its points (IG path points, Shapley coalitions,
 ablation and permutation points, saliency rows) in blocks from
@@ -41,6 +42,7 @@ FEATURE_PERMUTATION = "feature_permutation"
 SHAPLEY_MC = "shapley_mc"
 SHAPLEY_EXACT = "shapley_exact"
 
+IG_STEPS = 50  # midpoints per integrated-gradients path
 _EXACT_SHAPLEY_MAX_D = 15
 _BLOCK_POINTS = 4096  # points per evaluation: 3.3 MB per 100-unit activation
 
@@ -113,7 +115,7 @@ def saliency(f, x) -> np.ndarray:
     return _batched_saliency(fn, x[None])[0]
 
 
-def integrated_gradients(f, x, baseline=None, steps: int = 50) -> np.ndarray:
+def integrated_gradients(f, x, baseline=None, steps: int = IG_STEPS) -> np.ndarray:
     """Midpoint-rule path integral of the gradient from baseline to x."""
     fn, x, b = _point(f, x, baseline)
     return _batched_ig(fn, x[None], b, steps)[0]
@@ -220,74 +222,57 @@ class AttributionMatrix:
             raise ShapeError("row_indices length must match score rows")
 
 
-@dataclass(frozen=True)
-class AttributionSettings:
-    steps: int = 50
-    n_permutations: int | None = None  # None means 100 * d
-    max_rows: int = 1000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_rows < 1:
-            raise InvalidConfigError(f"the attribution row cap must be >= 1, got {self.max_rows}")
-        if self.steps < 1:
-            raise InvalidConfigError(f"IG steps must be >= 1, got {self.steps}")
-        if self.n_permutations is not None and self.n_permutations < 1:
-            raise InvalidConfigError(
-                f"Shapley permutations must be >= 1, got {self.n_permutations}"
-            )
-
-
 def _rowwise(x: np.ndarray, kernel) -> np.ndarray:
     """Scores of every row ``k`` of ``x`` from ``kernel(k, x[k])``."""
     return np.array([kernel(k, row) for k, row in enumerate(x)], dtype=float).reshape(x.shape)
 
 
-# Each method over the scored rows: (fn, rows, baseline, settings) -> (rows, d) scores.
-# MC Shapley draws row k's orderings from stream(seed, 2, k), permutation
-# importance its column shuffles from stream(seed, 1).
+# Each method over the scored rows, against the zero baseline:
+# (fn, rows, seed) -> (rows, d) scores. MC Shapley draws row k's 100·d
+# orderings from stream(seed, 2, k), permutation importance its column
+# shuffles from stream(seed, 1).
 _BATCH_METHODS = {
-    SALIENCY: lambda fn, x, b, s: _batched_saliency(fn, x),
-    INTEGRATED_GRADIENTS: lambda fn, x, b, s: _batched_ig(fn, x, b, s.steps),
-    FEATURE_ABLATION: lambda fn, x, b, s: _batched_ablation(fn, x, b),
-    FEATURE_PERMUTATION: lambda fn, x, b, s: feature_permutation(fn, x, stream(s.seed, 1)),
-    SHAPLEY_MC: lambda fn, x, b, s: _rowwise(x, lambda k, row: shapley_mc(
-        fn, row, b,
-        n_permutations=100 * len(b) if s.n_permutations is None else s.n_permutations,
-        rng=stream(s.seed, 2, k),
+    SALIENCY: lambda fn, x, seed: _batched_saliency(fn, x),
+    INTEGRATED_GRADIENTS: lambda fn, x, seed: _batched_ig(fn, x, np.zeros(x.shape[1]), IG_STEPS),
+    FEATURE_ABLATION: lambda fn, x, seed: _batched_ablation(fn, x, np.zeros(x.shape[1])),
+    FEATURE_PERMUTATION: lambda fn, x, seed: feature_permutation(fn, x, stream(seed, 1)),
+    SHAPLEY_MC: lambda fn, x, seed: _rowwise(x, lambda k, row: shapley_mc(
+        fn, row, n_permutations=100 * len(row), rng=stream(seed, 2, k)
     )),
-    SHAPLEY_EXACT: lambda fn, x, b, s: _rowwise(x, lambda k, row: shapley_exact(fn, row, b)),
+    SHAPLEY_EXACT: lambda fn, x, seed: _rowwise(x, lambda k, row: shapley_exact(fn, row)),
 }
 METHODS = tuple(_BATCH_METHODS)
 
 
+def check_row_cap(max_rows: int) -> None:
+    """InvalidConfigError unless the attribution row cap is at least 1."""
+    if max_rows < 1:
+        raise InvalidConfigError(f"the attribution row cap must be >= 1, got {max_rows}")
+
+
 def attribute_batch(
-    method: str,
-    est,
-    x_query: np.ndarray,
-    settings: AttributionSettings = AttributionSettings(),
+    method: str, est, x_query: np.ndarray, *, max_rows: int = 1000, seed: int = 0
 ) -> AttributionMatrix:
     """Apply one method to the effect function over a capped query batch.
 
-    When the query exceeds ``settings.max_rows``, the scored subset is the
-    first ``max_rows`` rows of a seeded shuffle (reported in ascending
-    order via ``row_indices``). Every method scores against the zero
-    baseline; the single-point functions take another. A fitted estimator
-    evaluates every block in one workspace that lives for this call.
+    When the query exceeds ``max_rows``, the scored subset is the first
+    ``max_rows`` rows of a shuffle drawn from ``seed`` (reported in
+    ascending order via ``row_indices``). Every method scores against the
+    zero baseline; the single-point functions take another. A fitted
+    estimator evaluates every block in one workspace that lives for this
+    call.
     """
     if method not in _BATCH_METHODS:
         raise InvalidConfigError(f"unknown attribution method {method!r}")
+    check_row_cap(max_rows)
     fn = as_function(est, Workspace())
     x_query = np.atleast_2d(np.asarray(x_query, dtype=float))
-    m, d = x_query.shape
-    if m > settings.max_rows:
-        shuffle = stream(settings.seed, 0).permutation(m)
-        rows = np.sort(shuffle[: settings.max_rows])
+    m = x_query.shape[0]
+    if m > max_rows:
+        rows = np.sort(stream(seed, 0).permutation(m)[:max_rows])
     else:
         rows = np.arange(m)
-    return AttributionMatrix(
-        _BATCH_METHODS[method](fn, x_query[rows], np.zeros(d), settings), method, rows
-    )
+    return AttributionMatrix(_BATCH_METHODS[method](fn, x_query[rows], seed), method, rows)
 
 
 def _batched_saliency(fn: ScalarFunction, x_sel: np.ndarray) -> np.ndarray:

@@ -147,10 +147,10 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_attribute(args) -> int:
-    settings = attribution.AttributionSettings(max_rows=args.cap, seed=args.seed)
+    attribution.check_row_cap(args.cap)  # before any file is read
     est = learners.load_estimator(args.model)
     obs, _, unit_ids = dgp.load_observed(args.data)
-    mat = attribution.attribute_batch(args.method, est, obs.x, settings)
+    mat = attribution.attribute_batch(args.method, est, obs.x, max_rows=args.cap, seed=args.seed)
     attribution.save_attributions(mat, unit_ids[mat.row_indices], args.out)
     print(f"wrote {args.out} ({mat.scores.shape[0]} rows, method {args.method})")
     return 0

@@ -461,6 +461,14 @@ def _check_indices(sets: FeatureIndexSets, d: int) -> None:
             raise InvalidConfigError(f"{key} holds index {outside[0]}, outside the {d} features")
 
 
+def _check_irrelevant_index(idx, sets: FeatureIndexSets, d: int) -> None:
+    """InvalidConfigError unless ``idx`` is None or an int in range(d) outside every driver set."""
+    if idx is not None and (type(idx) is not int or not 0 <= idx < d or idx in sets.all_relevant):
+        raise InvalidConfigError(
+            f"irrelevant_index {idx!r} is not one of the {d} features outside the driver sets"
+        )
+
+
 def _take(ds: SemiSyntheticDataset, idx: np.ndarray) -> SemiSyntheticDataset:
     t = ds.truth
     return SemiSyntheticDataset(
@@ -554,8 +562,10 @@ def load_meta(
     """Read the JSON sidecar: (feature names, index sets, outcome model, propensity, sigma).
 
     A missing key, a value that the constructors (or ``generate_dataset``,
-    for sigma and the weights' lengths) would reject, or an index set entry
-    outside ``feature_names`` raises ``ParseError`` naming the file.
+    for sigma and the weights' lengths) would reject, an index set entry
+    outside ``feature_names``, or an ``irrelevant_index`` that is neither
+    null nor an integer feature index outside every driver set raises
+    ``ParseError`` naming the file.
     """
     meta = tables.read_json(meta_path)
     try:
@@ -569,6 +579,7 @@ def load_meta(
         )
         _check_weights(sets, model)
         spec = PropensitySpec(prop["kind"], prop["omega_pi"], prop["irrelevant_index"])
+        _check_irrelevant_index(spec.irrelevant_index, sets, len(meta["feature_names"]))
         return meta["feature_names"], sets, model, spec, meta["sigma"]
     except KeyError as err:
         raise ParseError(f"{meta_path}: missing key {err}") from None

@@ -4,9 +4,11 @@ A cell is one (knob value, seed) pair: generate a dataset with the knob's
 config field (``KNOB_FIELDS``) set to the knob value, split it, fit
 every configured learner on the same training part, attribute each fitted
 effect function on the same capped test rows, and score against the sealed
-truth. T, DR and X share the cell's one first stage (``fit_nuisances``
-from T's stream and the cell's propensity stream), fitted at most once
-and only when one of them is configured: T's record is its two arms, and
+truth. A config picks only the attribution method and the row cap; the IG
+steps and Shapley orderings are ``attribute_batch``'s fixed schedule. T,
+DR and X share the cell's one first stage (``fit_nuisances`` from T's
+stream and the cell's propensity stream), fitted at most once and only
+when one of them is configured: T's record is its two arms, and
 ``learners.fit_learner`` fits every other label, DR and X on that stage.
 Sweeps run the grid x seeds product, optionally across processes; results
 are keyed records, so collection order never matters. A learner that
@@ -85,8 +87,6 @@ class ExperimentConfig:
     omega_pi: float = 0.0
     learners: tuple[str, ...] = DEFAULT_LEARNERS
     attribution_method: str = attribution.INTEGRATED_GRADIENTS
-    ig_steps: int = 50
-    shapley_permutations: int | None = None
     seeds: int = 5
     attribution_cap: int = 1000
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -120,17 +120,9 @@ class ExperimentConfig:
             raise InvalidConfigError("omega_nl must lie in [0, 1]")
         if self.attribution_method not in attribution.METHODS:
             raise InvalidConfigError(f"unknown attribution method {self.attribution_method!r}")
-        self.attribution_settings(0)  # rejects a cap, steps or permutations below 1
+        attribution.check_row_cap(self.attribution_cap)
         for entry in self.learners:
             learners.parse_learner(entry)
-
-    def attribution_settings(self, seed: int) -> attribution.AttributionSettings:
-        return attribution.AttributionSettings(
-            steps=self.ig_steps,
-            n_permutations=self.shapley_permutations,
-            max_rows=self.attribution_cap,
-            seed=seed,
-        )
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
@@ -249,9 +241,7 @@ def run_cell(config: ExperimentConfig, knob_value: float, seed: int) -> list[Res
     knob_bits = float_key(knob_value)
     train, test = build_cell_dataset(config, knob_value, seed)
     truth = test.truth
-    settings = config.attribution_settings(
-        int(stream(seed, knob_bits, _S_ATTRIBUTION).integers(2**63))
-    )
+    attribution_seed = int(stream(seed, knob_bits, _S_ATTRIBUTION).integers(2**63))
     stage = None
 
     def first_stage() -> learners.NuisanceSet:
@@ -284,7 +274,8 @@ def run_cell(config: ExperimentConfig, knob_value: float, seed: int) -> list[Res
             tau_hat = est.predict_cate(test.covariates.x)
             pehe_val = metrics.pehe(tau_hat, truth.tau)  # whole test set
             mat = attribution.attribute_batch(
-                config.attribution_method, est, test.covariates.x, settings
+                config.attribution_method, est, test.covariates.x,
+                max_rows=config.attribution_cap, seed=attribution_seed,
             )
             try:
                 a_pred = metrics.attr_pred(mat, truth.sets.predictive)

@@ -202,11 +202,10 @@ class TarnetEstimator(CateEstimator):
     def strategy(self):
         return STRATEGY_CFRNET if self.gamma > 0 else STRATEGY_TARNET
 
-    def _rep(self, x, ws=None):
-        """Shared representation, in ``ws`` if given; the input width is checked like every network's."""
+    def _rep(self, x, ws):
+        """Shared representation in ``ws``; the input width is checked like every network's."""
         x = _batch(x, self.trunk_w.shape[0])
-        out = None if ws is None else ws.take("rep", len(x), self.trunk_w.shape[1])
-        return _hidden(x, self.trunk_w, self.trunk_b, out)
+        return _hidden(x, self.trunk_w, self.trunk_b, ws.take("rep", len(x), self.trunk_w.shape[1]))
 
     def predict_cate(self, x, ws=None):
         ws = Workspace() if ws is None else ws
@@ -533,8 +532,9 @@ def load_estimator(in_dir: str | Path) -> CateEstimator:
     The manifest's strategy picks the class, and the class's fields say
     what to read. A malformed directory (a manifest that is not a JSON
     object, a missing key, unchained layers, a non-finite array entry, a
-    non-number scalar, a non-npz weights file) raises ``ParseError`` naming
-    the file and the key.
+    non-number scalar, a ``gamma`` other than 0 for tarnet or other than
+    finite and > 0 for cfrnet, a non-npz weights file) raises
+    ``ParseError`` naming the file and the key.
     """
     manifest_path = Path(in_dir) / "manifest.json"
     weights_path = Path(in_dir) / "weights.npz"
@@ -566,4 +566,9 @@ def load_estimator(in_dir: str | Path) -> CateEstimator:
                 values[f.name] = value = _entry(manifest, f.name, manifest_path)
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise ParseError(f"{manifest_path}: {f.name!r} is {value!r}, not a number")
+    if cls is TarnetEstimator:  # the weight a fit under this strategy would have
+        gamma = values["gamma"]
+        if not (gamma == 0 if strategy == STRATEGY_TARNET else 0 < gamma < float("inf")):
+            need = "0" if strategy == STRATEGY_TARNET else "a finite value > 0"
+            raise ParseError(f"{manifest_path}: 'gamma' is {gamma!r}, but {strategy} needs {need}")
     return cls(**values)

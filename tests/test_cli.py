@@ -273,9 +273,7 @@ class TestRejectedSettings:
         assert capsys.readouterr().err.startswith("error: the attribution row cap must be >= 1")
         assert not (workdir / "attr.csv").exists()
 
-    @pytest.mark.parametrize(
-        "field, value", [("attribution_cap", -5), ("ig_steps", 0), ("shapley_permutations", 0)]
-    )
+    @pytest.mark.parametrize("field, value", [("attribution_cap", -5)])
     def test_config_value_below_one_exits_1(self, workdir, capsys, field, value):
         cfg = write_config(workdir / "cfg.json", **{field: value})
         assert main(["experiment", "--config", str(cfg)]) == 1
@@ -331,6 +329,8 @@ class TestRejectedSettings:
             ({"n_i": 2}, "unknown config key 'n_i'"),
             ({"test_fraction": 0.2}, "unknown config key 'test_fraction'"),
             ({"train": {"val_fraction": 0.3}}, "unknown config key 'train.val_fraction'"),
+            ({"ig_steps": 50}, "unknown config key 'ig_steps'"),
+            ({"shapley_permutations": 0}, "unknown config key 'shapley_permutations'"),
         ],
     )
     def test_bad_config_value_exits_1(self, workdir, capsys, value, message):
@@ -390,11 +390,13 @@ class TestBadInputFiles:
             ("omega_pi", -1.0, "omega_pi must be finite and >= 0, got -1.0"),
             ("i_prog", [0, 0], "index sets must"),
             ("sigma", float("nan"), "noise sigma must be finite and >= 0, got nan"),
+            ("irrelevant_index", 99, "irrelevant_index 99 is not one of the 10 features"),
+            ("irrelevant_index", True, "irrelevant_index True is not one of the 10 features"),
         ],
     )
     def test_meta_value_out_of_domain(self, scored, capsys, key, value, message):
         meta = json.loads((scored / "meta.json").read_text())
-        (meta["propensity"] if key == "omega_pi" else meta)[key] = value
+        (meta["propensity"] if key in ("omega_pi", "irrelevant_index") else meta)[key] = value
         (scored / "meta.json").write_text(json.dumps(meta))
         assert self._evaluate() == 2
         err = self._error(capsys)
@@ -411,6 +413,23 @@ class TestBadInputFiles:
             f"runtime error: meta.json: malformed sidecar: i_1 holds index {index}, "
             "outside the 10 features\n"
         )
+
+    @pytest.mark.parametrize("learner, manifest", [
+        ("cfrnet", '{"strategy": "cfrnet", "gamma": 0}'),
+        ("tarnet", '{"strategy": "tarnet", "gamma": 5.0}'),
+    ])
+    def test_manifest_gamma_contradicts_strategy(self, workdir, capsys, learner, manifest):
+        cfg = write_config(workdir / "cfg.json")
+        assert main(["generate", "--config", str(cfg), "--seed", "1"]) == 0
+        assert main(["fit", "--data", "data.csv", "--learner", learner, "--config", str(cfg),
+                     "--out-dir", "model"]) == 0
+        capsys.readouterr()
+        (workdir / "model" / "manifest.json").write_text(manifest)
+        code = main(["attribute", "--model", "model", "--data", "data.csv", "--out", "a.csv"])
+        assert code == 2
+        err = self._error(capsys)
+        assert err.startswith(f"runtime error: {Path('model') / 'manifest.json'}: 'gamma' is ")
+        assert not (workdir / "a.csv").exists()
 
     def test_nonfinite_truth_cell(self, scored, capsys):
         lines = (scored / "truth.csv").read_text().split("\n")

@@ -86,14 +86,16 @@ class TestExperimentConfig:
         assert cfg.knob_grid == (0.0, 2.0) and cfg.sigma == 1
         assert type(cfg.seeds) is int and type(cfg.train.max_epochs) is int
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [("attribution_cap", 0), ("attribution_cap", -5), ("ig_steps", 0),
-         ("shapley_permutations", 0)],
-    )
+    @pytest.mark.parametrize("field, value", [("attribution_cap", 0), ("attribution_cap", -5)])
     def test_attribution_values_below_one_rejected(self, field, value):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidConfigError, match="the attribution row cap must be >= 1"):
             tiny_config(**{field: value})
+
+    @pytest.mark.parametrize("key", ["ig_steps", "shapley_permutations"])
+    def test_attribution_schedule_keys_unknown(self, key):
+        # 50 IG steps and 100 * d Shapley orderings are constants, not settings.
+        with pytest.raises(InvalidConfigError, match=f"unknown config key '{key}'"):
+            ExperimentConfig.from_dict({key: 50})
 
     @pytest.mark.parametrize(
         "field, message",
@@ -246,12 +248,12 @@ class TestSharedFirstStage:
         stage = learners.fit_nuisances(
             train.observed, cfg.train, stream(6, bits, 7, label_key("t")), stream(6, bits, 9)
         )
-        settings = cfg.attribution_settings(int(stream(6, bits, 8).integers(2**63)))
+        seed = int(stream(6, bits, 8).integers(2**63))
         for rec, fit in zip(records, (learners.fit_dr_learner, learners.fit_x_learner)):
             rng = stream(6, bits, 7, label_key(rec.learner))
             est = fit(train.observed, cfg.train, rng, stage)
             mat = attribution.attribute_batch(cfg.attribution_method, est, test.covariates.x,
-                                              settings)
+                                              max_rows=cfg.attribution_cap, seed=seed)
             assert rec.pehe == metrics.pehe(est.predict_cate(test.covariates.x), test.truth.tau)
             assert rec.attr_pred == metrics.attr_pred(mat, test.truth.sets.predictive)
             assert rec.attr_prog == metrics.attr_prog(mat, test.truth.sets.prognostic)

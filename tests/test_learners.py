@@ -197,7 +197,7 @@ class TestTarnet:
         from catebench.nn import mmd2_linear_with_grad
 
         def separation(est):
-            rep = est._rep(x)
+            rep = est._rep(x, Workspace())
             return mmd2_linear_with_grad(rep[w == 0], rep[w == 1])[0]
 
         assert separation(balanced) < separation(plain)
@@ -541,13 +541,23 @@ class TestSerialization:
             ("not an npz archive", "weights.npz", None),
             ("NaN weight", "weights.npz", "mu1_w0"),
             ("infinite trunk bias", "weights.npz", "trunk_b"),
+            ("cfrnet gamma 0", "manifest.json", "gamma"),
+            ("cfrnet negative gamma", "manifest.json", "gamma"),
+            ("cfrnet NaN gamma", "manifest.json", "gamma"),
+            ("tarnet gamma 5", "manifest.json", "gamma"),
         ],
     )
     def test_malformed_directory_names_file_and_key(self, tmp_path, case, file, key):
         t_est, cfr_est = TestGradients()._estimators()[0][1:3]
         model = tmp_path / "model"
         cfr_cases = ("missing gamma", "trunk width", "gamma not a number", "infinite trunk bias")
-        save_estimator(cfr_est if case in cfr_cases else t_est, model)
+        gamma_cases = {  # a weight that contradicts the strategy
+            "cfrnet gamma 0": '{"strategy": "cfrnet", "gamma": 0}',
+            "cfrnet negative gamma": '{"strategy": "cfrnet", "gamma": -1.0}',
+            "cfrnet NaN gamma": '{"strategy": "cfrnet", "gamma": NaN}',
+            "tarnet gamma 5": '{"strategy": "tarnet", "gamma": 5.0}',
+        }
+        save_estimator(cfr_est if case in cfr_cases or case in gamma_cases else t_est, model)
         manifest = model / "manifest.json"
 
         def edit_weights(changes):
@@ -581,6 +591,8 @@ class TestSerialization:
             edit_weights(lambda a: {"trunk_w": a["trunk_w"][:, :5], "trunk_b": a["trunk_b"][:5]})
         elif case == "gamma not a number":
             manifest.write_text('{"strategy": "cfrnet", "gamma": "abc"}')
+        elif case in gamma_cases:
+            manifest.write_text(gamma_cases[case])
         elif case in ("NaN weight", "infinite trunk bias"):  # one entry of the array
             key, value = ("mu1_w0", np.nan) if case == "NaN weight" else ("trunk_b", np.inf)
             with np.load(model / "weights.npz") as blob:

@@ -152,6 +152,12 @@ META_VALUES = {
     "alpha_0": (None, "alpha_0", [0.5]),  # one entry short of i_0
     "i_1_high": (None, "i_1", [40, 41]),  # the fixture has 8 features
     "i_1_negative": (None, "i_1", [-1, -2]),
+    "irrelevant_high": ("propensity", "irrelevant_index", 99),
+    "irrelevant_negative": ("propensity", "irrelevant_index", -3),
+    "irrelevant_fraction": ("propensity", "irrelevant_index", 2.5),
+    "irrelevant_string": ("propensity", "irrelevant_index", "x"),
+    "irrelevant_bool": ("propensity", "irrelevant_index", True),
+    "irrelevant_driver": ("propensity", "irrelevant_index", lambda content: content["i_0"][0]),
 }
 
 
@@ -166,6 +172,9 @@ META_VALUES = {
         ("alpha_0", r"meta\.json: malformed sidecar: alpha_0 has shape \(1,\), but its index"),
         ("i_1_high", r"meta\.json: malformed sidecar: i_1 holds index 40, outside the 8 "),
         ("i_1_negative", r"meta\.json: malformed sidecar: i_1 holds index -1, outside the 8 "),
+        *((f"irrelevant_{case}", r"meta\.json: malformed sidecar: irrelevant_index .* is not one "
+           r"of the 8 features outside the driver sets")
+          for case in ("high", "negative", "fraction", "string", "bool", "driver")),
     ],
 )
 def test_malformed_meta_names_file(tables_dir, defect, message):
@@ -178,7 +187,7 @@ def test_malformed_meta_names_file(tables_dir, defect, message):
     else:
         content = json.loads(text)
         parent, key, value = META_VALUES[defect]
-        (content[parent] if parent else content)[key] = value
+        (content[parent] if parent else content)[key] = value(content) if callable(value) else value
         text = json.dumps(content)
     meta.write_text(text)
     with pytest.raises(ParseError, match=message):
