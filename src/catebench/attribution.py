@@ -292,10 +292,16 @@ def _batched_ig(fn: ScalarFunction, x_sel: np.ndarray, baseline: np.ndarray, ste
     span = x_sel - baseline
     # Path point p is row p // steps at step p % steps; a block may split a
     # row's steps, and np.add.at still sums each row's gradients in step order.
+    # Each block's points are gathered into one buffer for the call, then
+    # scaled and shifted in place: baseline + t * span, rounded as before.
     totals = np.zeros((m, d))
+    buf = np.empty((min(m * steps, _BLOCK_POINTS), d))
     for start, stop in _blocks(m * steps):
         row, step = np.divmod(np.arange(start, stop), steps)
-        np.add.at(totals, row, gradient(baseline + ts[step, None] * span[row]))
+        points = np.take(span, row, axis=0, out=buf[: stop - start], mode="clip")
+        points *= ts[step, None]
+        points += baseline
+        np.add.at(totals, row, gradient(points))
     return span * (totals / steps)
 
 
@@ -314,17 +320,24 @@ def _batched_ablation(fn: ScalarFunction, x_sel: np.ndarray, baseline: np.ndarra
 
 def load_attributions(path: str | Path) -> tuple[AttributionMatrix, np.ndarray]:
     """Read a score CSV back: (matrix, unit ids); every row names one method, scores finite."""
-    header, rows = tables.read_table(path)
-    if header[:2] != ["unit_id", "method"]:
-        raise ParseError(f"{path}: expected header starting unit_id,method", row=0)
-    unit_ids = tables.parse_block(path, rows, 0, 1, int)[:, 0]
-    scores = tables.finite_block(path, rows, 2)
-    method = rows[0][1]
-    for r, row in enumerate(rows, start=1):
-        if row[1] != method:
-            raise ParseError(f"{path}: row {r} names method {row[1]!r}, row 1 {method!r}", row=r)
-    mat = AttributionMatrix(scores, method, np.arange(len(rows)))
-    return mat, unit_ids
+    methods = []
+
+    def check_header(header):
+        if header[:2] != ["unit_id", "method"]:
+            raise ParseError(f"{path}: expected header starting unit_id,method", row=0)
+
+    def check_method(r, row):
+        if not methods:
+            methods.append(row[1])
+        elif row[1] != methods[0]:
+            raise ParseError(
+                f"{path}: row {r} names method {row[1]!r}, row 1 {methods[0]!r}", row=r
+            )
+
+    _, unit_ids, scores = tables.read_floats(
+        path, check_header, start=2, ids=True, finite=True, check_row=check_method
+    )
+    return AttributionMatrix(scores, methods[0], np.arange(len(scores))), unit_ids
 
 
 def save_attributions(

@@ -248,10 +248,12 @@ def load_covariates_csv(path: str | Path, normalize: str = NORM_NONE) -> Covaria
     """Read a numeric CSV with a header row of feature names."""
     if normalize not in NORMALIZATIONS:
         raise InvalidConfigError(f"unknown normalization {normalize!r}")
-    header, rows = tables.read_table(path)
-    if _all_numeric(header):
-        raise ParseError(f"{path}: first row is numeric; a header row is required", row=0)
-    body = tables.finite_block(path, rows)
+
+    def check_header(header):
+        if _all_numeric(header):
+            raise ParseError(f"{path}: first row is numeric; a header row is required", row=0)
+
+    header, _, body = tables.read_floats(path, check_header, finite=True)
     if normalize == NORM_MINMAX:
         lo, hi = body.min(axis=0), body.max(axis=0)
         span = np.where(hi > lo, hi - lo, 1.0)  # constant columns map to 0
@@ -538,11 +540,11 @@ def save_dataset(
 
 def load_observed(data_path: str | Path) -> tuple[ObservedData, list[str], np.ndarray]:
     """Read the observed CSV only: (data, feature names, unit ids)."""
-    header, rows = tables.read_table(data_path)
-    if header[:3] != _DATA_PREFIX:
-        raise ParseError(f"{data_path}: expected header starting unit_id,w,y", row=0)
-    unit_ids = tables.parse_block(data_path, rows, 0, 1, int)[:, 0]
-    body = tables.parse_block(data_path, rows)
+    def check_header(header):
+        if header[:3] != _DATA_PREFIX:
+            raise ParseError(f"{data_path}: expected header starting unit_id,w,y", row=0)
+
+    header, unit_ids, body = tables.read_floats(data_path, check_header, ids=True)
     bad = ~np.isin(body[:, 1], (0.0, 1.0)) | ~np.isfinite(body[:, 2:]).all(axis=1)
     if bad.any():
         row = int(np.argmax(bad)) + 1
@@ -592,11 +594,11 @@ def load_dataset(
 ) -> SemiSyntheticDataset:
     """Rebuild a full dataset from the three exported files; every truth value must be finite."""
     obs, _, unit_ids = load_observed(data_path)
-    header, rows = tables.read_table(truth_path)
-    if header != _TRUTH_HEADER:
-        raise ParseError(f"{truth_path}: expected header unit_id,y0,y1,tau,pi", row=0)
-    truth_ids = tables.parse_block(truth_path, rows, 0, 1, int)[:, 0]
-    tbody = tables.finite_block(truth_path, rows)
+    def check_header(header):
+        if header != _TRUTH_HEADER:
+            raise ParseError(f"{truth_path}: expected header unit_id,y0,y1,tau,pi", row=0)
+
+    _, truth_ids, tbody = tables.read_floats(truth_path, check_header, ids=True, finite=True)
     if not np.array_equal(truth_ids, unit_ids):
         raise ParseError(f"{truth_path}: unit ids do not match {data_path}")
     names, sets, model, spec, sigma = load_meta(meta_path)

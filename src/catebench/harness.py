@@ -416,14 +416,20 @@ def emit_csv(records: list[ResultRecord], path: str | Path, include_timing: bool
 
 def load_results(path: str | Path) -> list[ResultRecord]:
     """Read a result CSV; an empty (untimed) wall_ms cell reads as NaN."""
-    header, rows = tables.read_table(path)
-    if tuple(header) != CSV_COLUMNS:
-        raise ParseError(f"{path}: unexpected result header", row=0)
-    values = tables.parse_block(path, [r[:9] + [r[9] or "nan"] for r in rows], 4).tolist()
-    seeds = tables.parse_block(path, rows, 5, 6, int)[:, 0].tolist()
-    return [
-        ResultRecord(*row[:4], v[0], seed, *v[2:]) for row, v, seed in zip(rows, values, seeds)
-    ]
+    records = []
+
+    def check_header(header):
+        if tuple(header) != CSV_COLUMNS:
+            raise ParseError(f"{path}: unexpected result header", row=0)
+
+    def parse_row(r, row):
+        row[9] = row[9] or "nan"
+        knob_value, _, *scores = [tables.read_cell(path, r, c, row[c]) for c in range(4, 10)]
+        seed = tables.read_cell(path, r, 5, row[5], int)
+        records.append(ResultRecord(*row[:4], knob_value, seed, *scores))
+
+    tables.read_table(path, parse_row, check_header)
+    return records
 
 
 # --- Presets ----------------------------------------------------------------

@@ -16,7 +16,10 @@ trunk, with its trunk, both heads and the flat gradient in buffers of one
 network of the estimator shares (``attribute_batch`` passes one per call);
 their results are always new arrays. X's gradient runs one pass per
 network, which yields the network's output and its input gradient
-together.
+together. TARNet's gradient takes the trunk's ReLU mask first and then
+writes head 0's input gradient over the representation, which no later
+step reads, so a block holds three 100-unit float64 buffers (the
+representation, head 1's input gradient and the heads' hidden layer).
 
 DR and X are second stages on a fitted first stage, a ``NuisanceSet`` of
 mu0, mu1 and pi, which they take as an argument. ``fit_nuisances`` is the
@@ -213,12 +216,16 @@ class TarnetEstimator(CateEstimator):
         return mlp_forward(self.head1, rep, ws)[:, 0] - mlp_forward(self.head0, rep, ws)[:, 0]
 
     def gradient(self, x, ws=None):
+        """Trunk ReLU mask first, then head 0's input gradient over the spent representation."""
         ws = Workspace() if ws is None else ws
         rep = self._rep(x, ws)
+        # rep > 0 where the trunk ReLU is active; a buffer of its own, as the
+        # heads' backward passes fill the "mask" one
+        active = np.greater(rep, 0.0, out=ws.take("rep_mask", *rep.shape, dtype=bool))
         rep_grad = mlp_input_gradient(self.head1, rep, ws, ws.take("rep_grad", *rep.shape))
-        rep_grad -= mlp_input_gradient(self.head0, rep, ws, ws.take("head0_grad", *rep.shape))
-        rep_grad *= np.greater(rep, 0.0, out=ws.take("mask", *rep.shape, dtype=bool))
-        return rep_grad @ self.trunk_w.T  # rep > 0 where the trunk ReLU is active
+        rep_grad -= mlp_input_gradient(self.head0, rep, ws, rep)  # rep's last reader
+        rep_grad *= active
+        return rep_grad @ self.trunk_w.T
 
 
 @dataclass

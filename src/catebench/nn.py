@@ -141,8 +141,8 @@ class Workspace:
         return buf[:rows]
 
 
-def _hidden(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """max(0, x @ w + b), written into ``out`` (a new array when it is None)."""
+def _hidden(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """max(0, x @ w + b), written into ``out``."""
     out = np.matmul(x, w, out=out)
     out += b
     return np.maximum(out, 0.0, out=out)
@@ -177,7 +177,11 @@ def _backprop(
     (views of a flat gradient vector); then the hidden activation below is
     overwritten by its own delta. A hidden unit passes gradient where its
     ReLU output is positive, which is exactly where its pre-activation is
-    (subgradient 0 at 0); the mask goes into one reused bool buffer.
+    (subgradient 0 at 0); the mask goes into one reused bool buffer. Below
+    a one-unit layer (the scalar output) the delta is (mask * w) * g by
+    broadcasting: each entry is the one product the K=1 ``np.matmul`` would
+    form, without the call; only where that product is exactly zero can its
+    sign differ, which changes no value downstream.
     ``delta @ params.weights[0].T`` turns the returned delta into the input
     gradient.
     """
@@ -193,8 +197,13 @@ def _backprop(
         if k == 0:
             return delta
         mask = np.greater(acts[k], 0.0, out=ws.take("mask", *acts[k].shape, dtype=bool))
-        delta = np.matmul(delta, params.weights[k].T, out=acts[k])
-        delta *= mask
+        if delta.shape[1] == 1:
+            g = delta
+            delta = np.multiply(mask, params.weights[k][:, 0], out=acts[k])
+            delta *= g
+        else:
+            delta = np.matmul(delta, params.weights[k].T, out=acts[k])
+            delta *= mask
 
 
 def _gradient_like(params: MlpParams) -> tuple[np.ndarray, MlpParams]:

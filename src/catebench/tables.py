@@ -2,11 +2,15 @@
 
 A table is one header row plus data rows, written and read with Python's
 ``csv`` module. Float cells are written with 17 significant digits, so
-they read back bit for bit. Readers report a malformed file as a
-``ParseError`` naming the 1-based data row (the header is row 0) and, for
-a bad cell, the 0-based column. Every other file is one JSON object with
-two-space indents and a final newline; one that is not JSON, or not an
-object, reads as a ``ParseError`` naming the file.
+they read back bit for bit. ``read_table`` streams a file: it checks each
+data row's width, hands the row to its caller's parser and keeps nothing.
+``read_floats``, the reader of every numeric table, converts each row with
+``float()`` as it arrives and appends it to one float64 buffer, so a file
+is never held as a table of Python strings. Readers report a malformed
+file as a ``ParseError`` naming the 1-based data row (the header is row 0)
+and, for a bad cell, the 0-based column. Every other file is one JSON
+object with two-space indents and a final newline; one that is not JSON,
+or not an object, reads as a ``ParseError`` naming the file.
 """
 
 from __future__ import annotations
@@ -14,6 +18,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+from array import array
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -44,50 +51,92 @@ def write_table(path: str | Path, header: Iterable, rows: Iterable[Iterable]) ->
             fh.write(line.getvalue() % tuple([c for c in row if isinstance(c, float)]))
 
 
-def read_table(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    """(header, data rows); every data row must be as wide as the header."""
+def read_table(path: str | Path, parse_row, check_header=None) -> tuple[list[str], int]:
+    """Stream ``path``'s data rows one at a time through ``parse_row(r, row)``.
+
+    ``check_header(header)`` runs once the first data row has been read, so
+    an empty or header-only file is reported as such whatever its header.
+    Every data row must be as wide as the header; no row is kept here.
+    Returns the header and the number of data rows.
+    """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ParseError(f"{path}: empty file", row=0)
-    if len(rows) == 1:
-        raise ParseError(f"{path}: no data rows", row=1)
-    header, body = rows[0], rows[1:]
-    for r, row in enumerate(body, start=1):
-        if len(row) != len(header):
-            raise ParseError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}", row=r)
-    return header, body
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}: empty file", row=0)
+        first = next(reader, None)
+        if first is None:
+            raise ParseError(f"{path}: no data rows", row=1)
+        if check_header is not None:
+            check_header(header)
+        for r, row in enumerate(chain((first,), reader), start=1):
+            if len(row) != len(header):
+                raise ParseError(
+                    f"{path}: row {r} has {len(row)} cells, expected {len(header)}", row=r
+                )
+            parse_row(r, row)
+    return header, r
 
 
-def parse_block(
-    path: str | Path, rows: list[list[str]], start: int = 0, stop: int | None = None, kind=float
-) -> np.ndarray:
-    """Cells ``start:stop`` of every row as one 2-D array of ``kind``."""
+def read_cell(path: str | Path, r: int, c: int, text: str, kind=float):
+    """``kind(text)``; ParseError naming row ``r`` and column ``c`` when it cannot be read."""
     try:
-        return np.array([[kind(c) for c in row[start:stop]] for row in rows], dtype=kind)
+        return kind(text)
     except ValueError:
-        for r, row in enumerate(rows, start=1):
-            for c, cell in enumerate(row[start:stop], start=start):
-                try:
-                    kind(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: cannot read cell {cell!r} at row {r}, column {c} as "
-                        f"{kind.__name__}", row=r, col=c
-                    ) from None
-        raise
-
-
-def finite_block(path: str | Path, rows: list[list[str]], start: int = 0) -> np.ndarray:
-    """Cells ``start:`` of every row as floats; ParseError naming the first non-finite cell."""
-    block = parse_block(path, rows, start)
-    bad = np.argwhere(~np.isfinite(block))
-    if bad.size:
-        r, c = int(bad[0][0]) + 1, int(bad[0][1]) + start
         raise ParseError(
-            f"{path}: non-finite cell {rows[r - 1][c]!r} at row {r}, column {c}", row=r, col=c
-        )
-    return block
+            f"{path}: cannot read cell {text!r} at row {r}, column {c} as {kind.__name__}",
+            row=r, col=c,
+        ) from None
+
+
+def read_floats(
+    path: str | Path,
+    check_header=None,
+    *,
+    start: int = 0,
+    ids: bool = False,
+    finite: bool = False,
+    check_row=None,
+) -> tuple[list[str], np.ndarray | None, np.ndarray]:
+    """(header, unit ids or None, float64 block of columns ``start:``) of a numeric table.
+
+    Each row's cells are read with ``float()`` as the row streams past and
+    appended to one float64 buffer, so the file never exists as a table of
+    strings. With ``ids`` column 0 must also read as ``int`` (checked
+    first); with ``finite`` every cell of the block must be finite.
+    ``check_row(r, row)``, when given, sees each row's text last.
+    """
+    values = array("d")
+    unit_ids = array("q")
+
+    def parse_row(r, row):
+        if ids:
+            try:
+                unit_ids.append(read_cell(path, r, 0, row[0], int))
+            except OverflowError:
+                raise ParseError(
+                    f"{path}: unit id {row[0]!r} at row {r}, column 0 is outside int64",
+                    row=r, col=0,
+                ) from None
+        try:
+            cells = list(map(float, row[start:]))
+        except ValueError:
+            for c in range(start, len(row)):
+                read_cell(path, r, c, row[c])
+            raise
+        if finite and not math.isfinite(sum(cells)):  # a sum can overflow; then look closer
+            for c, value in enumerate(cells, start=start):
+                if not math.isfinite(value):
+                    raise ParseError(
+                        f"{path}: non-finite cell {row[c]!r} at row {r}, column {c}", row=r, col=c
+                    )
+        if check_row is not None:
+            check_row(r, row)
+        values.extend(cells)
+
+    header, n_rows = read_table(path, parse_row, check_header)
+    block = np.frombuffer(values, dtype=np.float64).reshape(n_rows, len(header) - start)
+    return header, np.frombuffer(unit_ids, dtype=np.int64) if ids else None, block
 
 
 def write_json(path: str | Path, obj) -> None:

@@ -395,6 +395,30 @@ class TestBlocks:
         assert len(traced) == 4
         assert peak - traced[1] < 4096 * 100 * 8, f"blocks 2-4 peaked {peak - traced[1]} B higher"
 
+    def test_ig_points_gather_into_one_buffer(self):
+        # A gradient that allocates nothing leaves only the path points: one
+        # (4096, 30) float64 block is 983,040 bytes, and past the first block
+        # the call allocates none, only the blocks' index arrays.
+        x = stream(390).normal(size=(300, 30))
+        ones = np.ones((4096, 30))
+        traced = []
+
+        def gradient(q):
+            traced.append(tracemalloc.get_traced_memory()[0])
+            if len(traced) == 2:
+                tracemalloc.reset_peak()
+            return ones[: len(q)]
+
+        fn = ScalarFunction(value=lambda q: np.zeros(len(q)), gradient=gradient)
+        tracemalloc.start()
+        try:
+            scores = attribute_batch(INTEGRATED_GRADIENTS, fn, x, seed=5).scores
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traced) == 4 and np.array_equal(scores, x)  # the mean of 1 is 1
+        assert peak - traced[1] < 4096 * 30 * 8 // 4, f"blocks 2-4 peaked {peak - traced[1]} B"
+
     @pytest.mark.parametrize("method", [
         SALIENCY, INTEGRATED_GRADIENTS, FEATURE_ABLATION, FEATURE_PERMUTATION, SHAPLEY_MC,
         SHAPLEY_EXACT,

@@ -37,6 +37,7 @@ from catebench.nn import (
     loss_output_grad,
     loss_value,
     mlp_init,
+    mlp_input_gradient,
     mmd2_linear_with_grad,
 )
 from catebench.rng import stream
@@ -294,6 +295,18 @@ class TestWorkspaces:
             assert np.array_equal(first, kept)
             assert not np.shares_memory(first, second)
             assert np.array_equal(first, getattr(a, method)(x))
+
+    def test_tarnet_gradient_equals_the_composition_in_separate_buffers(self):
+        # gradient() writes head 0's input gradient over the spent trunk
+        # representation; the reference keeps every intermediate in its own array.
+        est = random_estimators(5, 145)[2]
+        x = stream(146).normal(size=(300, 5))
+        rep = np.maximum(x @ est.trunk_w + est.trunk_b, 0.0)
+        head_grads = [mlp_input_gradient(head, rep) for head in (est.head1, est.head0)]
+        expected = ((head_grads[0] - head_grads[1]) * (rep > 0)) @ est.trunk_w.T
+        ws = Workspace()
+        for _ in range(2):  # the second call runs in the spent buffers of the first
+            assert est.gradient(x, ws).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("gamma, batch", [(0.0, 41), (2.5, 41), (2.5, 4)])
     def test_tarnet_fit_matches_textbook_reference_bit_for_bit(self, gamma, batch):

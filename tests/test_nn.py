@@ -352,6 +352,30 @@ class TestWorkspace:
         assert np.array_equal(out, mlp_forward(net, x))
         assert np.array_equal(grad, mlp_backward(net, x, np.ones((x.shape[0], 1)))[1])
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_scalar_output_delta_equals_the_k1_product(self, seed):
+        # _backprop forms a fan-out-1 layer's delta as (mask * w) * g by
+        # broadcasting; the reference forms it as (g @ w.T) * mask. Hidden
+        # widths start at 1, so a one-unit hidden layer takes the same path.
+        rng = stream(330, seed)
+        sizes = [int(rng.integers(1, 6))]
+        sizes += [int(rng.integers(1, 9)) for _ in range(int(rng.integers(1, 4)))] + [1]
+        activation = SIGMOID if seed % 2 else IDENTITY
+        net = mlp_init(sizes, activation, rng=rng)
+        x = rng.normal(size=(int(rng.integers(1, 60)), sizes[0]))
+        g_out = rng.normal(size=(len(x), 1))
+        g_out[::7] = 0.0  # exact zeros: their products differ at most in a zero's sign
+        flat, grads = nn._gradient_like(net)
+        ws = Workspace()
+        delta = nn._backprop(net, nn._forward(net, x, ws), g_out, ws, grads)
+        ref_grads, ref_delta = textbook_backprop(
+            net.weights, activation, nn._forward(net, x, Workspace()), g_out
+        )
+        assert np.array_equal(delta, ref_delta)
+        assert np.array_equal(flat, ref_grads)
+        input_grad = delta @ net.weights[0].T
+        assert input_grad.tobytes() == (ref_delta @ net.weights[0].T).tobytes()
+
     def test_taller_request_replaces_the_buffer(self):
         ws = Workspace()
         small = ws.take("a", 3, 5)

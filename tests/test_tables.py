@@ -19,7 +19,7 @@ from catebench.dgp import (
 from catebench.errors import ParseError
 from catebench.harness import ResultRecord, emit_csv, load_results
 from catebench.rng import stream
-from catebench.tables import read_table, write_table
+from catebench.tables import read_floats, read_table, write_table
 
 
 @pytest.fixture()
@@ -52,13 +52,16 @@ READERS = {
     "truth": (_load_dataset, "truth.csv", 2),
     "attributions": (load_attributions, "attr.csv", 3),
     "results": (load_results, "results.csv", 6),
+    "floats": (lambda path: read_floats(path, ids=True, finite=True), "truth.csv", 2),
 }
 
 
-# defects: a non-numeric cell, a short row, and a fractional unit id (column 0)
+# defects: a non-numeric cell, a short row, and a fractional or too large
+# unit id (column 0)
 DEFECTS = [(reader, defect) for reader in sorted(READERS) for defect in ("cell", "short")] + [
-    (reader, "id") for reader in ("attributions", "observed", "truth")
-]
+    (reader, defect) for reader in ("attributions", "observed", "truth") for defect in ("id",)
+] + [(reader, defect) for reader in ("attributions", "floats", "observed", "truth")
+     for defect in ("big id",) + (("id",) if reader == "floats" else ())]
 
 
 @pytest.mark.parametrize("reader, defect", DEFECTS)
@@ -71,6 +74,8 @@ def test_malformed_table_names_row_and_column(tables_dir, reader, defect):
         cells[col] = "oops"
     elif defect == "id":
         cells[0] = "1.5"
+    elif defect == "big id":
+        cells[0] = "9" * 30  # past int64
     else:
         cells.pop()
     lines[2] = ",".join(cells)
@@ -78,7 +83,21 @@ def test_malformed_table_names_row_and_column(tables_dir, reader, defect):
     with pytest.raises(ParseError) as err:
         load(path)
     assert err.value.row == 2 and "row 2" in str(err.value)
-    assert err.value.col == {"cell": col, "short": None, "id": 0}[defect]
+    assert err.value.col == {"cell": col, "short": None, "id": 0, "big id": 0}[defect]
+    if defect == "id":
+        assert f"{name}: cannot read cell '1.5' at row 2, column 0 as int" in str(err.value)
+    elif defect == "big id":
+        assert f"{name}: unit id '{cells[0]}' at row 2, column 0 is outside int64" in str(err.value)
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_header_only_file_has_no_data_rows(tables_dir, reader):
+    load, name, _ = READERS[reader]
+    path = tables_dir / name
+    path.write_text(path.read_text().split("\n")[0] + "\n")
+    with pytest.raises(ParseError, match=rf"{name}: no data rows") as err:
+        load(path)
+    assert err.value.row == 1
 
 
 def _edit_cell(path, row, col, text):
@@ -99,7 +118,9 @@ def test_wrong_header_rejected(tables_dir, reader):
     assert err.value.row == 0
 
 
-@pytest.mark.parametrize("reader, col", [("truth", 3), ("attributions", 3), ("covariates", 1)])
+@pytest.mark.parametrize(
+    "reader, col", [("truth", 3), ("attributions", 3), ("covariates", 1), ("floats", 4)]
+)
 @pytest.mark.parametrize("cell", ["nan", "-inf"])
 def test_nonfinite_cell_names_row_and_column(tables_dir, reader, col, cell):
     load, name, _ = READERS[reader]
@@ -109,6 +130,17 @@ def test_nonfinite_cell_names_row_and_column(tables_dir, reader, col, cell):
         load(path)
     assert f"{name}: non-finite cell '{cell}' at row 2, column {col}" in str(err.value)
     assert (err.value.row, err.value.col) == (2, col)
+
+
+def test_read_floats_equals_float_of_every_cell(tmp_path):
+    # The streamed block holds float() of each cell, as a list-of-strings parse does.
+    path = tmp_path / "t.csv"
+    rows = [["7", "1e-300", "-0", " 2.5 ", "1_000"], ["-8", "1e308", "1e308", "0.1", "-1e-320"]]
+    path.write_text("id,a,b,c,d\n" + "".join(",".join(r) + "\n" for r in rows))
+    header, ids, block = read_floats(path, ids=True, start=1, finite=True)
+    expected = np.array([[float(c) for c in r[1:]] for r in rows])
+    assert header == ["id", "a", "b", "c", "d"] and ids.tolist() == [7, -8]
+    assert block.dtype == np.float64 and block.tobytes() == expected.tobytes()
 
 
 def test_attribution_rows_name_one_method(tables_dir):
@@ -130,8 +162,11 @@ def test_truth_unit_ids_must_match_data(tables_dir):
 def test_read_table_needs_header_and_data(tmp_path, text, row, message):
     path = tmp_path / "t.csv"
     path.write_text(text)
+    def parse_row(r, cells):
+        raise AssertionError(f"row {r} passed to the parser")
+
     with pytest.raises(ParseError, match=message) as err:
-        read_table(path)
+        read_table(path, parse_row, check_header=parse_row)
     assert err.value.row == row and str(path) in str(err.value)
 
 
