@@ -3,8 +3,10 @@
 Subcommands: generate, fit, attribute, evaluate, experiment, plot. Each
 reads a JSON config file (where applicable) plus flag overrides. Exit
 codes: 0 success, 1 configuration/usage error (a malformed config file
-included), 2 runtime error (a malformed input file included). Every file
-is read and written through ``tables``, which names a malformed one.
+included), 2 runtime error (a malformed input file included, and an
+``experiment`` with any record whose score is non-finite, after it has
+written its outputs). Every file is read and written through ``tables``,
+which names a malformed one.
 ``fit`` hands its learner label to ``learners.fit_learner``.
 """
 
@@ -14,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -195,10 +198,16 @@ def _cmd_experiment(args) -> int:
     print(f"wrote {args.out_csv} ({len(records)} records)")
     if args.out_svg_prefix:
         rows = harness.aggregate(records)
-        for metric in sorted(metrics.METRIC_FIELDS):
+        for metric, (mean_field, _, _) in sorted(metrics.METRIC_FIELDS.items()):
+            if not any(math.isfinite(getattr(r, mean_field)) for r in rows):
+                continue  # every record failed on this metric: nothing to draw
             path = f"{args.out_svg_prefix}_{metric}.svg"
             svgplot.emit_plot_svg(rows, metric, path)
             print(f"wrote {path}")
+    failed = [f"({r.learner}, {r.knob_value!r}, {r.seed})" for r in records if r.failed]
+    if failed:
+        raise CatebenchError(f"{len(failed)} of {len(records)} records failed with a non-finite "
+                             f"score at (learner, {config.knob}, seed): {', '.join(failed)}")
     return 0
 
 

@@ -7,7 +7,10 @@ propensities and driver indices are all known. Ground truth travels in a
 sealed sidecar of the dataset: model fitting only ever sees (X, W, Y).
 A saved dataset is three files, all written and read through ``tables``:
 the observed table, the truth table, and a JSON sidecar that only
-``load_meta`` reads. ``train_test_split`` draws its partition through
+``load_meta`` reads. One function, ``_check_design``, decides whether index
+sets, weights and a propensity spec fit d features; ``generate_dataset``,
+``propensity_scores`` and ``load_meta`` all call it, so every dataset the
+generator accepts reads back. ``train_test_split`` draws its partition through
 ``nn.holdout_split``, the package's one seeded split.
 
 Because assignment and outcomes are simulated, the usual identifying
@@ -373,9 +376,10 @@ def propensity_scores(
 ) -> tuple[np.ndarray, ZScoreStats]:
     """Assignment probabilities for query units, z-scored on training units."""
     x_query = np.atleast_2d(np.asarray(x_query, dtype=float))
+    x_train = np.atleast_2d(np.asarray(x_train, dtype=float))
+    _check_design(sets, model, spec, min(x_train.shape[1], x_query.shape[1]))
     if spec.kind == UNIFORM:
         return np.full(x_query.shape[0], 0.5), ZScoreStats(0.0, 1.0)
-    x_train = np.atleast_2d(np.asarray(x_train, dtype=float))
     psi_train = _psi(spec, model, sets, x_train)
     mean = float(psi_train.mean())
     std = float(psi_train.std())  # population std: deterministic, no ddof choice
@@ -393,12 +397,7 @@ def _psi(spec, model, sets, x):
     if spec.kind == PROGNOSTIC_CONFOUNDING:
         mu, _, _ = eval_components(model, sets, x)
         return mu
-    idx = int(spec.irrelevant_index)
-    if idx in set(sets.all_relevant.tolist()):
-        raise InvalidConfigError(f"irrelevant_index {idx} is a driver covariate")
-    if not 0 <= idx < x.shape[1]:
-        raise ShapeError(f"irrelevant_index {idx} out of range for d={x.shape[1]}")
-    return x[:, idx]
+    return x[:, spec.irrelevant_index]
 
 
 def pick_irrelevant_index(d: int, sets: FeatureIndexSets, rng: np.random.Generator) -> int:
@@ -422,9 +421,7 @@ def generate_dataset(
 ) -> SemiSyntheticDataset:
     """Simulate assignments and outcomes over the given covariates."""
     _check_sigma(sigma)
-    _check_weights(sets, model)
-    if int(sets.all_relevant.max()) >= covariates.d:
-        raise ShapeError("driver index exceeds covariate dimension")
+    _check_design(sets, model, spec, covariates.d)
     x = covariates.x
     mu, f0, f1 = eval_components(model, sets, x)
     y0 = mu + model.omega_pred * f0
@@ -444,27 +441,27 @@ def _check_sigma(sigma: float) -> None:
         raise InvalidConfigError(f"noise sigma must be finite and >= 0, got {sigma}")
 
 
-def _check_weights(sets: FeatureIndexSets, model: OutcomeModel) -> None:
-    """InvalidConfigError unless each alpha_* has one entry per index of its set."""
+def _check_design(
+    sets: FeatureIndexSets, model: OutcomeModel, spec: PropensitySpec, d: int
+) -> None:
+    """InvalidConfigError unless the design fits ``d`` features: the one design rule.
+
+    Every driver index lies in range(d), each alpha_* has one entry per index
+    of its set, and ``spec.irrelevant_index`` is None or a plain int in
+    range(d) outside every driver set, whatever the propensity kind.
+    """
+    for key, idx in (("i_prog", sets.prognostic), ("i_0", sets.predictive_0),
+                     ("i_1", sets.predictive_1)):
+        outside = idx[(idx < 0) | (idx >= d)]
+        if outside.size:
+            raise InvalidConfigError(f"{key} holds index {outside[0]}, outside the {d} features")
     for name in ("alpha_prog", "alpha_0", "alpha_1"):
         shape = getattr(model, name).shape
         if shape != sets.prognostic.shape:  # the three sets have equal sizes
             raise InvalidConfigError(
                 f"{name} has shape {shape}, but its index set has {len(sets.prognostic)} entries"
             )
-
-
-def _check_indices(sets: FeatureIndexSets, d: int) -> None:
-    """InvalidConfigError naming the sidecar key of an index outside range(d)."""
-    for key, idx in (("i_prog", sets.prognostic), ("i_0", sets.predictive_0),
-                     ("i_1", sets.predictive_1)):
-        outside = idx[(idx < 0) | (idx >= d)]
-        if outside.size:
-            raise InvalidConfigError(f"{key} holds index {outside[0]}, outside the {d} features")
-
-
-def _check_irrelevant_index(idx, sets: FeatureIndexSets, d: int) -> None:
-    """InvalidConfigError unless ``idx`` is None or an int in range(d) outside every driver set."""
+    idx = spec.irrelevant_index
     if idx is not None and (type(idx) is not int or not 0 <= idx < d or idx in sets.all_relevant):
         raise InvalidConfigError(
             f"irrelevant_index {idx!r} is not one of the {d} features outside the driver sets"
@@ -563,10 +560,8 @@ def load_meta(
 ) -> tuple[list[str], FeatureIndexSets, OutcomeModel, PropensitySpec, float]:
     """Read the JSON sidecar: (feature names, index sets, outcome model, propensity, sigma).
 
-    A missing key, a value that the constructors (or ``generate_dataset``,
-    for sigma and the weights' lengths) would reject, an index set entry
-    outside ``feature_names``, or an ``irrelevant_index`` that is neither
-    null nor an integer feature index outside every driver set raises
+    A missing key, or a value that the constructors or ``generate_dataset``'s
+    checks reject (``_check_design`` over ``feature_names``), raises
     ``ParseError`` naming the file.
     """
     meta = tables.read_json(meta_path)
@@ -574,14 +569,12 @@ def load_meta(
         prop = meta["propensity"]
         _check_sigma(meta["sigma"])
         sets = FeatureIndexSets(meta["i_prog"], meta["i_0"], meta["i_1"])
-        _check_indices(sets, len(meta["feature_names"]))
         model = OutcomeModel(
             meta["alpha_prog"], meta["alpha_0"], meta["alpha_1"],
             meta["nonlinearity"], meta["omega_nl"], meta["omega_pred"],
         )
-        _check_weights(sets, model)
         spec = PropensitySpec(prop["kind"], prop["omega_pi"], prop["irrelevant_index"])
-        _check_irrelevant_index(spec.irrelevant_index, sets, len(meta["feature_names"]))
+        _check_design(sets, model, spec, len(meta["feature_names"]))
         return meta["feature_names"], sets, model, spec, meta["sigma"]
     except KeyError as err:
         raise ParseError(f"{meta_path}: missing key {err}") from None

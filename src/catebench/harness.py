@@ -13,8 +13,9 @@ when one of them is configured: T's record is its two arms, and
 Sweeps run the grid x seeds product, optionally across processes; results
 are keyed records, so collection order never matters. A learner that
 fails on its data (``NumericError``, ``EmptyGroupError``), or whose shared
-first stage did, yields a flagged NaN record; any other error propagates
-and stops the run. The result table has one column per ``ResultRecord``
+first stage did, yields a flagged NaN record (``ResultRecord.failed``,
+counted in ``AggregateRow.n_failed``); any other error propagates and
+stops the run. The result table has one column per ``ResultRecord``
 field and is written and read through ``tables``.
 """
 
@@ -102,6 +103,8 @@ class ExperimentConfig:
             raise InvalidConfigError(f"unknown propensity kind {self.propensity_kind!r}")
         if not self.knob_grid:
             raise InvalidConfigError("knob grid must be nonempty")
+        if not self.learners:
+            raise InvalidConfigError("learner list must be nonempty")
         if self.seeds < 1:
             raise InvalidConfigError("seeds must be >= 1")
         if not all(0.0 <= v < float("inf") for v in self.knob_grid):  # NaN included
@@ -118,6 +121,13 @@ class ExperimentConfig:
             raise InvalidConfigError("nonlinearity values must lie in [0, 1]")
         if not 0.0 <= self.omega_nl <= 1.0:
             raise InvalidConfigError("omega_nl must lie in [0, 1]")
+        if driver_set_size(self.synth_d) < 1:
+            raise InvalidConfigError(
+                f"synth_d must give each driver set floor(0.2 * d) >= 1 covariates, "
+                f"got {self.synth_d}"
+            )
+        if not 0.0 <= self.synth_rho < 1.0:  # NaN included
+            raise InvalidConfigError(f"synth_rho must lie in [0, 1), got {self.synth_rho}")
         if self.attribution_method not in attribution.METHODS:
             raise InvalidConfigError(f"unknown attribution method {self.attribution_method!r}")
         attribution.check_row_cap(self.attribution_cap)
@@ -182,6 +192,11 @@ class ResultRecord:
     def key(self):
         return (self.knob_value, self.seed, self.learner)
 
+    @property
+    def failed(self) -> bool:
+        """True when any score is non-finite: the learner failed or its attributions were all 0."""
+        return not np.isfinite((self.attr_pred, self.attr_prog, self.pehe)).all()
+
 
 CSV_COLUMNS = tuple(f.name for f in fields(ResultRecord))  # the result table, in field order
 
@@ -197,6 +212,11 @@ def _cell_covariates(config: ExperimentConfig, seed: int, knob_bits: int) -> dgp
     )
 
 
+def driver_set_size(d: int) -> int:
+    """Covariates per driver index set over d covariates: floor(0.2 * d)."""
+    return int(np.floor(0.2 * d))
+
+
 def fixed_knob_value(config: ExperimentConfig) -> float:
     """The config's standing value for its own knob (used outside sweeps)."""
     return getattr(config, KNOB_FIELDS[config.knob])
@@ -210,7 +230,7 @@ def build_dataset(
     cell = replace(config, **{KNOB_FIELDS[config.knob]: knob_value})  # the knob set to its value
     covariates = _cell_covariates(config, seed, knob_bits)
     d = covariates.d
-    n_i = int(np.floor(0.2 * d))  # covariates per index set
+    n_i = driver_set_size(d)
     sets = dgp.sample_feature_sets(d, n_i, stream(seed, knob_bits, _S_SETS))
     model = dgp.sample_outcome_model(
         n_i, cell.omega_nl, cell.omega_pred, stream(seed, knob_bits, _S_MODEL)
@@ -364,6 +384,7 @@ class AggregateRow:
     learner: str
     knob_value: float
     n_seeds: int
+    n_failed: int  # records with a non-finite score (``ResultRecord.failed``)
     attr_pred_mean: float
     attr_pred_se: float
     attr_prog_mean: float
@@ -392,7 +413,8 @@ def aggregate(records: list[ResultRecord]) -> list[AggregateRow]:
         pe = np.array([r.pehe for r in sub])
         rows.append(
             AggregateRow(
-                learner, value, len(sub), *_mean_se(ap), *_mean_se(ag), *_mean_se(pe)
+                learner, value, len(sub), sum(r.failed for r in sub),
+                *_mean_se(ap), *_mean_se(ag), *_mean_se(pe),
             )
         )
     return rows

@@ -87,7 +87,7 @@ STRATEGY_CFRNET = "cfrnet"
 STRATEGY_DR = "dr"
 STRATEGY_X = "x"
 
-DEFAULT_CLIP = 0.01
+PROPENSITY_CLIP = 0.01  # DR pseudo-outcomes clip propensities to [c, 1 - c]
 
 
 def _check_groups(w: np.ndarray) -> None:
@@ -370,13 +370,11 @@ def fit_tarnet(
     return TarnetEstimator(trunk_w, trunk_b, heads[0], heads[1], float(gamma))
 
 
-def dr_pseudo_outcome(y, w, pi_hat, mu0_hat, mu1_hat, clip: float = DEFAULT_CLIP):
+def dr_pseudo_outcome(y, w, pi_hat, mu0_hat, mu1_hat):
     """AIPW-style effect surrogate; unbiased when either model is right."""
-    if not 0.0 < clip < 0.5:
-        raise InvalidConfigError("clip must lie in (0, 0.5)")
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
-    p = np.clip(np.asarray(pi_hat, dtype=float), clip, 1.0 - clip)
+    p = np.clip(np.asarray(pi_hat, dtype=float), PROPENSITY_CLIP, 1.0 - PROPENSITY_CLIP)
     mu0 = np.asarray(mu0_hat, dtype=float)
     mu1 = np.asarray(mu1_hat, dtype=float)
     value = (

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import catebench
+import catebench.metrics
 from catebench.cli import main
-from catebench.dgp import load_observed
+from catebench.dgp import PROPENSITY_KINDS, load_observed
+from catebench.errors import UndefinedMetricError
 from catebench.learners import (
     fit_dr_learner,
     fit_nuisances,
@@ -74,8 +76,9 @@ class TestGenerate:
 
 
 class TestPipeline:
-    def test_generate_fit_attribute_evaluate(self, workdir, capsys):
-        cfg = write_config(workdir / "cfg.json")
+    @pytest.mark.parametrize("kind", PROPENSITY_KINDS)
+    def test_generate_fit_attribute_evaluate(self, workdir, capsys, kind):
+        cfg = write_config(workdir / "cfg.json", propensity_kind=kind, omega_pi=1.0)
         assert main(["generate", "--config", str(cfg), "--seed", "1"]) == 0
         assert main([
             "fit", "--data", "data.csv", "--learner", "t",
@@ -151,6 +154,32 @@ class TestExperiment:
         assert main(["plot", "--results", "results.csv", "--metric", "pehe",
                      "--out", "pehe.svg"]) == 0
         assert (workdir / "pehe.svg").read_text().startswith("<svg")
+
+    def test_failed_records_exit_2_after_writing_outputs(self, workdir, capsys):
+        # Three units cannot fill both treatment groups: every learner fails on its data.
+        cfg = write_config(workdir / "cfg.json", synth_n=3, learners=["s", "t"], knob_grid=[1.0])
+        assert main(["experiment", "--config", str(cfg), "--workers", "1",
+                     "--out-svg-prefix", "plot"]) == 2
+        lines = (workdir / "results.csv").read_text().strip().split("\n")
+        assert len(lines) == 1 + 2
+        assert not list(workdir.glob("plot_*.svg"))  # no metric has a finite value
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("runtime error: ")] == [
+            "runtime error: 2 of 2 records failed with a non-finite score at "
+            "(learner, predictive_scale, seed): (s, 1.0, 0), (t, 1.0, 0)"
+        ]
+
+    def test_charts_drawn_for_metrics_with_a_finite_value(self, workdir, capsys, monkeypatch):
+        def undefined(*args):
+            raise UndefinedMetricError("every attribution row is zero")
+
+        monkeypatch.setattr(catebench.metrics, "attr_pred", undefined)
+        cfg = write_config(workdir / "cfg.json", knob_grid=[1.0])
+        assert main(["experiment", "--config", str(cfg), "--workers", "1",
+                     "--out-svg-prefix", "plot"]) == 2
+        # All-zero attributions leave both attribution shares undefined; the RMSE is finite.
+        assert [p.name for p in workdir.glob("plot_*.svg")] == ["plot_pehe.svg"]
+        assert "(t, 1.0, 0)" in capsys.readouterr().err
 
     def test_preset_and_config_conflict(self, workdir, capsys):
         cfg = write_config(workdir / "cfg.json")
@@ -331,6 +360,10 @@ class TestRejectedSettings:
             ({"train": {"val_fraction": 0.3}}, "unknown config key 'train.val_fraction'"),
             ({"ig_steps": 50}, "unknown config key 'ig_steps'"),
             ({"shapley_permutations": 0}, "unknown config key 'shapley_permutations'"),
+            ({"synth_d": 4}, "synth_d must give each driver set floor(0.2 * d) >= 1 covariates"),
+            ({"synth_rho": 1.0}, "synth_rho must lie in [0, 1), got 1.0"),
+            ({"synth_rho": -0.5}, "synth_rho must lie in [0, 1), got -0.5"),
+            ({"learners": []}, "learner list must be nonempty"),
         ],
     )
     def test_bad_config_value_exits_1(self, workdir, capsys, value, message):

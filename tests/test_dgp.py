@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from catebench.dgp import (
     NONLINEARITY_NAMES,
     PREDICTIVE_CONFOUNDING,
     PROGNOSTIC_CONFOUNDING,
+    PROPENSITY_KINDS,
     UNIFORM,
     FeatureIndexSets,
     ObservedData,
@@ -288,6 +291,15 @@ class TestPropensityScores:
         with pytest.raises(InvalidConfigError):
             propensity_scores(spec, model, sets, cov.x, cov.x)
 
+    def test_design_must_fit_training_and_query_widths(self):
+        x = stream(15).normal(size=(50, 8))
+        model = _model([0.5, 0.5], [0.5, 0.5], [0.5, 0.5])
+        spec = PropensitySpec(NONCONFOUNDED, 1.0, irrelevant_index=7)
+        message = "irrelevant_index 7 is not one of the 7 features outside the driver sets"
+        for x_train, x_query in ((x[:, :7], x), (x, x[:, :7])):
+            with pytest.raises(InvalidConfigError, match=message):
+                propensity_scores(spec, model, _SETS, x_train, x_query)
+
     def test_zscore_stats_reject_zero_std(self):
         with pytest.raises(NormalizationError):
             ZScoreStats(0.0, 0.0)
@@ -386,6 +398,54 @@ class TestGenerateDataset:
             generate_dataset(cov, sets, short, PropensitySpec(UNIFORM), 0.1, stream(3))
 
 
+# Designs the sidecar reader rejects, as (index sets, irrelevant index) over a valid
+# 10-feature design; the generator must reject each with the reader's message.
+_SETS = _sets([0, 1], [2, 3], [4, 5])
+_OUTSIDE = " is not one of the 10 features outside the driver sets"
+_MALFORMED_DESIGNS = {
+    "i_1 -1": (_sets([0, 1], [2, 3], [4, -1]), None, "i_1 holds index -1, outside the 10 features"),
+    "i_1 d": (_sets([0, 1], [2, 3], [4, 10]), None, "i_1 holds index 10, outside the 10 features"),
+    "irrelevant 99": (_SETS, 99, "irrelevant_index 99" + _OUTSIDE),
+    "irrelevant driver": (_SETS, 2, "irrelevant_index 2" + _OUTSIDE),
+    "irrelevant True": (_SETS, True, "irrelevant_index True" + _OUTSIDE),
+    "irrelevant np.int64": (_SETS, np.int64(7), f"irrelevant_index {np.int64(7)!r}" + _OUTSIDE),
+}
+
+
+class TestOneDesignRule:
+    """``generate_dataset``, ``propensity_scores`` and ``load_meta`` reject the same designs."""
+
+    @pytest.mark.parametrize("kind", PROPENSITY_KINDS)
+    @pytest.mark.parametrize("case", list(_MALFORMED_DESIGNS))
+    def test_generator_rejects_what_the_reader_rejects(self, tmp_path, case, kind):
+        sets, irrelevant, message = _MALFORMED_DESIGNS[case]
+        if irrelevant is None and kind == NONCONFOUNDED:
+            irrelevant = 8  # valid, so only the index sets are at fault
+        spec = PropensitySpec(kind, 1.0, irrelevant)
+        cov = synth_covariates(20, 10, rng=stream(0))
+        model = sample_outcome_model(2, 0.0, 1.0, stream(2))
+        with pytest.raises(InvalidConfigError) as generated:
+            generate_dataset(cov, sets, model, spec, 0.1, stream(3))
+        assert str(generated.value) == message
+        with pytest.raises(InvalidConfigError) as scored:
+            propensity_scores(spec, model, sets, cov.x, cov.x)
+        assert str(scored.value) == message
+        if type(spec.irrelevant_index) is np.int64:
+            return  # JSON has no numpy integers; the reader sees a plain int
+        # The same design written into a valid sidecar fails to load with that message.
+        valid = PropensitySpec(kind, 1.0, 8 if kind == NONCONFOUNDED else None)
+        ds = generate_dataset(cov, _SETS, model, valid, 0.1, stream(3))
+        paths = [tmp_path / n for n in ("data.csv", "truth.csv", "meta.json")]
+        save_dataset(ds, *paths)
+        meta = json.loads(paths[2].read_text())
+        meta["i_1"] = sets.predictive_1.tolist()
+        meta["propensity"]["irrelevant_index"] = spec.irrelevant_index
+        paths[2].write_text(json.dumps(meta))
+        with pytest.raises(ParseError) as read:
+            load_dataset(*paths)
+        assert str(read.value) == f"{paths[2]}: malformed sidecar: {message}"
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 class TestNonfiniteScalesRejected:
     def test_omega_pred(self, value):
@@ -459,11 +519,13 @@ class TestTrainTestSplit:
 
 
 class TestPersistence:
-    def test_round_trip_bit_exact(self, tmp_path):
+    @pytest.mark.parametrize("kind", PROPENSITY_KINDS)
+    def test_round_trip_bit_exact(self, tmp_path, kind):
         cov = synth_covariates(30, 8, rng=stream(29))
         sets = sample_feature_sets(8, 2, stream(30))
         model = sample_outcome_model(2, 0.25, 0.5, stream(31))
-        spec = PropensitySpec(PREDICTIVE_CONFOUNDING, 1.0)
+        irrelevant = pick_irrelevant_index(8, sets, stream(33)) if kind == NONCONFOUNDED else None
+        spec = PropensitySpec(kind, 1.0, irrelevant)
         ds = generate_dataset(cov, sets, model, spec, 0.1, stream(32))
         paths = [tmp_path / n for n in ("data.csv", "truth.csv", "meta.json")]
         save_dataset(ds, *paths)

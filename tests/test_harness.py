@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,8 @@ class TestExperimentConfig:
             tiny_config(knob="nonlinearity_scale", knob_grid=(0.0, 2.0))
         with pytest.raises(InvalidConfigError):
             tiny_config(learners=("qlearner",))
+        with pytest.raises(InvalidConfigError, match="learner list must be nonempty"):
+            tiny_config(learners=())
         with pytest.raises(InvalidConfigError):
             ExperimentConfig.from_dict({"bogus_field": 1})
 
@@ -105,6 +108,19 @@ class TestExperimentConfig:
     def test_unknown_names_rejected_when_built(self, field, message):
         with pytest.raises(InvalidConfigError, match=message):
             tiny_config(**{field: "bogus"})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("synth_d", 4, "synth_d must give each driver set floor(0.2 * d) >= 1 covariates, got 4"),
+         ("synth_d", 0, "synth_d must give each driver set floor(0.2 * d) >= 1 covariates, got 0"),
+         ("synth_rho", 1.0, "synth_rho must lie in [0, 1), got 1.0"),
+         ("synth_rho", -0.1, "synth_rho must lie in [0, 1), got -0.1"),
+         ("synth_rho", float("nan"), "synth_rho must lie in [0, 1), got nan")],
+    )
+    def test_synthetic_covariate_settings_rejected_when_built(self, field, value, message):
+        with pytest.raises(InvalidConfigError, match=re.escape(message)):
+            tiny_config(**{field: value})
+        assert tiny_config(synth_d=5, synth_rho=0.0).synth_d == 5  # floor(0.2 * 5) = 1
 
     def test_cell_follows_the_fixed_fractions(self):
         train, test = build_cell_dataset(tiny_config(synth_d=15), 1.0, 0)
@@ -361,6 +377,16 @@ class TestRunExperiment:
         [row] = aggregate(recs)
         assert row.attr_pred_mean == pytest.approx(0.4)
         assert row.n_seeds == 2
+        assert row.n_failed == 1
+
+    def test_aggregate_counts_records_with_any_nonfinite_score(self):
+        nan = float("nan")
+        scores = [(0.4, 0.1, 2.0), (nan, 0.1, 2.0), (0.4, nan, 2.0), (0.4, 0.1, float("inf")),
+                  (nan, nan, nan)]
+        recs = [ResultRecord("d", "t", "m", "k", 1.0, s, *v, 0.0) for s, v in enumerate(scores)]
+        assert [r.failed for r in recs] == [False, True, True, True, True]
+        [row] = aggregate(recs)
+        assert (row.n_seeds, row.n_failed) == (5, 4)
 
 
 class TestCsv:

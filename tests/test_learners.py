@@ -327,7 +327,7 @@ class TestDrPseudoOutcome:
         assert dr_pseudo_outcome(1.0, 0, 0.5, 1.0, 2.0) == pytest.approx(1.0)
 
     def test_clip_applies(self):
-        wild = dr_pseudo_outcome(1.0, 1, 1e-9, 0.0, 0.0, clip=0.01)
+        wild = dr_pseudo_outcome(1.0, 1, 1e-9, 0.0, 0.0)
         assert wild == pytest.approx(1.0 / 0.01)
 
     def test_mean_matches_ate_with_oracle_pi_and_wrong_mu(self):
@@ -345,10 +345,6 @@ class TestDrPseudoOutcome:
         ate = np.mean(y1 - y0)
         sem = pseudo.std(ddof=1) / np.sqrt(n)
         assert abs(pseudo.mean() - ate) <= 3 * sem
-
-    def test_bad_clip_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            dr_pseudo_outcome(1.0, 1, 0.5, 0.0, 0.0, clip=0.7)
 
 
 class TestDrLearner:

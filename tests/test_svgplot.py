@@ -6,7 +6,7 @@ from catebench.svgplot import emit_plot_svg
 
 
 def row(learner, value, mean, se=0.05):
-    return AggregateRow(learner, value, 5, mean, se, 0.1, 0.01, 1.0, 0.1)
+    return AggregateRow(learner, value, 5, 0, mean, se, 0.1, 0.01, 1.0, 0.1)
 
 
 class TestEmitPlotSvg:
