@@ -4,9 +4,9 @@ Subcommands: generate, fit, attribute, evaluate, experiment, plot. Each
 reads a JSON config file (where applicable) plus flag overrides. Exit
 codes: 0 success, 1 configuration/usage error (a malformed config file
 included), 2 runtime error (a malformed input file included, and an
-``experiment`` with any record whose score is non-finite, after it has
-written its outputs). Every file is read and written through ``tables``,
-which names a malformed one.
+``experiment`` or ``plot`` with any record whose score is non-finite,
+after it has written its outputs). Every file is read and written through
+``tables``, which names a malformed one.
 ``fit`` hands its learner label to ``learners.fit_learner``.
 """
 
@@ -184,7 +184,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    from . import harness, svgplot
+    from . import harness
 
     if args.preset and args.config:
         raise InvalidConfigError("give either --preset or --config, not both")
@@ -196,28 +196,29 @@ def _cmd_experiment(args) -> int:
     records = harness.run_experiment(config, workers=args.workers)
     harness.emit_csv(records, args.out_csv, include_timing=args.timing)
     print(f"wrote {args.out_csv} ({len(records)} records)")
-    if args.out_svg_prefix:
-        rows = harness.aggregate(records)
-        for metric, (mean_field, _, _) in sorted(metrics.METRIC_FIELDS.items()):
-            if not any(math.isfinite(getattr(r, mean_field)) for r in rows):
-                continue  # every record failed on this metric: nothing to draw
-            path = f"{args.out_svg_prefix}_{metric}.svg"
+    drawn = sorted(metrics.METRIC_FIELDS) if args.out_svg_prefix else []
+    return _plot_and_check(records, [(m, f"{args.out_svg_prefix}_{m}.svg") for m in drawn])
+
+
+def _cmd_plot(args) -> int:
+    from . import harness
+
+    return _plot_and_check(harness.load_results(args.results), [(args.metric, args.out)])
+
+
+def _plot_and_check(records, charts) -> int:
+    """Draw each (metric, path) chart with a finite value, then raise if any record failed."""
+    from . import harness, svgplot
+
+    rows = harness.aggregate(records)
+    for metric, path in charts:
+        if any(math.isfinite(getattr(r, metrics.METRIC_FIELDS[metric][0])) for r in rows):
             svgplot.emit_plot_svg(rows, metric, path)
             print(f"wrote {path}")
     failed = [f"({r.learner}, {r.knob_value!r}, {r.seed})" for r in records if r.failed]
     if failed:
         raise CatebenchError(f"{len(failed)} of {len(records)} records failed with a non-finite "
-                             f"score at (learner, {config.knob}, seed): {', '.join(failed)}")
-    return 0
-
-
-def _cmd_plot(args) -> int:
-    from . import harness, svgplot
-
-    records = harness.load_results(args.results)
-    rows = harness.aggregate(records)
-    svgplot.emit_plot_svg(rows, args.metric, args.out)
-    print(f"wrote {args.out}")
+                             f"score at (learner, {records[0].knob}, seed): {', '.join(failed)}")
     return 0
 
 

@@ -287,8 +287,6 @@ def synth_covariates(
     """Zero-mean unit-variance Gaussians with constant pairwise correlation."""
     if rng is None:
         raise InvalidConfigError("synth_covariates requires a seeded generator")
-    if d < 4:
-        raise InvalidConfigError("need d >= 4")
     rho = float(pairwise_correlation)
     if not 0.0 <= rho < 1.0:
         raise InvalidConfigError("pairwise_correlation must lie in [0, 1)")

@@ -11,9 +11,10 @@ stream and the cell's propensity stream), fitted at most once and only
 when one of them is configured: T's record is its two arms, and
 ``learners.fit_learner`` fits every other label, DR and X on that stage.
 Sweeps run the grid x seeds product, optionally across processes; results
-are keyed records, so collection order never matters. A learner that
-fails on its data (``NumericError``, ``EmptyGroupError``), or whose shared
-first stage did, yields a flagged NaN record (``ResultRecord.failed``,
+are keyed records, so collection order never matters. One handler in
+``run_cell`` turns a data failure of a learner or of its shared first
+stage (``NumericError``, ``EmptyGroupError``, or the ``UndefinedMetricError``
+of all-zero attributions) into a flagged NaN record (``ResultRecord.failed``,
 counted in ``AggregateRow.n_failed``); any other error propagates and
 stops the run. The result table has one column per ``ResultRecord``
 field and is written and read through ``tables``.
@@ -121,11 +122,7 @@ class ExperimentConfig:
             raise InvalidConfigError("nonlinearity values must lie in [0, 1]")
         if not 0.0 <= self.omega_nl <= 1.0:
             raise InvalidConfigError("omega_nl must lie in [0, 1]")
-        if driver_set_size(self.synth_d) < 1:
-            raise InvalidConfigError(
-                f"synth_d must give each driver set floor(0.2 * d) >= 1 covariates, "
-                f"got {self.synth_d}"
-            )
+        _check_width(self.synth_d, "synth_d")
         if not 0.0 <= self.synth_rho < 1.0:  # NaN included
             raise InvalidConfigError(f"synth_rho must lie in [0, 1), got {self.synth_rho}")
         if self.attribution_method not in attribution.METHODS:
@@ -203,7 +200,9 @@ CSV_COLUMNS = tuple(f.name for f in fields(ResultRecord))  # the result table, i
 
 def _cell_covariates(config: ExperimentConfig, seed: int, knob_bits: int) -> dgp.CovariateMatrix:
     if config.covariates_csv is not None:
-        return dgp.load_covariates_csv(config.covariates_csv, config.covariates_normalize)
+        covariates = dgp.load_covariates_csv(config.covariates_csv, config.covariates_normalize)
+        _check_width(covariates.d, f"covariates_csv {config.covariates_csv}")
+        return covariates
     return dgp.synth_covariates(
         config.synth_n,
         config.synth_d,
@@ -215,6 +214,14 @@ def _cell_covariates(config: ExperimentConfig, seed: int, knob_bits: int) -> dgp
 def driver_set_size(d: int) -> int:
     """Covariates per driver index set over d covariates: floor(0.2 * d)."""
     return int(np.floor(0.2 * d))
+
+
+def _check_width(d: int, source: str) -> None:
+    """Reject a covariate count ``d``, named by ``source``, that leaves a driver set empty."""
+    if driver_set_size(d) < 1:
+        raise InvalidConfigError(
+            f"{source} must give each driver set floor(0.2 * d) >= 1 covariates, got {d}"
+        )
 
 
 def fixed_knob_value(config: ExperimentConfig) -> float:
@@ -297,13 +304,9 @@ def run_cell(config: ExperimentConfig, knob_value: float, seed: int) -> list[Res
                 config.attribution_method, est, test.covariates.x,
                 max_rows=config.attribution_cap, seed=attribution_seed,
             )
-            try:
-                a_pred = metrics.attr_pred(mat, truth.sets.predictive)
-                a_prog = metrics.attr_prog(mat, truth.sets.prognostic)
-            except UndefinedMetricError:
-                log.warning("all-zero attributions for %s at %s=%s seed %s",
-                            entry, config.knob, knob_value, seed)
-        except (NumericError, EmptyGroupError) as err:  # a data failure: flagged NaN record
+            a_pred = metrics.attr_pred(mat, truth.sets.predictive)
+            a_prog = metrics.attr_prog(mat, truth.sets.prognostic)
+        except (NumericError, EmptyGroupError, UndefinedMetricError) as err:  # flagged NaN record
             log.warning("learner %s failed at %s=%s seed %s: %s",
                         entry, config.knob, knob_value, seed, err, exc_info=True)
         wall_ms = (time.perf_counter() - started) * 1e3
@@ -324,11 +327,6 @@ def run_cell(config: ExperimentConfig, knob_value: float, seed: int) -> list[Res
     return records
 
 
-def _run_cell_task(args):
-    config, knob_value, seed = args
-    return run_cell(config, knob_value, seed)
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity set where the OS reports one."""
     if hasattr(os, "sched_getaffinity"):
@@ -336,41 +334,27 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _workers_from_env() -> int:
-    """``CATEBENCH_WORKERS`` if set, else the usable CPU count."""
-    text = os.environ.get("CATEBENCH_WORKERS")
-    if text is None:
-        return _usable_cpus()
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0  # reported below, like any value under 1
-    if workers < 1:
-        raise InvalidConfigError(f"CATEBENCH_WORKERS must be a positive integer, got {text!r}")
-    return workers
-
-
 def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list[ResultRecord]:
     """Execute grid x seeds; deterministic record order regardless of schedule.
 
-    ``workers`` defaults to ``CATEBENCH_WORKERS``, else one per usable CPU;
-    either must be a positive integer. BLAS runs on one thread in every
-    worker (see the package docstring), so the pool is the only parallelism
-    and records are the same bytes for every worker count.
+    ``workers`` defaults to one per usable CPU and must be a positive
+    integer. BLAS runs on one thread in every worker (see the package
+    docstring), so the pool is the only parallelism and records are the
+    same bytes for every worker count.
     """
     cells = [(config, v, s) for v in config.knob_grid for s in range(config.seeds)]
     if workers is None:
-        workers = _workers_from_env()
+        workers = _usable_cpus()
     if workers < 1:
         raise InvalidConfigError(f"workers must be >= 1, got {workers}")
     workers = min(workers, len(cells))
     results: list[ResultRecord] = []
     if workers == 1:
         for cell in cells:
-            results.extend(_run_cell_task(cell))
+            results.extend(run_cell(*cell))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for recs in pool.map(_run_cell_task, cells):
+            for recs in pool.map(run_cell, *zip(*cells)):
                 results.extend(recs)
     results.sort(key=lambda r: r.key)
     return results

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import os
@@ -13,6 +14,7 @@ import catebench.metrics
 from catebench.cli import main
 from catebench.dgp import PROPENSITY_KINDS, load_observed
 from catebench.errors import UndefinedMetricError
+from catebench.harness import ResultRecord, emit_csv
 from catebench.learners import (
     fit_dr_learner,
     fit_nuisances,
@@ -154,6 +156,31 @@ class TestExperiment:
         assert main(["plot", "--results", "results.csv", "--metric", "pehe",
                      "--out", "pehe.svg"]) == 0
         assert (workdir / "pehe.svg").read_text().startswith("<svg")
+
+    def test_plot_of_failed_records_exits_2(self, workdir, capsys):
+        # Three units cannot fill both treatment groups: every learner fails on its data.
+        cfg = write_config(workdir / "cfg.json", synth_n=3, learners=["s", "t"], knob_grid=[1.0])
+        assert main(["experiment", "--config", str(cfg), "--workers", "1"]) == 2
+        capsys.readouterr()
+        assert main(["plot", "--results", "results.csv", "--out", "p.svg"]) == 2
+        assert not (workdir / "p.svg").exists()  # no record has a finite attr_pred
+        assert capsys.readouterr().err == (
+            "runtime error: 2 of 2 records failed with a non-finite score at "
+            "(learner, predictive_scale, seed): (s, 1.0, 0), (t, 1.0, 0)\n"
+        )
+
+    def test_plot_draws_the_chart_then_names_a_failed_record(self, workdir, capsys):
+        records = [ResultRecord("synthetic", learner, "saliency", "predictive_scale", value, 0,
+                                0.5, 0.25, 1.0, 0.0)
+                   for learner in ("s", "t") for value in (0.5, 1.0)]
+        records[0] = dataclasses.replace(records[0], attr_pred=float("nan"))
+        emit_csv(records, "results.csv")
+        assert main(["plot", "--results", "results.csv", "--out", "p.svg"]) == 2
+        assert (workdir / "p.svg").read_text().startswith("<svg")
+        out, err = capsys.readouterr()
+        assert out == "wrote p.svg\n"
+        assert err == ("runtime error: 1 of 4 records failed with a non-finite score at "
+                       "(learner, predictive_scale, seed): (s, 0.5, 0)\n")
 
     def test_failed_records_exit_2_after_writing_outputs(self, workdir, capsys):
         # Three units cannot fill both treatment groups: every learner fails on its data.
@@ -384,14 +411,18 @@ class TestRejectedSettings:
         assert main(["experiment", "--config", str(cfg), "--workers", workers]) == 1
         assert capsys.readouterr().err == f"error: workers must be >= 1, got {workers}\n"
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
-    def test_bad_workers_variable_exits_1(self, workdir, capsys, monkeypatch, value):
-        cfg = write_config(workdir / "cfg.json")
-        monkeypatch.setenv("CATEBENCH_WORKERS", value)
-        assert main(["experiment", "--config", str(cfg)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: CATEBENCH_WORKERS must be a positive integer")
-        assert err.count("\n") == 1
+    @pytest.mark.parametrize("command", [["experiment", "--workers", "1"], ["generate"]],
+                             ids=["experiment", "generate"])
+    def test_covariate_csv_too_narrow_exits_1(self, workdir, capsys, command):
+        # floor(0.2 * 4) = 0: four columns leave every driver set empty.
+        (workdir / "narrow.csv").write_text("a,b,c,d\n" + "0,1,2,3\n1,0,3,2\n" * 20)
+        cfg = write_config(workdir / "cfg.json", covariates_csv="narrow.csv")
+        assert main([*command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error: covariates_csv narrow.csv must give each driver set floor(0.2 * d) >= 1 "
+            "covariates, got 4\n"
+        )
+        assert sorted(p.name for p in workdir.iterdir()) == ["cfg.json", "narrow.csv"]
 
 
 class TestBadInputFiles:

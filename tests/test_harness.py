@@ -326,24 +326,12 @@ class TestRunExperiment:
         with pytest.raises(InvalidConfigError):
             run_experiment(tiny_config(), workers=workers)
 
-    def test_workers_variable_sets_pool(self, monkeypatch):
-        import catebench.harness as harness_mod
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("CATEBENCH_WORKERS=1 must run the sweep serially")
-
-        monkeypatch.setenv("CATEBENCH_WORKERS", "1")
-        monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(harness_mod, "run_cell", lambda config, value, seed: [])
-        assert run_experiment(tiny_config(seeds=2)) == []
-
     def test_default_pool_follows_cpu_affinity(self, monkeypatch):
         import catebench.harness as harness_mod
 
         def no_pool(*args, **kwargs):
             raise AssertionError("one usable CPU must run the sweep serially")
 
-        monkeypatch.delenv("CATEBENCH_WORKERS", raising=False)
         monkeypatch.setattr(harness_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(harness_mod.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", no_pool)
