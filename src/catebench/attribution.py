@@ -12,11 +12,14 @@ and scored rows is saved and read back as a table through ``tables``.
 
 Every method evaluates its points (IG path points, Shapley coalitions,
 ablation and permutation points, saliency rows) in blocks from
-``_blocks``, so one evaluation's activations stay a few MB whatever the
-row cap, IG steps or Shapley permutations. ``attribute_batch`` makes one
-``nn.Workspace`` per call and a fitted estimator runs all of its networks
-in it, block after block, so past the first block no activation buffer is
-allocated; the workspace goes when the call returns.
+``_blocks`` of at most ``_BLOCK_POINTS`` = 512 points, so one
+evaluation's 100-unit activations are 0.4 MB each, small enough for a
+core's L2 cache, whatever the row cap, IG steps or Shapley permutations.
+``attribute_batch`` makes one ``nn.Workspace`` per call and a fitted
+estimator runs all of its networks in it, block after block, so past the
+first block no activation buffer is allocated; the workspace goes when
+the call returns. Scores depend on the block size in their last bits (a
+matrix product may round a row by the height of its block).
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ SHAPLEY_EXACT = "shapley_exact"
 
 IG_STEPS = 50  # midpoints per integrated-gradients path
 _EXACT_SHAPLEY_MAX_D = 15
-_BLOCK_POINTS = 4096  # points per evaluation: 3.3 MB per 100-unit activation
+_BLOCK_POINTS = 512  # points per evaluation: 0.4 MB per 100-unit activation, L2-sized
 
 
 @dataclass

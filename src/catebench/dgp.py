@@ -112,8 +112,8 @@ class FeatureIndexSets:
         a, b, c = self.prognostic, self.predictive_0, self.predictive_1
         if not (len(a) == len(b) == len(c)):
             raise InvalidConfigError("index sets must have equal sizes")
-        union = np.concatenate([a, b, c])
-        if len(np.unique(union)) != len(union):
+        union = np.sort(np.concatenate([a, b, c]))  # np.unique would import numpy.ma
+        if (union[1:] == union[:-1]).any():
             raise InvalidConfigError("index sets must be pairwise disjoint")
 
     @property
@@ -400,7 +400,8 @@ def _psi(spec, model, sets, x):
 
 def pick_irrelevant_index(d: int, sets: FeatureIndexSets, rng: np.random.Generator) -> int:
     """A uniformly drawn covariate index outside every driver set."""
-    candidates = np.setdiff1d(np.arange(d), sets.all_relevant)
+    all_d = np.arange(d)
+    candidates = all_d[~np.isin(all_d, sets.all_relevant)]  # np.setdiff1d imports numpy.ma
     if candidates.size == 0:
         raise InvalidConfigError("no covariate left outside the driver sets")
     return int(candidates[rng.integers(candidates.size)])

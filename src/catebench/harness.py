@@ -27,6 +27,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import get_args, get_origin
 
@@ -198,11 +199,16 @@ class ResultRecord:
 CSV_COLUMNS = tuple(f.name for f in fields(ResultRecord))  # the result table, in field order
 
 
+def _read_covariates(config: ExperimentConfig) -> dgp.CovariateMatrix:
+    """The config's ``covariates_csv``, checked to be wide enough for the driver sets."""
+    covariates = dgp.load_covariates_csv(config.covariates_csv, config.covariates_normalize)
+    _check_width(covariates.d, f"covariates_csv {config.covariates_csv}")
+    return covariates
+
+
 def _cell_covariates(config: ExperimentConfig, seed: int, knob_bits: int) -> dgp.CovariateMatrix:
     if config.covariates_csv is not None:
-        covariates = dgp.load_covariates_csv(config.covariates_csv, config.covariates_normalize)
-        _check_width(covariates.d, f"covariates_csv {config.covariates_csv}")
-        return covariates
+        return _read_covariates(config)
     return dgp.synth_covariates(
         config.synth_n,
         config.synth_d,
@@ -230,12 +236,20 @@ def fixed_knob_value(config: ExperimentConfig) -> float:
 
 
 def build_dataset(
-    config: ExperimentConfig, knob_value: float, seed: int
+    config: ExperimentConfig,
+    knob_value: float,
+    seed: int,
+    covariates: dgp.CovariateMatrix | None = None,
 ) -> dgp.SemiSyntheticDataset:
-    """One cell's full dataset before splitting."""
+    """One cell's full dataset before splitting.
+
+    ``covariates``, when given, is the matrix already read from the
+    config's ``covariates_csv``; otherwise the cell reads or simulates it.
+    """
     knob_bits = float_key(knob_value)
     cell = replace(config, **{KNOB_FIELDS[config.knob]: knob_value})  # the knob set to its value
-    covariates = _cell_covariates(config, seed, knob_bits)
+    if covariates is None:
+        covariates = _cell_covariates(config, seed, knob_bits)
     d = covariates.d
     n_i = driver_set_size(d)
     sets = dgp.sample_feature_sets(d, n_i, stream(seed, knob_bits, _S_SETS))
@@ -251,22 +265,33 @@ def build_dataset(
     )
 
 
-def build_cell_dataset(config: ExperimentConfig, knob_value: float, seed: int):
+def build_cell_dataset(
+    config: ExperimentConfig,
+    knob_value: float,
+    seed: int,
+    covariates: dgp.CovariateMatrix | None = None,
+):
     """Dataset and split for one cell; shared by every learner in it."""
-    ds = build_dataset(config, knob_value, seed)
+    ds = build_dataset(config, knob_value, seed, covariates)
     knob_bits = float_key(knob_value)
     return dgp.train_test_split(ds, TEST_FRACTION, stream(seed, knob_bits, _S_SPLIT))
 
 
-def run_cell(config: ExperimentConfig, knob_value: float, seed: int) -> list[ResultRecord]:
+def run_cell(
+    config: ExperimentConfig,
+    knob_value: float,
+    seed: int,
+    covariates: dgp.CovariateMatrix | None = None,
+) -> list[ResultRecord]:
     """Fit, attribute and score every configured learner on one cell.
 
     T, DR and X share one first stage; the first of them in the learner
     list fits it, and its ``wall_ms`` includes that fit. A data failure of
     that fit is kept and raised to each of them, so it is not rerun.
+    ``covariates`` is as in ``build_dataset``.
     """
     knob_bits = float_key(knob_value)
-    train, test = build_cell_dataset(config, knob_value, seed)
+    train, test = build_cell_dataset(config, knob_value, seed, covariates)
     truth = test.truth
     attribution_seed = int(stream(seed, knob_bits, _S_ATTRIBUTION).integers(2**63))
     stage = None
@@ -340,7 +365,8 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
     ``workers`` defaults to one per usable CPU and must be a positive
     integer. BLAS runs on one thread in every worker (see the package
     docstring), so the pool is the only parallelism and records are the
-    same bytes for every worker count.
+    same bytes for every worker count. A ``covariates_csv`` is read once
+    and handed to every cell.
     """
     cells = [(config, v, s) for v in config.knob_grid for s in range(config.seeds)]
     if workers is None:
@@ -348,13 +374,16 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
     if workers < 1:
         raise InvalidConfigError(f"workers must be >= 1, got {workers}")
     workers = min(workers, len(cells))
+    cell = run_cell
+    if config.covariates_csv is not None:
+        cell = partial(run_cell, covariates=_read_covariates(config))
     results: list[ResultRecord] = []
     if workers == 1:
-        for cell in cells:
-            results.extend(run_cell(*cell))
+        for args in cells:
+            results.extend(cell(*args))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for recs in pool.map(run_cell, *zip(*cells)):
+            for recs in pool.map(cell, *zip(*cells)):
                 results.extend(recs)
     results.sort(key=lambda r: r.key)
     return results

@@ -337,6 +337,10 @@ class TestAttributeBatch:
             AttributionMatrix(np.array([[np.inf]]), SALIENCY, np.array([0]))
 
 
+def n_blocks(points):
+    return -(-points // attribution._BLOCK_POINTS)
+
+
 def random_x_estimator(d, seed):
     rng = stream(seed)
     return XEstimator(
@@ -351,12 +355,14 @@ class TestBlocks:
 
     @pytest.mark.parametrize(
         "method, cap",
-        [(INTEGRATED_GRADIENTS, 2000), (SHAPLEY_MC, 1), (FEATURE_PERMUTATION, 2000)],
+        [(INTEGRATED_GRADIENTS, 2000), (SHAPLEY_MC, 1), (FEATURE_PERMUTATION, 2000),
+         (FEATURE_ABLATION, 2000)],
     )
     def test_peak_memory_bounded(self, method, cap):
-        # 2000 rows x 50 IG steps, or one row x 3000 orderings x 31 prefix
-        # points: one evaluation of all of them would hold hundreds of MB of
-        # 100-unit activations.
+        # 2000 rows x 50 IG steps, one row x 3000 orderings x 31 prefix
+        # points, or 2000 rows x 31 ablation points: one evaluation of all of
+        # them would hold hundreds of MB of 100-unit activations. Blocks of
+        # 512 points peak at 1-3 MB here; blocks of 4096 took 5-13 MB.
         est = random_x_estimator(30, 384)
         x = stream(385).normal(size=(2000, 30))
         tracemalloc.start()
@@ -365,15 +371,15 @@ class TestBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 30e6, f"{method} peaked at {peak / 1e6:.1f} MB"
+        assert peak < 4e6, f"{method} peaked at {peak / 1e6:.1f} MB"
 
     @pytest.mark.parametrize("kind", range(5), ids=["s", "t", "tarnet", "dr", "x"])
     def test_ig_blocks_past_the_first_allocate_no_activation(self, kind, monkeypatch):
-        # 300 rows x 50 steps are four blocks of up to 4096 points. With two
+        # 300 rows x 50 steps are ceil(15000 / _BLOCK_POINTS) blocks. With two
         # covariates every array the blocks need is small, so a traced peak
-        # below one (4096, 100) float64 activation, counted from the start of
-        # the second block, means the estimator's networks reused the call's
-        # workspace.
+        # below one (_BLOCK_POINTS, 100) float64 activation, counted from the
+        # start of the second block, means the estimator's networks reused
+        # the call's workspace.
         est = random_estimators(2, 388)[kind]
         x = stream(389).normal(size=(300, 2))
         gradient = type(est).gradient
@@ -392,19 +398,25 @@ class TestBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(traced) == 4
-        assert peak - traced[1] < 4096 * 100 * 8, f"blocks 2-4 peaked {peak - traced[1]} B higher"
+        assert len(traced) == n_blocks(300 * attribution.IG_STEPS)
+        activation = attribution._BLOCK_POINTS * 100 * 8
+        assert peak - traced[1] < activation, f"blocks 2+ peaked {peak - traced[1]} B higher"
 
     def test_ig_points_gather_into_one_buffer(self):
         # A gradient that allocates nothing leaves only the path points: one
-        # (4096, 30) float64 block is 983,040 bytes, and past the first block
-        # the call allocates none, only the blocks' index arrays.
+        # (_BLOCK_POINTS, 30) float64 block. Past the first block the call
+        # allocates no such block, only the blocks' index arrays and the
+        # fixed 64 KB buffer numpy takes for a broadcasting in-place ufunc.
+        # The peak is read as the last block's gradient is called, before
+        # the final span * (totals / steps) makes two (300, 30) arrays.
         x = stream(390).normal(size=(300, 30))
-        ones = np.ones((4096, 30))
-        traced = []
+        ones = np.ones((attribution._BLOCK_POINTS, 30))
+        traced, peaks = [], []
 
         def gradient(q):
-            traced.append(tracemalloc.get_traced_memory()[0])
+            current, peak = tracemalloc.get_traced_memory()
+            traced.append(current)
+            peaks.append(peak)
             if len(traced) == 2:
                 tracemalloc.reset_peak()
             return ones[: len(q)]
@@ -413,11 +425,12 @@ class TestBlocks:
         tracemalloc.start()
         try:
             scores = attribute_batch(INTEGRATED_GRADIENTS, fn, x, seed=5).scores
-            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(traced) == 4 and np.array_equal(scores, x)  # the mean of 1 is 1
-        assert peak - traced[1] < 4096 * 30 * 8 // 4, f"blocks 2-4 peaked {peak - traced[1]} B"
+        assert len(traced) == n_blocks(300 * attribution.IG_STEPS)
+        assert np.array_equal(scores, x)  # the mean of 1 is 1
+        rise = peaks[-1] - traced[1]
+        assert rise < ones.nbytes, f"blocks 2+ peaked {rise} B higher"
 
     @pytest.mark.parametrize("method", [
         SALIENCY, INTEGRATED_GRADIENTS, FEATURE_ABLATION, FEATURE_PERMUTATION, SHAPLEY_MC,

@@ -549,6 +549,19 @@ class TestStartup:
                              text=True, timeout=120, check=True)
         assert out.stdout.strip() == "[]"
 
+    def test_generate_and_load_meta_leave_out_numpy_ma(self, workdir):
+        # np.unique and np.setdiff1d import numpy.ma (16-27 ms). Every
+        # generate and evaluate process checks driver sets, and generate
+        # picks the nonconfounded kind's irrelevant index; neither uses them.
+        cfg = write_config(workdir / "cfg.json", propensity_kind="nonconfounded")
+        probe = ("import sys; from catebench import cli, dgp; "
+                 f"assert cli.main(['generate', '--config', {str(cfg)!r}]) == 0; "
+                 "dgp.load_meta('meta.json'); print('numpy.ma' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout.splitlines()[-1] == "False"
+
     def test_every_public_name_resolves(self):
         assert catebench.__all__
         for name in catebench.__all__:

@@ -321,6 +321,32 @@ class TestRunExperiment:
             parallel = run_experiment(cfg, workers=2)
             assert _untimed(serial) == _untimed(parallel), learners
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_covariate_csv_read_once_per_sweep(self, workers, tmp_path, monkeypatch):
+        # The records equal run_cell's on each cell reading the file itself;
+        # the sweep's one read deletes the file, so a second read, in a
+        # cell or a pool worker, would fail.
+        import catebench.harness as harness_mod
+
+        x = np.random.default_rng(0).normal(size=(240, 10))
+        path = tmp_path / "cov.csv"
+        path.write_text(",".join(f"c{j}" for j in range(10)) + "\n"
+                        + "".join(",".join(map(repr, row.tolist())) + "\n" for row in x))
+        cfg = tiny_config(covariates_csv=str(path), seeds=2)
+        alone = sorted((r for v in cfg.knob_grid for s in range(2) for r in run_cell(cfg, v, s)),
+                       key=lambda r: r.key)
+        load = harness_mod.dgp.load_covariates_csv
+
+        def load_then_delete(*args):
+            try:
+                return load(*args)
+            finally:
+                path.unlink()
+
+        monkeypatch.setattr(harness_mod.dgp, "load_covariates_csv", load_then_delete)
+        assert _untimed(run_experiment(cfg, workers=workers)) == _untimed(alone)
+        assert not path.exists()
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(InvalidConfigError):
