@@ -338,7 +338,7 @@ def load_attributions(path: str | Path) -> tuple[AttributionMatrix, np.ndarray]:
             )
 
     _, unit_ids, scores = tables.read_floats(
-        path, check_header, start=2, ids=True, finite=True, check_row=check_method
+        path, check_header, start=2, ids=True, check_row=check_method
     )
     return AttributionMatrix(scores, methods[0], np.arange(len(scores))), unit_ids
 

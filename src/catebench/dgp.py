@@ -10,7 +10,9 @@ the observed table, the truth table, and a JSON sidecar that only
 ``load_meta`` reads. One function, ``_check_design``, decides whether index
 sets, weights and a propensity spec fit d features; ``generate_dataset``,
 ``propensity_scores`` and ``load_meta`` all call it, so every dataset the
-generator accepts reads back. ``train_test_split`` draws its partition through
+generator accepts reads back. A propensity z-scores its kind's signal over
+the units it assigns, from the outcome components already evaluated for
+them. ``train_test_split`` draws its partition through
 ``nn.holdout_split``, the package's one seeded split.
 
 Because assignment and outcomes are simulated, the usual identifying
@@ -169,16 +171,6 @@ class PropensitySpec:
 
 
 @dataclass(frozen=True)
-class ZScoreStats:
-    mean: float
-    std: float
-
-    def __post_init__(self):
-        if not self.std > 0.0:
-            raise NormalizationError("z-score standard deviation must be positive")
-
-
-@dataclass(frozen=True)
 class ObservedData:
     """What estimators are allowed to see: finite x (n, d), w in {0, 1} and finite y (n,)."""
 
@@ -256,7 +248,7 @@ def load_covariates_csv(path: str | Path, normalize: str = NORM_NONE) -> Covaria
         if _all_numeric(header):
             raise ParseError(f"{path}: first row is numeric; a header row is required", row=0)
 
-    header, _, body = tables.read_floats(path, check_header, finite=True)
+    header, _, body = tables.read_floats(path, check_header)
     if normalize == NORM_MINMAX:
         lo, hi = body.min(axis=0), body.max(axis=0)
         span = np.where(hi > lo, hi - lo, 1.0)  # constant columns map to 0
@@ -366,36 +358,32 @@ def true_cate_gradient(model: OutcomeModel, sets: FeatureIndexSets, x: np.ndarra
 
 
 def propensity_scores(
-    spec: PropensitySpec,
-    model: OutcomeModel,
-    sets: FeatureIndexSets,
-    x_train: np.ndarray,
-    x_query: np.ndarray,
-) -> tuple[np.ndarray, ZScoreStats]:
-    """Assignment probabilities for query units, z-scored on training units."""
-    x_query = np.atleast_2d(np.asarray(x_query, dtype=float))
-    x_train = np.atleast_2d(np.asarray(x_train, dtype=float))
-    _check_design(sets, model, spec, min(x_train.shape[1], x_query.shape[1]))
+    spec: PropensitySpec, model: OutcomeModel, sets: FeatureIndexSets, x: np.ndarray
+) -> np.ndarray:
+    """Assignment probabilities of the units in ``x``, the signal z-scored over those units."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    _check_design(sets, model, spec, x.shape[1])
+    return _propensity(spec, x, *eval_components(model, sets, x))
+
+
+def _propensity(spec: PropensitySpec, x: np.ndarray, mu, f0, f1) -> np.ndarray:
+    """sigmoid(omega_pi * z) per unit, from ``eval_components(model, sets, x)``'s output.
+
+    z is the kind's signal (f1 - f0, mu or the irrelevant column) z-scored
+    over the units of ``x``; the design is already checked against ``x``.
+    """
     if spec.kind == UNIFORM:
-        return np.full(x_query.shape[0], 0.5), ZScoreStats(0.0, 1.0)
-    psi_train = _psi(spec, model, sets, x_train)
-    mean = float(psi_train.mean())
-    std = float(psi_train.std())  # population std: deterministic, no ddof choice
-    if std == 0.0:
-        raise NormalizationError("propensity signal is constant over training units")
-    stats = ZScoreStats(mean, std)
-    z = (_psi(spec, model, sets, x_query) - stats.mean) / stats.std
-    return sigmoid(spec.omega_pi * z), stats
-
-
-def _psi(spec, model, sets, x):
+        return np.full(x.shape[0], 0.5)
     if spec.kind == PREDICTIVE_CONFOUNDING:
-        _, f0, f1 = eval_components(model, sets, x)
-        return f1 - f0
-    if spec.kind == PROGNOSTIC_CONFOUNDING:
-        mu, _, _ = eval_components(model, sets, x)
-        return mu
-    return x[:, spec.irrelevant_index]
+        psi = f1 - f0
+    elif spec.kind == PROGNOSTIC_CONFOUNDING:
+        psi = mu
+    else:
+        psi = x[:, spec.irrelevant_index]
+    std = float(psi.std())  # population std: deterministic, no ddof choice
+    if std == 0.0:
+        raise NormalizationError("propensity signal is constant over the assigned units")
+    return sigmoid(spec.omega_pi * ((psi - float(psi.mean())) / std))
 
 
 def pick_irrelevant_index(d: int, sets: FeatureIndexSets, rng: np.random.Generator) -> int:
@@ -426,7 +414,7 @@ def generate_dataset(
     y0 = mu + model.omega_pred * f0
     y1 = mu + model.omega_pred * f1
     tau = model.omega_pred * (f1 - f0)  # same arithmetic path as true_cate
-    pi, _ = propensity_scores(spec, model, sets, x, x)
+    pi = _propensity(spec, x, mu, f0, f1)
     rng_w, rng_eps = rng.spawn(2)
     w = (rng_w.random(covariates.n) < pi).astype(int)
     eps = rng_eps.normal(0.0, sigma, size=covariates.n) if sigma > 0 else np.zeros(covariates.n)
@@ -541,12 +529,10 @@ def load_observed(data_path: str | Path) -> tuple[ObservedData, list[str], np.nd
             raise ParseError(f"{data_path}: expected header starting unit_id,w,y", row=0)
 
     header, unit_ids, body = tables.read_floats(data_path, check_header, ids=True)
-    bad = ~np.isin(body[:, 1], (0.0, 1.0)) | ~np.isfinite(body[:, 2:]).all(axis=1)
+    bad = ~np.isin(body[:, 1], (0.0, 1.0))
     if bad.any():
         row = int(np.argmax(bad)) + 1
-        raise ParseError(
-            f"{data_path}: data row {row} needs w in {{0, 1}} and finite y and x", row=row
-        )
+        raise ParseError(f"{data_path}: data row {row} needs w in {{0, 1}}", row=row)
     return (
         ObservedData(body[:, 3:], body[:, 1].astype(int), body[:, 2]),
         header[3:],
@@ -590,7 +576,7 @@ def load_dataset(
         if header != _TRUTH_HEADER:
             raise ParseError(f"{truth_path}: expected header unit_id,y0,y1,tau,pi", row=0)
 
-    _, truth_ids, tbody = tables.read_floats(truth_path, check_header, ids=True, finite=True)
+    _, truth_ids, tbody = tables.read_floats(truth_path, check_header, ids=True)
     if not np.array_equal(truth_ids, unit_ids):
         raise ParseError(f"{truth_path}: unit ids do not match {data_path}")
     names, sets, model, spec, sigma = load_meta(meta_path)

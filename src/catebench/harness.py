@@ -123,6 +123,8 @@ class ExperimentConfig:
             raise InvalidConfigError("nonlinearity values must lie in [0, 1]")
         if not 0.0 <= self.omega_nl <= 1.0:
             raise InvalidConfigError("omega_nl must lie in [0, 1]")
+        if self.synth_n < 1:
+            raise InvalidConfigError(f"synth_n must be >= 1, got {self.synth_n}")
         _check_width(self.synth_d, "synth_d")
         if not 0.0 <= self.synth_rho < 1.0:  # NaN included
             raise InvalidConfigError(f"synth_rho must lie in [0, 1), got {self.synth_rho}")

@@ -6,11 +6,12 @@ they read back bit for bit. ``read_table`` streams a file: it checks each
 data row's width, hands the row to its caller's parser and keeps nothing.
 ``read_floats``, the reader of every numeric table, converts each row with
 ``float()`` as it arrives and appends it to one float64 buffer, so a file
-is never held as a table of Python strings. Readers report a malformed
-file as a ``ParseError`` naming the 1-based data row (the header is row 0)
-and, for a bad cell, the 0-based column. Every other file is one JSON
-object with two-space indents and a final newline; one that is not JSON,
-or not an object, reads as a ``ParseError`` naming the file.
+is never held as a table of Python strings; every numeric cell must be
+finite. Readers report a malformed file as a ``ParseError`` naming the
+1-based data row (the header is row 0) and, for a bad cell, the 0-based
+column. Every other file is one JSON object with two-space indents and a
+final newline; one that is not JSON, or not an object, reads as a
+``ParseError`` naming the file.
 """
 
 from __future__ import annotations
@@ -95,16 +96,15 @@ def read_floats(
     *,
     start: int = 0,
     ids: bool = False,
-    finite: bool = False,
     check_row=None,
 ) -> tuple[list[str], np.ndarray | None, np.ndarray]:
     """(header, unit ids or None, float64 block of columns ``start:``) of a numeric table.
 
     Each row's cells are read with ``float()`` as the row streams past and
     appended to one float64 buffer, so the file never exists as a table of
-    strings. With ``ids`` column 0 must also read as ``int`` (checked
-    first); with ``finite`` every cell of the block must be finite.
-    ``check_row(r, row)``, when given, sees each row's text last.
+    strings. Every cell of the block must be finite; with ``ids`` column 0
+    must also read as ``int`` (checked first). ``check_row(r, row)``, when
+    given, sees each row's text last.
     """
     values = array("d")
     unit_ids = array("q")
@@ -124,7 +124,7 @@ def read_floats(
             for c in range(start, len(row)):
                 read_cell(path, r, c, row[c])
             raise
-        if finite and not math.isfinite(sum(cells)):  # a sum can overflow; then look closer
+        if not math.isfinite(sum(cells)):  # a sum can overflow; then look closer
             for c, value in enumerate(cells, start=start):
                 if not math.isfinite(value):
                     raise ParseError(

@@ -263,7 +263,7 @@ def test_c05_dgp_contract_suite():
 
         # Zero propensity scale flattens every kind to one half.
         flat = PropensitySpec(kind, 0.0, irrelevant)
-        pi0, _ = propensity_scores(flat, model, sets, cov.x, cov.x)
+        pi0 = propensity_scores(flat, model, sets, cov.x)
         assert np.all(pi0 == 0.5)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0

@@ -391,6 +391,8 @@ class TestRejectedSettings:
             ({"synth_rho": 1.0}, "synth_rho must lie in [0, 1), got 1.0"),
             ({"synth_rho": -0.5}, "synth_rho must lie in [0, 1), got -0.5"),
             ({"learners": []}, "learner list must be nonempty"),
+            ({"synth_n": -1}, "synth_n must be >= 1, got -1"),
+            ({"synth_n": 0}, "synth_n must be >= 1, got 0"),
         ],
     )
     def test_bad_config_value_exits_1(self, workdir, capsys, value, message):

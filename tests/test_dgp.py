@@ -15,7 +15,6 @@ from catebench.dgp import (
     ObservedData,
     OutcomeModel,
     PropensitySpec,
-    ZScoreStats,
     eval_components,
     generate_dataset,
     load_covariates_csv,
@@ -231,36 +230,28 @@ class TestPropensityScores:
 
     def test_uniform_returns_half(self):
         cov, sets, model = self._setup()
-        pi, stats = propensity_scores(PropensitySpec(UNIFORM), model, sets, cov.x, cov.x)
+        pi = propensity_scores(PropensitySpec(UNIFORM), model, sets, cov.x)
         assert np.all(pi == 0.5)
-        assert stats.std == 1.0
 
     def test_zero_scale_gives_half_everywhere(self):
         cov, sets, model = self._setup()
         for kind in (PREDICTIVE_CONFOUNDING, PROGNOSTIC_CONFOUNDING):
-            pi, _ = propensity_scores(PropensitySpec(kind, 0.0), model, sets, cov.x, cov.x)
+            pi = propensity_scores(PropensitySpec(kind, 0.0), model, sets, cov.x)
             assert np.all(pi == 0.5)
 
     def test_sigmoid_of_scaled_zscore(self):
         cov, sets, model = self._setup()
         spec = PropensitySpec(PROGNOSTIC_CONFOUNDING, 2.0)
-        pi, stats = propensity_scores(spec, model, sets, cov.x, cov.x)
+        pi = propensity_scores(spec, model, sets, cov.x)
         mu, _, _ = eval_components(model, sets, cov.x)
-        one_sd = mu.mean() + mu.std()
-        query = cov.x[:1].copy()
-        # Build a query row whose signal sits exactly one training sd above
-        # the mean: scale the prognostic block (linear model, omega_nl = 0).
-        s = float(query[0, sets.prognostic] @ model.alpha_prog)
-        query[0, sets.prognostic] *= one_sd / s
-        pq, _ = propensity_scores(spec, model, sets, cov.x, query)
-        assert pq[0] == pytest.approx(1.0 / (1.0 + np.exp(-2.0)), abs=1e-12)
-        assert pq[0] == pytest.approx(0.8808, abs=1e-4)
+        z = (mu - mu.mean()) / mu.std()  # the block's own z-score
+        assert np.allclose(pi, 1.0 / (1.0 + np.exp(-2.0 * z)), rtol=0.0, atol=1e-12)
 
     def test_training_scores_center_near_half(self):
         cov, sets, model = self._setup()
         for omega in (0.5, 1.0, 4.0):
             spec = PropensitySpec(PREDICTIVE_CONFOUNDING, omega)
-            pi, _ = propensity_scores(spec, model, sets, cov.x, cov.x)
+            pi = propensity_scores(spec, model, sets, cov.x)
             assert abs(pi.mean() - 0.5) < 0.05
 
     def test_constant_signal_rejected(self):
@@ -269,14 +260,14 @@ class TestPropensityScores:
         x[:, sets.prognostic] = 0.0
         spec = PropensitySpec(PROGNOSTIC_CONFOUNDING, 1.0)
         with pytest.raises(NormalizationError):
-            propensity_scores(spec, model, sets, x, x)
+            propensity_scores(spec, model, sets, x)
 
     def test_nonconfounded_uses_single_column(self):
         cov, sets, model = self._setup()
         idx = pick_irrelevant_index(8, sets, stream(15))
         assert idx not in set(sets.all_relevant.tolist())
         spec = PropensitySpec(NONCONFOUNDED, 1.5, irrelevant_index=idx)
-        pi, stats = propensity_scores(spec, model, sets, cov.x, cov.x)
+        pi = propensity_scores(spec, model, sets, cov.x)
         col = cov.x[:, idx]
         z = (col - col.mean()) / col.std()
         assert np.allclose(pi, 1.0 / (1.0 + np.exp(-1.5 * z)))
@@ -289,20 +280,15 @@ class TestPropensityScores:
         cov, sets, model = self._setup()
         spec = PropensitySpec(NONCONFOUNDED, 1.0, irrelevant_index=int(sets.prognostic[0]))
         with pytest.raises(InvalidConfigError):
-            propensity_scores(spec, model, sets, cov.x, cov.x)
+            propensity_scores(spec, model, sets, cov.x)
 
     def test_design_must_fit_training_and_query_widths(self):
         x = stream(15).normal(size=(50, 8))
         model = _model([0.5, 0.5], [0.5, 0.5], [0.5, 0.5])
         spec = PropensitySpec(NONCONFOUNDED, 1.0, irrelevant_index=7)
         message = "irrelevant_index 7 is not one of the 7 features outside the driver sets"
-        for x_train, x_query in ((x[:, :7], x), (x, x[:, :7])):
-            with pytest.raises(InvalidConfigError, match=message):
-                propensity_scores(spec, model, _SETS, x_train, x_query)
-
-    def test_zscore_stats_reject_zero_std(self):
-        with pytest.raises(NormalizationError):
-            ZScoreStats(0.0, 0.0)
+        with pytest.raises(InvalidConfigError, match=message):
+            propensity_scores(spec, model, _SETS, x[:, :7])
 
 
 class TestGenerateDataset:
@@ -428,7 +414,7 @@ class TestOneDesignRule:
             generate_dataset(cov, sets, model, spec, 0.1, stream(3))
         assert str(generated.value) == message
         with pytest.raises(InvalidConfigError) as scored:
-            propensity_scores(spec, model, sets, cov.x, cov.x)
+            propensity_scores(spec, model, sets, cov.x)
         assert str(scored.value) == message
         if type(spec.irrelevant_index) is np.int64:
             return  # JSON has no numpy integers; the reader sees a plain int

@@ -52,7 +52,7 @@ READERS = {
     "truth": (_load_dataset, "truth.csv", 2),
     "attributions": (load_attributions, "attr.csv", 3),
     "results": (load_results, "results.csv", 6),
-    "floats": (lambda path: read_floats(path, ids=True, finite=True), "truth.csv", 2),
+    "floats": (lambda path: read_floats(path, ids=True), "truth.csv", 2),
 }
 
 
@@ -119,7 +119,8 @@ def test_wrong_header_rejected(tables_dir, reader):
 
 
 @pytest.mark.parametrize(
-    "reader, col", [("truth", 3), ("attributions", 3), ("covariates", 1), ("floats", 4)]
+    "reader, col",
+    [("truth", 3), ("attributions", 3), ("covariates", 1), ("observed", 2), ("floats", 4)],
 )
 @pytest.mark.parametrize("cell", ["nan", "-inf"])
 def test_nonfinite_cell_names_row_and_column(tables_dir, reader, col, cell):
@@ -137,7 +138,7 @@ def test_read_floats_equals_float_of_every_cell(tmp_path):
     path = tmp_path / "t.csv"
     rows = [["7", "1e-300", "-0", " 2.5 ", "1_000"], ["-8", "1e308", "1e308", "0.1", "-1e-320"]]
     path.write_text("id,a,b,c,d\n" + "".join(",".join(r) + "\n" for r in rows))
-    header, ids, block = read_floats(path, ids=True, start=1, finite=True)
+    header, ids, block = read_floats(path, ids=True, start=1)
     expected = np.array([[float(c) for c in r[1:]] for r in rows])
     assert header == ["id", "a", "b", "c", "d"] and ids.tolist() == [7, -8]
     assert block.dtype == np.float64 and block.tobytes() == expected.tobytes()
