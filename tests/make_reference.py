@@ -6,6 +6,10 @@ recomputes each one and compares:
 - ``results_<kind>.csv``: the result CSV of a small confounding sweep
   (six learners, ``propensity_scale`` 0 and 2, two seeds) for each of the
   four propensity kinds;
+- ``truth_<kind>.csv``: the assignment and propensity (``unit_id, w,
+  pi``) of that sweep's dataset at ``propensity_scale`` 2, seed 0, for
+  each kind; a change to the propensity that flips no assignment in a
+  small sweep still moves ``pi``;
 - ``attributions_<method>.csv``: one X estimator, fitted on the
   predictive-confounding dataset at scale 2, scored with each of the six
   attribution methods on 20 test rows (d=12, so ``shapley_exact`` runs).
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from catebench import attribution, dgp, harness, learners
+from catebench import attribution, dgp, harness, learners, tables
 from catebench.nn import TrainConfig
 from catebench.rng import stream
 
@@ -50,6 +54,15 @@ def write_results(kind: str, path: Path) -> None:
     harness.emit_csv(harness.run_experiment(config, workers=1), path)
 
 
+def write_truth(kind: str, path: Path) -> None:
+    ds = harness.build_dataset(sweep_config(kind), 2.0, 0)
+    tables.write_table(
+        path,
+        ("unit_id", "w", "pi"),
+        zip(ds.unit_ids.tolist(), ds.w.tolist(), ds.truth.pi.tolist()),
+    )
+
+
 def fit_reference_x():
     """The X estimator and test covariates every reference matrix scores."""
     config = sweep_config(dgp.PREDICTIVE_CONFOUNDING)
@@ -70,6 +83,10 @@ def results_path(kind: str) -> Path:
     return REFERENCE_DIR / f"results_{kind}.csv"
 
 
+def truth_path(kind: str) -> Path:
+    return REFERENCE_DIR / f"truth_{kind}.csv"
+
+
 def attributions_path(method: str) -> Path:
     return REFERENCE_DIR / f"attributions_{method}.csv"
 
@@ -78,6 +95,7 @@ def main() -> None:
     REFERENCE_DIR.mkdir(exist_ok=True)
     for kind in KINDS:
         write_results(kind, results_path(kind))
+        write_truth(kind, truth_path(kind))
     est, test = fit_reference_x()
     for method in METHODS:
         write_attributions(est, test, method, attributions_path(method))

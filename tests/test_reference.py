@@ -1,7 +1,7 @@
 """The pinned reference results under ``tests/reference/`` still come out.
 
 Each file is recomputed by ``make_reference`` and compared with the pinned
-one: text cells exactly, result floats to 1e-12 relative, attribution
+one: text cells exactly, result and truth floats to 1e-12 relative, attribution
 floats to 1e-12 of the pinned matrix's largest |score|. The tolerances
 cover another CPU's BLAS kernels (they differ in the last bits); any change
 to what is computed moves far more. Each test prints whether the bytes match.
@@ -48,6 +48,12 @@ def _assert_close(pinned_path, fresh_path, scale=None):
 def test_results_match_reference(tmp_path, kind):
     ref.write_results(kind, tmp_path / "results.csv")
     _assert_close(ref.results_path(kind), tmp_path / "results.csv")
+
+
+@pytest.mark.parametrize("kind", ref.KINDS)
+def test_truth_matches_reference(tmp_path, kind):
+    ref.write_truth(kind, tmp_path / "truth.csv")
+    _assert_close(ref.truth_path(kind), tmp_path / "truth.csv")
 
 
 @pytest.fixture(scope="module")
