@@ -20,9 +20,9 @@ import math
 import sys
 from pathlib import Path
 
-# harness (which loads the process pool) and svgplot are imported inside
-# the commands that use them: attribute and evaluate, which run once per
-# model and method, start without them.
+# harness and svgplot are imported inside the commands that use them:
+# attribute and evaluate, which run once per model and method, start
+# without them. harness loads the process pool only when a sweep starts one.
 from . import attribution, dgp, learners, metrics, tables
 from .errors import CatebenchError, InvalidConfigError, ParseError
 from .rng import stream

@@ -25,9 +25,9 @@ from __future__ import annotations
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields, replace
 from functools import partial
+from itertools import count
 from pathlib import Path
 from typing import get_args, get_origin
 
@@ -41,7 +41,7 @@ from .errors import (
     ParseError,
     UndefinedMetricError,
 )
-from .nn import TrainConfig
+from .nn import VALIDATION_FRACTION, TrainConfig, holdout_count
 from .rng import float_key, label_key, stream
 
 log = logging.getLogger(__name__)
@@ -58,6 +58,19 @@ KNOB_FIELDS = {
 
 DEFAULT_LEARNERS = ("s", "t", "tarnet", "dr", "x")
 TEST_FRACTION = 0.2  # share of a cell's units held out for attribution and scoring
+
+
+def _splits(n: int) -> bool:
+    """Whether n units leave a test row, and their training part a validation row.
+
+    Each split must also keep a row, as ``nn.holdout_split`` requires.
+    """
+    n_test = holdout_count(n, TEST_FRACTION)
+    n_val = holdout_count(n - n_test, VALIDATION_FRACTION)
+    return 1 <= n_test < n and 1 <= n_val < n - n_test
+
+
+MIN_SYNTH_N = next(n for n in count(1) if _splits(n))  # the smallest cell that splits
 
 # Sub-stream labels under the (seed, knob bits) root.
 _S_COVARIATES = 1
@@ -123,8 +136,8 @@ class ExperimentConfig:
             raise InvalidConfigError("nonlinearity values must lie in [0, 1]")
         if not 0.0 <= self.omega_nl <= 1.0:
             raise InvalidConfigError("omega_nl must lie in [0, 1]")
-        if self.synth_n < 1:
-            raise InvalidConfigError(f"synth_n must be >= 1, got {self.synth_n}")
+        if self.synth_n < MIN_SYNTH_N:
+            raise InvalidConfigError(f"synth_n must be >= {MIN_SYNTH_N}, got {self.synth_n}")
         _check_width(self.synth_d, "synth_d")
         if not 0.0 <= self.synth_rho < 1.0:  # NaN included
             raise InvalidConfigError(f"synth_rho must lie in [0, 1), got {self.synth_rho}")
@@ -384,6 +397,9 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
         for args in cells:
             results.extend(cell(*args))
     else:
+        # loaded only here: a one-worker sweep, generate and fit start without the pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for recs in pool.map(cell, *zip(*cells)):
                 results.extend(recs)

@@ -10,7 +10,11 @@ attribution methods. Every network is fitted on ``nn``'s one training path
 (``holdout_split``, then ``minibatch_fit``); TARNet/CFRNet adds only the
 gradient of its factual loss and balancing penalty through the shared
 trunk, with its trunk, both heads and the flat gradient in buffers of one
-``nn.Workspace`` that lives as long as the fit.
+``nn.Workspace`` that lives as long as the fit. Like every fit, it gathers
+each minibatch from the training data itself and copies only the
+validation rows. A step takes the trunk's ReLU mask first and then writes
+the trunk gradient over its spent representation, as ``gradient`` writes
+head 0's, so a step holds one batch-tall 100-unit float64 buffer.
 
 ``predict_cate`` and ``gradient`` take an optional workspace that every
 network of the estimator shares (``attribute_batch`` passes one per call);
@@ -324,7 +328,6 @@ def fit_tarnet(
     heads = [MlpParams.from_arrays(views[i : i + 4], IDENTITY) for i in (2, 6)]
 
     train_idx, val_idx = holdout_split(train.n, VALIDATION_FRACTION, r_split)
-    x_tr, y_tr, w_tr = train.x[train_idx], train.y[train_idx], train.w[train_idx]
     x_val, y_val, w_val = train.x[val_idx], train.y[val_idx], train.w[val_idx]
 
     grad = np.empty_like(flat)
@@ -345,22 +348,26 @@ def fit_tarnet(
         return rep, arms, acts, pred
 
     def grad_fn(_, idx):
-        xb = _take_rows(x_tr, idx, ws)
-        rep, arms, acts, pred = forward(xb, w_tr[idx])
-        g_out = loss_output_grad(SQUARED_ERROR, pred, y_tr[idx])
+        batch = train_idx[idx]
+        xb = _take_rows(train.x, batch, ws)
+        rep, arms, acts, pred = forward(xb, train.w[batch])
+        g_out = loss_output_grad(SQUARED_ERROR, pred, train.y[batch])
         penalty = [None, None]
         if gamma > 0 and all(len(rows) for rows in arms):  # one-arm batches get no penalty
             _, *penalty = mmd2_linear_with_grad(acts[0][0], acts[1][0])
-        rep_grad = ws.take("rep_grad", len(idx), HIDDEN_UNITS)  # the arms cover every row
+        # the trunk's ReLU mask, in a buffer of its own as the heads' backward
+        # passes fill the "mask" one; then rep, read only through the heads'
+        # gathered inputs, takes its own gradient (the arms cover every row)
+        active = np.greater(rep, 0.0, out=ws.take("rep_mask", *rep.shape, dtype=bool))
         for head, rows, a, grads, m in zip(heads, arms, acts, head_grads, penalty):
             delta = _backprop(head, a, g_out[rows], ws, grads)
             arm_grad = np.matmul(delta, head.weights[0].T, out=a[0])  # the head input is spent
             if m is not None:
                 arm_grad += gamma * m[:1]  # every row of an arm has the same penalty gradient
-            rep_grad[rows] = arm_grad
-        rep_grad *= np.greater(rep, 0.0, out=ws.take("mask", *rep.shape, dtype=bool))
-        np.matmul(xb.T, rep_grad, out=trunk_grad_w)
-        np.sum(rep_grad, axis=0, out=trunk_grad_b)
+            rep[rows] = arm_grad
+        rep *= active
+        np.matmul(xb.T, rep, out=trunk_grad_w)
+        np.sum(rep, axis=0, out=trunk_grad_b)
         return grad
 
     def val_loss_fn(_):

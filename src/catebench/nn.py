@@ -21,9 +21,12 @@ once that layer's gradient is formed, and parameter gradients go straight
 into views of one flat gradient vector. A workspace lives as long as the
 fit or the attribution call that made it (a public pass called without
 one makes its own), so a training step or an attribution block past the
-first allocates no activation-sized array. A pass's network output and
-input gradient are new arrays (the gradient goes into ``out=`` when the
-caller gives one), so two passes never overwrite each other's results.
+first allocates no activation-sized array. A training step gathers its
+minibatch into the workspace straight from the caller's array, so a fit
+holds its training rows once and copies only its validation rows. A
+pass's network output and input gradient are new arrays (the gradient
+goes into ``out=`` when the caller gives one), so two passes never
+overwrite each other's results.
 """
 
 from __future__ import annotations
@@ -405,13 +408,18 @@ GradFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 ValLossFn = Callable[[np.ndarray], float]
 
 
+def holdout_count(n: int, fraction: float) -> int:
+    """How many of ``n`` samples ``holdout_split`` holds out: round(n * fraction)."""
+    return int(round(n * fraction))
+
+
 def holdout_split(
     n: int, fraction: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The package's one seeded split of range(n): (kept, round(n * fraction) held out)."""
+    """The package's one seeded split of range(n): (kept, ``holdout_count`` held out)."""
     if not 0.0 < fraction < 1.0:
         raise InvalidConfigError(f"split fraction must lie strictly in (0, 1), got {fraction}")
-    n_out = int(round(n * fraction))
+    n_out = holdout_count(n, fraction)
     if n_out < 1 or n - n_out < 1:
         raise InvalidConfigError(f"degenerate split: {n} samples, {n_out} held out")
     perm = rng.permutation(n)
@@ -472,8 +480,10 @@ def train_early_stop(
 
     A seeded random split holds out ``VALIDATION_FRACTION`` of the samples;
     the returned parameters are the snapshot with the best validation loss.
-    ``net`` itself is not modified. Every step and validation pass runs in
-    one workspace that lives as long as the fit.
+    ``net`` itself is not modified. Each minibatch is gathered from ``x``
+    itself through the training indices, so only the validation rows are
+    copied. Every step and validation pass runs in one workspace that
+    lives as long as the fit.
     """
     if rng is None:
         raise InvalidConfigError("train_early_stop requires a seeded generator")
@@ -482,7 +492,6 @@ def train_early_stop(
     if not np.all(np.isfinite(target)):
         raise NumericError("targets must be finite")
     train_idx, val_idx = holdout_split(x.shape[0], VALIDATION_FRACTION, rng)
-    x_tr, y_tr = x[train_idx], target[train_idx]
     x_val, y_val = x[val_idx], target[val_idx]
     flat = flatten(net.arrays())
     fit = MlpParams.from_arrays(flat_views(flat, net.arrays()), net.output_activation)
@@ -490,9 +499,9 @@ def train_early_stop(
     ws = Workspace()
 
     def grad_fn(_, idx):
-        xb = _take_rows(x_tr, idx, ws)
-        acts = _forward(fit, xb, ws)
-        _backprop(fit, acts, loss_output_grad(loss, acts[-1], y_tr[idx]), ws, fit_grad)
+        rows = train_idx[idx]
+        acts = _forward(fit, _take_rows(x, rows, ws), ws)
+        _backprop(fit, acts, loss_output_grad(loss, acts[-1], target[rows]), ws, fit_grad)
         return grad
 
     def val_loss_fn(_):

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InvalidConfigError
 from .metrics import METRIC_FIELDS
 
-if TYPE_CHECKING:  # rows come from harness.aggregate; importing it here would load the pool
+if TYPE_CHECKING:  # rows come from harness.aggregate; drawing them needs no sweep code
     from .harness import AggregateRow
 
 _PALETTE = (

@@ -391,8 +391,10 @@ class TestRejectedSettings:
             ({"synth_rho": 1.0}, "synth_rho must lie in [0, 1), got 1.0"),
             ({"synth_rho": -0.5}, "synth_rho must lie in [0, 1), got -0.5"),
             ({"learners": []}, "learner list must be nonempty"),
-            ({"synth_n": -1}, "synth_n must be >= 1, got -1"),
-            ({"synth_n": 0}, "synth_n must be >= 1, got 0"),
+            ({"synth_n": -1}, "synth_n must be >= 3, got -1"),
+            ({"synth_n": 0}, "synth_n must be >= 3, got 0"),
+            ({"synth_n": 1}, "synth_n must be >= 3, got 1"),
+            ({"synth_n": 2}, "synth_n must be >= 3, got 2"),
         ],
     )
     def test_bad_config_value_exits_1(self, workdir, capsys, value, message):
@@ -563,6 +565,23 @@ class TestStartup:
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                              text=True, timeout=120, check=True)
         assert out.stdout.splitlines()[-1] == "False"
+
+    def test_one_worker_commands_leave_out_the_process_pool(self, workdir):
+        # harness loads the pool only when a sweep starts one; generate, fit
+        # and a one-worker experiment run without it.
+        cfg = write_config(workdir / "cfg.json")
+        probe = ("import sys; from catebench import cli; "
+                 f"assert cli.main(['generate', '--config', {str(cfg)!r}]) == 0; "
+                 "assert cli.main(['fit', '--data', 'data.csv', '--learner', 't', "
+                 "'--out-dir', 'model']) == 0; "
+                 f"assert cli.main(['experiment', '--config', {str(cfg)!r}, "
+                 "'--workers', '1']) == 0; "
+                 "print(sorted(m for m in sys.modules "
+                 "if m in ('concurrent.futures.process', 'multiprocessing')))")
+        env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout.splitlines()[-1] == "[]"
 
     def test_every_public_name_resolves(self):
         assert catebench.__all__

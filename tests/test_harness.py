@@ -353,6 +353,8 @@ class TestRunExperiment:
             run_experiment(tiny_config(), workers=workers)
 
     def test_default_pool_follows_cpu_affinity(self, monkeypatch):
+        import concurrent.futures
+
         import catebench.harness as harness_mod
 
         def no_pool(*args, **kwargs):
@@ -360,7 +362,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(harness_mod.os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(harness_mod, "run_cell", lambda config, value, seed: [])
         assert run_experiment(tiny_config(seeds=2)) == []
 

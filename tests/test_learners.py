@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import catebench.learners as learners_mod
 from catebench.dgp import ObservedData
 from catebench.errors import EmptyGroupError, InvalidConfigError, ParseError
 from catebench.learners import (
@@ -307,6 +308,43 @@ class TestWorkspaces:
         ws = Workspace()
         for _ in range(2):  # the second call runs in the spent buffers of the first
             assert est.gradient(x, ws).tobytes() == expected.tobytes()
+
+    def test_tarnet_fit_gathers_minibatches_from_the_callers_array(self, monkeypatch):
+        # The step's input rows come from train.x itself through the training
+        # indices; the heads' arm rows ("arm" keys) come from the representation.
+        shared = []
+        take_rows = learners_mod._take_rows
+
+        def record(source, idx, ws, key="rows"):
+            if key == "rows":
+                shared.append(np.shares_memory(source, train.x))
+            return take_rows(source, idx, ws, key)
+
+        monkeypatch.setattr(learners_mod, "_take_rows", record)
+        train, _ = additive_data(60, 147)
+        cfg = TrainConfig(batch_size=16, max_epochs=2, patience=2)
+        fit_tarnet(train, 2.5, cfg, stream(148))
+        assert len(shared) == 2 * 3 and all(shared)  # 42 training rows: 3 batches an epoch
+
+    def test_tarnet_step_takes_one_batch_tall_float_buffer(self, monkeypatch):
+        # The representation is the step's one (batch, 100) float64 buffer:
+        # its rows take their own gradient once the heads have gathered them.
+        # Every 64-row batch holds both arms, so each head's buffers are
+        # shorter; a one-arm batch would add that head's keys and fail here.
+        batch = 64
+        keys = set()
+        take = Workspace.take
+
+        def record(ws, key, rows, width, dtype=np.float64):
+            if (rows, width, np.dtype(dtype)) == (batch, HIDDEN_UNITS, np.float64):
+                keys.add(key)
+            return take(ws, key, rows, width, dtype)
+
+        monkeypatch.setattr(Workspace, "take", record)
+        train, _ = additive_data(200, 149)  # 140 training rows, 60 validation rows
+        cfg = TrainConfig(batch_size=batch, max_epochs=2, patience=2)
+        fit_tarnet(train, 2.5, cfg, stream(150))
+        assert keys == {"rep"}
 
     @pytest.mark.parametrize("gamma, batch", [(0.0, 41), (2.5, 41), (2.5, 4)])
     def test_tarnet_fit_matches_textbook_reference_bit_for_bit(self, gamma, batch):

@@ -403,6 +403,23 @@ class TestWorkspace:
         best = textbook_train_early_stop(net, x, y, loss, cfg, stream(312))
         assert np.array_equal(nn.flatten(fitted.arrays()), best)
 
+    def test_minibatches_gather_from_the_callers_array(self, monkeypatch):
+        # Each minibatch is gathered from x itself through the training
+        # indices; no copied training block stands between them.
+        shared = []
+        take_rows = nn._take_rows
+
+        def record(source, idx, ws, key="rows"):
+            shared.append(np.shares_memory(source, x))
+            return take_rows(source, idx, ws, key)
+
+        monkeypatch.setattr(nn, "_take_rows", record)
+        rng = stream(340)
+        x, y = rng.normal(size=(60, 4)), rng.normal(size=60)
+        cfg = TrainConfig(batch_size=16, max_epochs=2, patience=2)
+        train_early_stop(mlp_init([4, 8, 1], rng=stream(341)), x, y, config=cfg, rng=stream(342))
+        assert len(shared) == 2 * 3 and all(shared)  # 42 training rows: 3 batches an epoch
+
     def test_step_allocates_no_activation_after_the_first(self, monkeypatch):
         # A 30-100-100-1 step at batch 512, Adam included: one (512, 100)
         # float64 array is 409,600 bytes, so a traced peak below that means
