@@ -33,8 +33,8 @@ _EXPORTS = {
         "sample_feature_sets", "sample_outcome_model", "synth_covariates", "train_test_split",
     ),
     "harness": (
-        "ExperimentConfig", "ResultRecord", "aggregate", "emit_csv", "experiment_preset",
-        "run_cell", "run_experiment",
+        "ExperimentConfig", "FittedCell", "ResultRecord", "aggregate", "emit_csv",
+        "experiment_preset", "fit_cell", "run_cell", "run_experiment", "score_cell",
     ),
     "learners": (
         "CateEstimator", "dr_pseudo_outcome", "fit_dr_learner", "fit_nuisances",

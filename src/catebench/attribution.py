@@ -253,6 +253,19 @@ def check_row_cap(max_rows: int) -> None:
         raise InvalidConfigError(f"the attribution row cap must be >= 1, got {max_rows}")
 
 
+def check_scorable(method: str, d: int | None, rows: int, source: str) -> None:
+    """InvalidConfigError, naming ``source``, unless ``method`` can score ``rows`` rows of ``d``.
+
+    ``source`` names the settings that give the method, the covariate
+    count ``d`` (None while it is not known) and the scored rows.
+    """
+    if method == SHAPLEY_EXACT and d is not None and d > _EXACT_SHAPLEY_MAX_D:
+        raise InvalidConfigError(f"{source}: {method} enumerates at most "
+                                 f"{_EXACT_SHAPLEY_MAX_D} covariates, got {d}")
+    if method == FEATURE_PERMUTATION and rows < 2:
+        raise InvalidConfigError(f"{source}: {method} needs at least 2 scored rows, got {rows}")
+
+
 def attribute_batch(
     method: str, est, x_query: np.ndarray, *, max_rows: int = 1000, seed: int = 0
 ) -> AttributionMatrix:

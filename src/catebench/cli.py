@@ -137,13 +137,13 @@ def _cmd_fit(args) -> int:
     obs, _, _ = dgp.load_observed(args.data)
     # DR and X fit the first stage from child 0 of the seed's stream: T's arms
     # from it and the propensity from its child 2, each from a fresh copy.
-    est = learners.fit_learner(
-        args.learner, obs, config.train, stream(args.seed),
-        lambda: learners.fit_nuisances(
+    nuisances = None
+    if args.learner in learners.SECOND_STAGES:
+        nuisances = learners.fit_nuisances(
             obs, config.train, stream(args.seed).spawn(1)[0],
             stream(args.seed).spawn(1)[0].spawn(3)[2],
-        ),
-    )
+        )
+    est = learners.fit_learner(args.learner, obs, config.train, stream(args.seed), nuisances)
     learners.save_estimator(est, args.out_dir)
     print(f"fitted {args.learner} on {obs.n} units -> {args.out_dir}")
     return 0
@@ -151,6 +151,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_attribute(args) -> int:
     attribution.check_row_cap(args.cap)  # before any file is read
+    attribution.check_scorable(args.method, None, args.cap, "--method with --cap")
     est = learners.load_estimator(args.model)
     obs, _, unit_ids = dgp.load_observed(args.data)
     mat = attribution.attribute_batch(args.method, est, obs.x, max_rows=args.cap, seed=args.seed)

@@ -1,23 +1,27 @@
 """Experiment orchestration.
 
-A cell is one (knob value, seed) pair: generate a dataset with the knob's
-config field (``KNOB_FIELDS``) set to the knob value, split it, fit
-every configured learner on the same training part, attribute each fitted
-effect function on the same capped test rows, and score against the sealed
-truth. A config picks only the attribution method and the row cap; the IG
-steps and Shapley orderings are ``attribute_batch``'s fixed schedule. T,
-DR and X share the cell's one first stage (``fit_nuisances`` from T's
-stream and the cell's propensity stream), fitted at most once and only
-when one of them is configured: T's record is its two arms, and
-``learners.fit_learner`` fits every other label, DR and X on that stage.
-Sweeps run the grid x seeds product, optionally across processes; results
-are keyed records, so collection order never matters. One handler in
-``run_cell`` turns a data failure of a learner or of its shared first
-stage (``NumericError``, ``EmptyGroupError``, or the ``UndefinedMetricError``
-of all-zero attributions) into a flagged NaN record (``ResultRecord.failed``,
-counted in ``AggregateRow.n_failed``); any other error propagates and
-stops the run. The result table has one column per ``ResultRecord``
-field and is written and read through ``tables``.
+A cell is one (knob value, seed) pair, run in two passes. ``fit_cell``
+generates a dataset with the knob's config field (``KNOB_FIELDS``) set to
+the knob value, splits it, and fits every configured learner on the same
+training part. ``score_cell`` attributes each fitted effect function with
+one method on the same capped test rows and scores against the sealed
+truth; attribution draws only from the cell's attribution seed, so one fit
+pass can be scored by any method. ``run_cell`` is the two under the
+config's method; the IG steps and Shapley orderings are
+``attribute_batch``'s fixed schedule. T, DR and X share the cell's one
+first stage (``fit_nuisances`` from T's stream and the cell's propensity
+stream), fitted at most once and only when one of them is configured:
+T's estimator is its two arms, and ``learners.fit_learner`` fits every
+other label, DR and X on that stage. Sweeps run the grid x seeds product,
+optionally across processes; results are keyed records, so collection
+order never matters. ``fit_cell`` keeps a data failure (``NumericError``,
+``EmptyGroupError``; the first stage's is each of T, DR and X's) in place
+of the estimator, and one handler in ``score_cell`` turns it, or the
+``UndefinedMetricError`` of all-zero attributions, into a logged, flagged
+NaN record (``ResultRecord.failed``, counted in ``AggregateRow.n_failed``);
+any other error propagates and stops the run. The result table has one
+column per ``ResultRecord`` field and is written and read through
+``tables``.
 """
 
 from __future__ import annotations
@@ -144,6 +148,11 @@ class ExperimentConfig:
         if self.attribution_method not in attribution.METHODS:
             raise InvalidConfigError(f"unknown attribution method {self.attribution_method!r}")
         attribution.check_row_cap(self.attribution_cap)
+        if self.covariates_csv is None:  # else checked where the file is read
+            attribution.check_scorable(
+                self.attribution_method, self.synth_d, _scored_rows(self, self.synth_n),
+                "attribution_method with synth_d, synth_n and attribution_cap",
+            )
         for entry in self.learners:
             learners.parse_learner(entry)
 
@@ -214,10 +223,19 @@ class ResultRecord:
 CSV_COLUMNS = tuple(f.name for f in fields(ResultRecord))  # the result table, in field order
 
 
+def _scored_rows(config: ExperimentConfig, n: int) -> int:
+    """Test rows each learner of an n-unit cell is attributed on."""
+    return min(config.attribution_cap, holdout_count(n, TEST_FRACTION))
+
+
 def _read_covariates(config: ExperimentConfig) -> dgp.CovariateMatrix:
-    """The config's ``covariates_csv``, checked to be wide enough for the driver sets."""
+    """The config's ``covariates_csv``, checked against the driver sets and the method."""
     covariates = dgp.load_covariates_csv(config.covariates_csv, config.covariates_normalize)
     _check_width(covariates.d, f"covariates_csv {config.covariates_csv}")
+    attribution.check_scorable(
+        config.attribution_method, covariates.d, _scored_rows(config, covariates.n),
+        f"attribution_method with attribution_cap and covariates_csv {config.covariates_csv}",
+    )
     return covariates
 
 
@@ -292,79 +310,111 @@ def build_cell_dataset(
     return dgp.train_test_split(ds, TEST_FRACTION, stream(seed, knob_bits, _S_SPLIT))
 
 
+@dataclass(frozen=True)
+class FittedCell:
+    """One cell after ``fit_cell``, ready for ``score_cell`` under any method."""
+
+    config: ExperimentConfig
+    knob_value: float
+    seed: int
+    test: dgp.SemiSyntheticDataset
+    attribution_seed: int
+    # per label, in config order: the estimator or its fit's data failure, and the fit's seconds
+    fits: tuple[tuple[str, learners.CateEstimator | Exception, float], ...]
+
+
+_FIT_FAILURES = (NumericError, EmptyGroupError)
+
+
+def fit_cell(
+    config: ExperimentConfig,
+    knob_value: float,
+    seed: int,
+    covariates: dgp.CovariateMatrix | None = None,
+) -> FittedCell:
+    """Build one cell's dataset and split, and fit every configured learner on it.
+
+    T, DR and X share one first stage, fitted once: its seconds go to the
+    first of them, and its data failure is each one's. ``covariates`` is as
+    in ``build_dataset``.
+    """
+    knob_bits = float_key(knob_value)
+    train, test = build_cell_dataset(config, knob_value, seed, covariates)
+    users = (learners.STRATEGY_T, *learners.SECOND_STAGES)  # of the first stage
+    stage, stage_s = None, 0.0  # the first stage or its data failure, and its seconds
+    if any(label in users for label in config.learners):
+        started = time.perf_counter()
+        try:
+            stage = learners.fit_nuisances(
+                train.observed,
+                config.train,
+                stream(seed, knob_bits, _S_LEARNER, label_key(learners.STRATEGY_T)),
+                stream(seed, knob_bits, _S_PROPENSITY),
+            )
+        except _FIT_FAILURES as err:
+            stage = err
+        stage_s = time.perf_counter() - started
+    fits = []
+    for label in config.learners:
+        rng = stream(seed, knob_bits, _S_LEARNER, label_key(label))
+        started = time.perf_counter()
+        try:
+            if label not in users:
+                fitted = learners.fit_learner(label, train.observed, config.train, rng, None)
+            elif isinstance(stage, Exception):
+                fitted = stage
+            elif label == learners.STRATEGY_T:  # T is the first stage's two arms
+                fitted = learners.TEstimator(stage.mu0, stage.mu1)
+            else:
+                fitted = learners.fit_learner(label, train.observed, config.train, rng, stage)
+        except _FIT_FAILURES as err:
+            fitted = err
+        seconds = time.perf_counter() - started
+        if label in users:  # the first stage's seconds go to its first user
+            seconds, stage_s = seconds + stage_s, 0.0
+        fits.append((label, fitted, seconds))
+    attribution_seed = int(stream(seed, knob_bits, _S_ATTRIBUTION).integers(2**63))
+    return FittedCell(config, float(knob_value), seed, test, attribution_seed, tuple(fits))
+
+
+def score_cell(cell: FittedCell, method: str) -> list[ResultRecord]:
+    """One record per learner of ``cell``, its estimator attributed by ``method``.
+
+    The one failure handler: a data failure of a fit or of its scoring is
+    logged and leaves NaN scores (``pehe`` stays finite when only
+    attribution fails). ``wall_ms`` is the fit's time plus the scoring's.
+    """
+    config, x, truth = cell.config, cell.test.covariates.x, cell.test.truth
+    records = []
+    for label, fitted, fit_s in cell.fits:
+        started = time.perf_counter()
+        a_pred = a_prog = pehe_val = float("nan")
+        try:
+            if isinstance(fitted, Exception):
+                raise fitted
+            pehe_val = metrics.pehe(fitted.predict_cate(x), truth.tau)  # whole test set
+            mat = attribution.attribute_batch(
+                method, fitted, x, max_rows=config.attribution_cap, seed=cell.attribution_seed
+            )
+            a_pred = metrics.attr_pred(mat, truth.sets.predictive)
+            a_prog = metrics.attr_prog(mat, truth.sets.prognostic)
+        except (*_FIT_FAILURES, UndefinedMetricError) as err:  # flagged NaN record
+            log.warning("learner %s failed at %s=%s seed %s: %s",
+                        label, config.knob, cell.knob_value, cell.seed, err, exc_info=True)
+        wall_ms = (fit_s + time.perf_counter() - started) * 1e3
+        records.append(ResultRecord(config.dataset_tag, label, method, config.knob, cell.knob_value,
+                                    cell.seed, a_pred, a_prog, pehe_val, wall_ms))
+    return records
+
+
 def run_cell(
     config: ExperimentConfig,
     knob_value: float,
     seed: int,
     covariates: dgp.CovariateMatrix | None = None,
 ) -> list[ResultRecord]:
-    """Fit, attribute and score every configured learner on one cell.
-
-    T, DR and X share one first stage; the first of them in the learner
-    list fits it, and its ``wall_ms`` includes that fit. A data failure of
-    that fit is kept and raised to each of them, so it is not rerun.
-    ``covariates`` is as in ``build_dataset``.
-    """
-    knob_bits = float_key(knob_value)
-    train, test = build_cell_dataset(config, knob_value, seed, covariates)
-    truth = test.truth
-    attribution_seed = int(stream(seed, knob_bits, _S_ATTRIBUTION).integers(2**63))
-    stage = None
-
-    def first_stage() -> learners.NuisanceSet:
-        nonlocal stage
-        if stage is None:
-            try:
-                stage = learners.fit_nuisances(
-                    train.observed,
-                    config.train,
-                    stream(seed, knob_bits, _S_LEARNER, label_key("t")),
-                    stream(seed, knob_bits, _S_PROPENSITY),
-                )
-            except (NumericError, EmptyGroupError) as err:
-                stage = err
-        if isinstance(stage, Exception):
-            raise stage
-        return stage
-
-    records = []
-    for entry in config.learners:
-        rng = stream(seed, knob_bits, _S_LEARNER, label_key(entry))
-        started = time.perf_counter()
-        a_pred = a_prog = pehe_val = float("nan")
-        try:
-            if entry == "t":  # T is the first stage's two arms
-                nuisances = first_stage()
-                est = learners.TEstimator(nuisances.mu0, nuisances.mu1)
-            else:
-                est = learners.fit_learner(entry, train.observed, config.train, rng, first_stage)
-            tau_hat = est.predict_cate(test.covariates.x)
-            pehe_val = metrics.pehe(tau_hat, truth.tau)  # whole test set
-            mat = attribution.attribute_batch(
-                config.attribution_method, est, test.covariates.x,
-                max_rows=config.attribution_cap, seed=attribution_seed,
-            )
-            a_pred = metrics.attr_pred(mat, truth.sets.predictive)
-            a_prog = metrics.attr_prog(mat, truth.sets.prognostic)
-        except (NumericError, EmptyGroupError, UndefinedMetricError) as err:  # flagged NaN record
-            log.warning("learner %s failed at %s=%s seed %s: %s",
-                        entry, config.knob, knob_value, seed, err, exc_info=True)
-        wall_ms = (time.perf_counter() - started) * 1e3
-        records.append(
-            ResultRecord(
-                config.dataset_tag,
-                entry,
-                config.attribution_method,
-                config.knob,
-                float(knob_value),
-                seed,
-                a_pred,
-                a_prog,
-                pehe_val,
-                wall_ms,
-            )
-        )
-    return records
+    """``fit_cell``, then ``score_cell`` under the config's attribution method."""
+    return score_cell(fit_cell(config, knob_value, seed, covariates), config.attribution_method)
 
 
 def _usable_cpus() -> int:

@@ -31,8 +31,11 @@ one function that fits it: mu0 and mu1 are the T-learner's arms from
 ``fit_t_learner`` and pi is ``fit_propensity``'s model. DR and X draw
 their own networks from children 1 and up of their stream and leave child
 0 to the first stage. ``fit_learner`` is the one map from a learner label
-to its fit; DR and X call the zero-argument first-stage function that its
-caller passes, and ``cli`` fits that stage from child 0.
+to its fit; for the ``SECOND_STAGES`` (DR and X) its caller passes the
+fitted first stage, which ``harness`` fits once per cell and ``cli`` from
+child 0. A network fitted on one arm (T's arms, X's effect arms) needs an
+arm that ``holdout_split`` can split (``MIN_ARM_UNITS``); a smaller arm
+is a data failure, ``EmptyGroupError``, like an empty one.
 
 A fitted estimator is saved as a directory: ``manifest.json`` holds the
 strategy and every scalar field, and ``weights.npz`` every array field and
@@ -46,8 +49,9 @@ from __future__ import annotations
 
 import zipfile
 from dataclasses import Field, dataclass, field, fields
+from itertools import count
 from pathlib import Path
-from typing import Callable, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -70,6 +74,7 @@ from .nn import (
     _take_rows,
     flat_views,
     flatten,
+    holdout_count,
     holdout_split,
     loss_output_grad,
     loss_value,
@@ -90,13 +95,27 @@ STRATEGY_TARNET = "tarnet"
 STRATEGY_CFRNET = "cfrnet"
 STRATEGY_DR = "dr"
 STRATEGY_X = "x"
+SECOND_STAGES = (STRATEGY_DR, STRATEGY_X)  # fitted on a first stage (``fit_nuisances``)
 
 PROPENSITY_CLIP = 0.01  # DR pseudo-outcomes clip propensities to [c, 1 - c]
+
+
+# The smallest arm whose validation split holds out a unit and keeps one.
+MIN_ARM_UNITS = next(n for n in count(1) if 1 <= holdout_count(n, VALIDATION_FRACTION) < n)
 
 
 def _check_groups(w: np.ndarray) -> None:
     if not np.any(w == 1) or not np.any(w == 0):
         raise EmptyGroupError("both treatment groups must be nonempty")
+
+
+def _check_arms(w: np.ndarray) -> None:
+    """EmptyGroupError unless each arm can train a network of its own."""
+    for arm in (0, 1):
+        units = np.count_nonzero(w == arm)
+        if units < MIN_ARM_UNITS:
+            raise EmptyGroupError(f"arm w={arm} holds {units} of the {MIN_ARM_UNITS} units "
+                                  "that a network fitted on one arm needs")
 
 
 def _fit_regression(
@@ -287,7 +306,7 @@ def fit_s_learner(train: ObservedData, config: TrainConfig, rng: np.random.Gener
 
 def fit_t_learner(train: ObservedData, config: TrainConfig, rng: np.random.Generator) -> TEstimator:
     """mu0 on controls from ``rng``'s child 0, mu1 on treated from its child 1."""
-    _check_groups(train.w)
+    _check_arms(train.w)
     r0, r1 = rng.spawn(2)
     controls = train.w == 0
     treated = train.w == 1
@@ -418,7 +437,7 @@ def fit_x_learner(
     nuisances: NuisanceSet,
 ) -> XEstimator:
     """Arm-wise effect regressions on imputed contrasts, blended by pi_hat."""
-    _check_groups(train.w)
+    _check_arms(train.w)
     r_tau0, r_tau1 = rng.spawn(3)[1:]  # child 0 is the first stage's
     treated = train.w == 1
     # Treated arm: observed outcome minus imputed control outcome.
@@ -449,11 +468,11 @@ def parse_learner(label: str) -> tuple[str, float]:
 
 
 def fit_learner(label: str, train: ObservedData, config: TrainConfig, rng: np.random.Generator,
-                first_stage: Callable[[], NuisanceSet]) -> CateEstimator:
+                nuisances: NuisanceSet | None) -> CateEstimator:
     """The estimator ``label`` names, fitted from ``rng``.
 
-    Only DR and X call ``first_stage()``, once, for the ``NuisanceSet``
-    their second stage regresses on.
+    Only the ``SECOND_STAGES`` read ``nuisances``, the first stage their
+    second stage regresses on; the others take None.
     """
     strategy, gamma = parse_learner(label)
     if strategy == STRATEGY_S:
@@ -461,9 +480,9 @@ def fit_learner(label: str, train: ObservedData, config: TrainConfig, rng: np.ra
     if strategy == STRATEGY_T:
         return fit_t_learner(train, config, rng)
     if strategy == STRATEGY_DR:
-        return fit_dr_learner(train, config, rng, first_stage())
+        return fit_dr_learner(train, config, rng, nuisances)
     if strategy == STRATEGY_X:
-        return fit_x_learner(train, config, rng, first_stage())
+        return fit_x_learner(train, config, rng, nuisances)
     return fit_tarnet(train, gamma, config, rng)
 
 

@@ -68,7 +68,7 @@ def fit_reference_x():
     config = sweep_config(dgp.PREDICTIVE_CONFOUNDING)
     train, test = harness.build_cell_dataset(config, 2.0, 0)
     nuisances = learners.fit_nuisances(train.observed, config.train, stream(7, 1), stream(7, 2))
-    est = learners.fit_learner("x", train.observed, config.train, stream(7, 3), lambda: nuisances)
+    est = learners.fit_learner("x", train.observed, config.train, stream(7, 3), nuisances)
     return est, test
 
 

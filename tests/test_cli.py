@@ -196,6 +196,21 @@ class TestExperiment:
             "(learner, predictive_scale, seed): (s, 1.0, 0), (t, 1.0, 0)"
         ]
 
+    def test_arm_too_small_to_split_fails_its_record(self, workdir, capsys):
+        # Two training units: T's arms hold one unit each or leave one arm empty,
+        # and no arm of one unit can hold out a validation row. Every seed's
+        # record fails; none stops the sweep.
+        cfg = write_config(workdir / "cfg.json", synth_n=3, knob_grid=[1.0], seeds=4,
+                           train={"max_epochs": 2})
+        assert main(["experiment", "--config", str(cfg), "--workers", "1"]) == 2
+        lines = (workdir / "results.csv").read_text().strip().split("\n")
+        assert len(lines) == 1 + 4
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith(("runtime error: ", "error: "))] == [
+            "runtime error: 4 of 4 records failed with a non-finite score at "
+            "(learner, predictive_scale, seed): (t, 1.0, 0), (t, 1.0, 1), (t, 1.0, 2), (t, 1.0, 3)"
+        ]
+
     def test_charts_drawn_for_metrics_with_a_finite_value(self, workdir, capsys, monkeypatch):
         def undefined(*args):
             raise UndefinedMetricError("every attribution row is zero")
@@ -329,6 +344,16 @@ class TestRejectedSettings:
         assert capsys.readouterr().err.startswith("error: the attribution row cap must be >= 1")
         assert not (workdir / "attr.csv").exists()
 
+    def test_attribute_permutation_of_one_row_exits_1_before_reading(self, workdir, capsys):
+        # Neither file exists: the rows rule is applied before either is read.
+        code = main(["attribute", "--model", "model", "--data", "data.csv",
+                     "--method", "feature_permutation", "--cap", "1", "--out", "attr.csv"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --method with --cap: feature_permutation needs at least 2 scored rows, got 1\n"
+        )
+        assert not (workdir / "attr.csv").exists()
+
     @pytest.mark.parametrize("field, value", [("attribution_cap", -5)])
     def test_config_value_below_one_exits_1(self, workdir, capsys, field, value):
         cfg = write_config(workdir / "cfg.json", **{field: value})
@@ -395,6 +420,14 @@ class TestRejectedSettings:
             ({"synth_n": 0}, "synth_n must be >= 3, got 0"),
             ({"synth_n": 1}, "synth_n must be >= 3, got 1"),
             ({"synth_n": 2}, "synth_n must be >= 3, got 2"),
+            ({"synth_d": 30, "attribution_method": "shapley_exact"},
+             "attribution_method with synth_d, synth_n and attribution_cap: "
+             "shapley_exact enumerates at most 15 covariates, got 30"),
+            ({"attribution_method": "feature_permutation", "attribution_cap": 1},
+             "attribution_method with synth_d, synth_n and attribution_cap: "
+             "feature_permutation needs at least 2 scored rows, got 1"),
+            ({"attribution_method": "feature_permutation", "synth_n": 7},  # 1 test row
+             "feature_permutation needs at least 2 scored rows, got 1"),
         ],
     )
     def test_bad_config_value_exits_1(self, workdir, capsys, value, message):
@@ -427,6 +460,25 @@ class TestRejectedSettings:
             "covariates, got 4\n"
         )
         assert sorted(p.name for p in workdir.iterdir()) == ["cfg.json", "narrow.csv"]
+
+    def test_covariate_csv_no_cell_can_score_exits_1(self, workdir, capsys, monkeypatch):
+        # Exact Shapley enumerates at most 15 covariates; the CSV has 16.
+        def no_fit(*args, **kwargs):
+            raise AssertionError("no network may be fitted")
+
+        monkeypatch.setattr(catebench.nn, "minibatch_fit", no_fit)
+        monkeypatch.setattr(catebench.learners, "minibatch_fit", no_fit)
+        rows = stream(0).normal(size=(40, 16))
+        (workdir / "wide.csv").write_text(",".join(f"c{j}" for j in range(16)) + "\n" + "".join(
+            ",".join(map(repr, row.tolist())) + "\n" for row in rows))
+        cfg = write_config(workdir / "cfg.json", covariates_csv="wide.csv",
+                           attribution_method="shapley_exact")
+        assert main(["experiment", "--config", str(cfg), "--workers", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: attribution_method with attribution_cap and covariates_csv wide.csv: "
+            "shapley_exact enumerates at most 15 covariates, got 16\n"
+        )
+        assert not (workdir / "results.csv").exists()
 
 
 class TestBadInputFiles:

@@ -13,10 +13,12 @@ from catebench.harness import (
     build_cell_dataset,
     emit_csv,
     experiment_preset,
+    fit_cell,
     fixed_knob_value,
     load_results,
     run_cell,
     run_experiment,
+    score_cell,
 )
 from catebench.learners import fit_t_learner, parse_learner
 from catebench.nn import TrainConfig
@@ -305,6 +307,35 @@ class TestSharedFirstStage:
             assert np.isfinite(recs[learner].pehe)
         failed = [m for m in caplog.messages if m.startswith("learner ")]
         assert sorted(m.split()[1] for m in failed) == ["dr", "t", "x"]
+
+
+class TestFitThenScore:
+    SIX = TestSharedFirstStage.SIX
+    METHODS = ("saliency", "integrated_gradients", "feature_ablation", "feature_permutation")
+
+    def test_one_fit_scored_by_each_method_equals_its_own_cell(self, monkeypatch):
+        import catebench.learners as learners_mod
+        import catebench.nn as nn_mod
+
+        calls = []
+        original = nn_mod.minibatch_fit
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        cfg = tiny_config(learners=self.SIX)
+        monkeypatch.setattr(nn_mod, "minibatch_fit", counted)
+        monkeypatch.setattr(learners_mod, "minibatch_fit", counted)
+        cell = fit_cell(cfg, 1.0, 3)
+        assert len(calls) == 9
+        scored = {method: score_cell(cell, method) for method in self.METHODS}
+        assert len(calls) == 9  # scoring fits nothing
+        monkeypatch.undo()
+        for method, records in scored.items():
+            alone = run_cell(tiny_config(learners=self.SIX, attribution_method=method), 1.0, 3)
+            assert _untimed(records) == _untimed(alone), method
+            assert all(np.isfinite(r.attr_pred) for r in records), method
 
 
 class TestRunExperiment:

@@ -167,6 +167,31 @@ class TestTLearner:
         assert pehe(est.predict_cate(obs.x), tau) < 0.15
 
 
+class TestArmFloor:
+    def test_floor_is_the_smallest_arm_the_validation_split_takes(self):
+        floor = learners_mod.MIN_ARM_UNITS
+        train_idx, val_idx = holdout_split(floor, VALIDATION_FRACTION, stream(0))
+        assert len(train_idx) >= 1 and len(val_idx) >= 1
+        with pytest.raises(InvalidConfigError, match="degenerate split"):
+            holdout_split(floor - 1, VALIDATION_FRACTION, stream(0))
+
+    @pytest.mark.parametrize("fit", ["t", "x"])
+    @pytest.mark.parametrize("small_arm", [0, 1])
+    def test_arm_below_the_floor_is_a_data_failure(self, fit, small_arm):
+        # One unit in one arm: a network fitted on that arm alone cannot hold out a row.
+        n = 12
+        w = np.full(n, 1 - small_arm)
+        w[: learners_mod.MIN_ARM_UNITS - 1] = small_arm
+        data = ObservedData(stream(90).normal(size=(n, 4)), w, stream(91).normal(size=n))
+        rng = stream(92)
+        stage = NuisanceSet(*(mlp_init([4, 6, 1], rng=rng) for _ in range(3)))
+        with pytest.raises(EmptyGroupError, match=f"arm w={small_arm} holds 1 of the 2 units"):
+            if fit == "t":
+                fit_t_learner(data, FAST, stream(93))
+            else:
+                fit_x_learner(data, FAST, stream(93), stage)
+
+
 class TestTarnet:
     def test_additive_dgp_convergence(self):
         train, _ = additive_data(4000, 90)
