@@ -8,11 +8,11 @@ one method on the same capped test rows and scores against the sealed
 truth; attribution draws only from the cell's attribution seed, so one fit
 pass can be scored by any method. ``run_cell`` is the two under the
 config's method; the IG steps and Shapley orderings are
-``attribute_batch``'s fixed schedule. T, DR and X share the cell's one
-first stage (``fit_nuisances`` from T's stream and the cell's propensity
-stream), fitted at most once and only when one of them is configured:
-T's estimator is its two arms, and ``learners.fit_learner`` fits every
-other label, DR and X on that stage. Sweeps run the grid x seeds product,
+``attribute_batch``'s fixed schedule. ``learners.fit_learner`` fits every
+label. DR and X regress on the cell's one first stage (``fit_nuisances``
+from T's stream and the cell's propensity stream), fitted once and only
+when one of them is configured; T is then its two arms, else T fits the
+same arms from its stream alone. Sweeps run the grid x seeds product,
 optionally across processes; results are keyed records, so collection
 order never matters. ``fit_cell`` keeps a data failure (``NumericError``,
 ``EmptyGroupError``; the first stage's is each of T, DR and X's) in place
@@ -229,8 +229,11 @@ def _scored_rows(config: ExperimentConfig, n: int) -> int:
 
 
 def _read_covariates(config: ExperimentConfig) -> dgp.CovariateMatrix:
-    """The config's ``covariates_csv``, checked against the driver sets and the method."""
+    """The config's ``covariates_csv``, checked against the split, driver sets and method."""
     covariates = dgp.load_covariates_csv(config.covariates_csv, config.covariates_normalize)
+    if covariates.n < MIN_SYNTH_N:
+        raise InvalidConfigError(f"covariates_csv {config.covariates_csv} must hold >= "
+                                 f"{MIN_SYNTH_N} rows, got {covariates.n}")
     _check_width(covariates.d, f"covariates_csv {config.covariates_csv}")
     attribution.check_scorable(
         config.attribution_method, covariates.d, _scored_rows(config, covariates.n),
@@ -334,39 +337,31 @@ def fit_cell(
 ) -> FittedCell:
     """Build one cell's dataset and split, and fit every configured learner on it.
 
-    T, DR and X share one first stage, fitted once: its seconds go to the
-    first of them, and its data failure is each one's. ``covariates`` is as
-    in ``build_dataset``.
+    The first stage is fitted once, only for DR or X; T is then its arms, its
+    seconds go to the first of T, DR and X, and its data failure is each
+    one's. ``covariates`` is as in ``build_dataset``.
     """
     knob_bits = float_key(knob_value)
     train, test = build_cell_dataset(config, knob_value, seed, covariates)
     users = (learners.STRATEGY_T, *learners.SECOND_STAGES)  # of the first stage
-    stage, stage_s = None, 0.0  # the first stage or its data failure, and its seconds
-    if any(label in users for label in config.learners):
+    stage, failure, stage_s = None, None, 0.0  # the first stage, its data failure, its seconds
+    if any(label in learners.SECOND_STAGES for label in config.learners):
         started = time.perf_counter()
         try:
-            stage = learners.fit_nuisances(
-                train.observed,
-                config.train,
+            stage = learners.fit_nuisances(  # the arms from T's own stream
+                train.observed, config.train,
                 stream(seed, knob_bits, _S_LEARNER, label_key(learners.STRATEGY_T)),
-                stream(seed, knob_bits, _S_PROPENSITY),
-            )
+                stream(seed, knob_bits, _S_PROPENSITY))
         except _FIT_FAILURES as err:
-            stage = err
+            failure = err
         stage_s = time.perf_counter() - started
     fits = []
     for label in config.learners:
         rng = stream(seed, knob_bits, _S_LEARNER, label_key(label))
         started = time.perf_counter()
         try:
-            if label not in users:
-                fitted = learners.fit_learner(label, train.observed, config.train, rng, None)
-            elif isinstance(stage, Exception):
-                fitted = stage
-            elif label == learners.STRATEGY_T:  # T is the first stage's two arms
-                fitted = learners.TEstimator(stage.mu0, stage.mu1)
-            else:
-                fitted = learners.fit_learner(label, train.observed, config.train, rng, stage)
+            fitted = (failure if failure is not None and label in users
+                      else learners.fit_learner(label, train.observed, config.train, rng, stage))
         except _FIT_FAILURES as err:
             fitted = err
         seconds = time.perf_counter() - started

@@ -31,11 +31,12 @@ one function that fits it: mu0 and mu1 are the T-learner's arms from
 ``fit_t_learner`` and pi is ``fit_propensity``'s model. DR and X draw
 their own networks from children 1 and up of their stream and leave child
 0 to the first stage. ``fit_learner`` is the one map from a learner label
-to its fit; for the ``SECOND_STAGES`` (DR and X) its caller passes the
-fitted first stage, which ``harness`` fits once per cell and ``cli`` from
-child 0. A network fitted on one arm (T's arms, X's effect arms) needs an
-arm that ``holdout_split`` can split (``MIN_ARM_UNITS``); a smaller arm
-is a data failure, ``EmptyGroupError``, like an empty one.
+to its fit. Its caller passes the ``SECOND_STAGES`` (DR and X) a fitted
+first stage: ``harness`` fits it once per cell, only when DR or X is
+there, and ``cli`` from child 0. Handed a stage, T is its two arms, else
+T fits them. A network fitted on one arm (T's arms, X's effect arms)
+needs an arm that ``holdout_split`` can split (``MIN_ARM_UNITS``); a
+smaller arm is a data failure, ``EmptyGroupError``, like an empty one.
 
 A fitted estimator is saved as a directory: ``manifest.json`` holds the
 strategy and every scalar field, and ``weights.npz`` every array field and
@@ -471,13 +472,15 @@ def fit_learner(label: str, train: ObservedData, config: TrainConfig, rng: np.ra
                 nuisances: NuisanceSet | None) -> CateEstimator:
     """The estimator ``label`` names, fitted from ``rng``.
 
-    Only the ``SECOND_STAGES`` read ``nuisances``, the first stage their
-    second stage regresses on; the others take None.
+    ``nuisances`` is a fitted first stage or None: the ``SECOND_STAGES``
+    need one, T is its two arms when given, and the others ignore it.
     """
     strategy, gamma = parse_learner(label)
     if strategy == STRATEGY_S:
         return fit_s_learner(train, config, rng)
     if strategy == STRATEGY_T:
+        if nuisances is not None:
+            return TEstimator(nuisances.mu0, nuisances.mu1)
         return fit_t_learner(train, config, rng)
     if strategy == STRATEGY_DR:
         return fit_dr_learner(train, config, rng, nuisances)

@@ -480,6 +480,23 @@ class TestRejectedSettings:
         )
         assert not (workdir / "results.csv").exists()
 
+    @pytest.mark.parametrize("command", [["experiment", "--workers", "1"], ["generate"]],
+                             ids=["experiment", "generate"])
+    def test_covariate_csv_too_short_to_split_exits_1(self, workdir, capsys, monkeypatch,
+                                                      command):
+        # A cell needs harness.MIN_SYNTH_N = 3 units to hold out a test and a validation row.
+        def no_fit(*args, **kwargs):
+            raise AssertionError("no network may be fitted")
+
+        monkeypatch.setattr(catebench.nn, "minibatch_fit", no_fit)
+        monkeypatch.setattr(catebench.learners, "minibatch_fit", no_fit)
+        (workdir / "short.csv").write_text("a,b,c,d,e\n0,1,2,3,4\n1,0,3,2,4\n")
+        cfg = write_config(workdir / "cfg.json", covariates_csv="short.csv")
+        assert main([*command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error: covariates_csv short.csv must hold >= 3 rows, got 2\n")
+        assert sorted(p.name for p in workdir.iterdir()) == ["cfg.json", "short.csv"]
+
 
 class TestBadInputFiles:
     """Each malformed input file exits 2 with one ``runtime error:`` line naming it."""

@@ -48,6 +48,24 @@ def tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
+@pytest.fixture()
+def fit_count(monkeypatch):
+    """One entry per network fitted, counted through both ``minibatch_fit`` references."""
+    import catebench.learners as learners_mod
+    import catebench.nn as nn_mod
+
+    calls = []
+    original = nn_mod.minibatch_fit
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nn_mod, "minibatch_fit", counted)
+    monkeypatch.setattr(learners_mod, "minibatch_fit", counted)
+    return calls
+
+
 class TestExperimentConfig:
     def test_round_trip_via_dict(self):
         text = """{
@@ -222,22 +240,19 @@ class TestRunCell:
 class TestSharedFirstStage:
     SIX = ("s", "t", "tarnet", "dr", "x", "cfrnet:10")
 
-    def test_six_learner_cell_fits_nine_networks(self, monkeypatch):
-        import catebench.learners as learners_mod
-        import catebench.nn as nn_mod
-
-        calls = []
-        original = nn_mod.minibatch_fit
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(nn_mod, "minibatch_fit", counted)
-        monkeypatch.setattr(learners_mod, "minibatch_fit", counted)
+    def test_six_learner_cell_fits_nine_networks(self, fit_count):
         run_cell(tiny_config(learners=self.SIX), 1.0, 0)
         # S 1, TARNet 1, CFRNet 1, shared mu0/mu1/pi 3, DR stage 2 1, X tau0/tau1 2.
-        assert len(calls) == 9
+        assert len(fit_count) == 9
+
+    @pytest.mark.parametrize("labels, networks", [(("s", "t"), 3), (("t",), 2)])
+    def test_cell_without_dr_or_x_fits_no_propensity(self, labels, networks, fit_count):
+        # T fits the stage's two arms from the same stream, so its record is
+        # the one a cell that also fits DR and X gives.
+        records = run_cell(tiny_config(learners=labels), 1.0, 5)
+        assert len(fit_count) == networks  # S 1, T's arms 2
+        with_stage = run_cell(tiny_config(learners=labels + ("dr", "x")), 1.0, 5)
+        assert _untimed(records) == _untimed(with_stage[: len(labels)])
 
     def test_t_dr_x_cell_fits_t_and_propensity_once(self, monkeypatch):
         import catebench.learners as learners_mod
@@ -313,25 +328,11 @@ class TestFitThenScore:
     SIX = TestSharedFirstStage.SIX
     METHODS = ("saliency", "integrated_gradients", "feature_ablation", "feature_permutation")
 
-    def test_one_fit_scored_by_each_method_equals_its_own_cell(self, monkeypatch):
-        import catebench.learners as learners_mod
-        import catebench.nn as nn_mod
-
-        calls = []
-        original = nn_mod.minibatch_fit
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        cfg = tiny_config(learners=self.SIX)
-        monkeypatch.setattr(nn_mod, "minibatch_fit", counted)
-        monkeypatch.setattr(learners_mod, "minibatch_fit", counted)
-        cell = fit_cell(cfg, 1.0, 3)
-        assert len(calls) == 9
+    def test_one_fit_scored_by_each_method_equals_its_own_cell(self, fit_count):
+        cell = fit_cell(tiny_config(learners=self.SIX), 1.0, 3)
+        assert len(fit_count) == 9
         scored = {method: score_cell(cell, method) for method in self.METHODS}
-        assert len(calls) == 9  # scoring fits nothing
-        monkeypatch.undo()
+        assert len(fit_count) == 9  # scoring fits nothing
         for method, records in scored.items():
             alone = run_cell(tiny_config(learners=self.SIX, attribution_method=method), 1.0, 3)
             assert _untimed(records) == _untimed(alone), method

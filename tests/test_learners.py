@@ -16,6 +16,7 @@ from catebench.learners import (
     NuisanceSet,
     dr_pseudo_outcome,
     fit_dr_learner,
+    fit_learner,
     fit_nuisances,
     fit_s_learner,
     fit_t_learner,
@@ -159,6 +160,24 @@ class TestTLearner:
 
         expected = mlp_input_gradient(mu1, x) - mlp_input_gradient(mu0, x)
         assert np.allclose(est.gradient(x), expected)
+
+    def test_fit_learner_reads_a_given_first_stage(self, monkeypatch):
+        train, _ = additive_data(200, 85)
+        short = TrainConfig(max_epochs=2)
+        fitted = fit_learner("t", train, short, stream(86), None)
+        alone = fit_t_learner(train, short, stream(86))
+        for a, b in zip(fitted.mu0.arrays() + fitted.mu1.arrays(),
+                        alone.mu0.arrays() + alone.mu1.arrays()):
+            assert np.array_equal(a, b)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("no network may be fitted")
+
+        monkeypatch.setattr("catebench.nn.minibatch_fit", no_fit)
+        monkeypatch.setattr(learners_mod, "minibatch_fit", no_fit)
+        stage = NuisanceSet(fitted.mu0, fitted.mu1, mlp_init([5, 4, 1], SIGMOID, stream(87)))
+        est = fit_learner("t", train, short, stream(88), stage)
+        assert isinstance(est, TEstimator) and est.mu0 is stage.mu0 and est.mu1 is stage.mu1
 
     def test_additive_dgp_convergence(self):
         train, _ = additive_data(4000, 82)
