@@ -46,6 +46,7 @@ SHAPLEY_MC = "shapley_mc"
 SHAPLEY_EXACT = "shapley_exact"
 
 IG_STEPS = 50  # midpoints per integrated-gradients path
+DEFAULT_ROW_CAP = 1000  # rows ``attribute_batch`` scores unless told otherwise
 _EXACT_SHAPLEY_MAX_D = 15
 _BLOCK_POINTS = 512  # points per evaluation: 0.4 MB per 100-unit activation, L2-sized
 
@@ -247,8 +248,10 @@ _BATCH_METHODS = {
 METHODS = tuple(_BATCH_METHODS)
 
 
-def check_row_cap(max_rows: int) -> None:
-    """InvalidConfigError unless the attribution row cap is at least 1."""
+def check_settings(method: str, max_rows: int) -> None:
+    """InvalidConfigError unless ``method`` is known and the row cap ``max_rows`` is at least 1."""
+    if method not in _BATCH_METHODS:
+        raise InvalidConfigError(f"unknown attribution method {method!r}")
     if max_rows < 1:
         raise InvalidConfigError(f"the attribution row cap must be >= 1, got {max_rows}")
 
@@ -267,7 +270,7 @@ def check_scorable(method: str, d: int | None, rows: int, source: str) -> None:
 
 
 def attribute_batch(
-    method: str, est, x_query: np.ndarray, *, max_rows: int = 1000, seed: int = 0
+    method: str, est, x_query: np.ndarray, *, max_rows: int = DEFAULT_ROW_CAP, seed: int = 0
 ) -> AttributionMatrix:
     """Apply one method to the effect function over a capped query batch.
 
@@ -278,9 +281,7 @@ def attribute_batch(
     estimator evaluates every block in one workspace that lives for this
     call.
     """
-    if method not in _BATCH_METHODS:
-        raise InvalidConfigError(f"unknown attribution method {method!r}")
-    check_row_cap(max_rows)
+    check_settings(method, max_rows)
     fn = as_function(est, Workspace())
     x_query = np.atleast_2d(np.asarray(x_query, dtype=float))
     m = x_query.shape[0]

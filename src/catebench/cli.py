@@ -3,9 +3,9 @@
 Subcommands: generate, fit, attribute, evaluate, experiment, plot. Each
 reads a JSON config file (where applicable) plus flag overrides. Exit
 codes: 0 success, 1 configuration/usage error (a malformed config file
-included), 2 runtime error (a malformed input file included, and an
-``experiment`` or ``plot`` with any record whose score is non-finite,
-after it has written its outputs). Every file is read and written through
+and a path the OS cannot read or write included), 2 runtime error (a
+malformed input file included, and an ``experiment`` or ``plot`` with any
+record whose score is non-finite, after it has written its outputs). Every file is read and written through
 ``tables``, which names a malformed one.
 ``fit`` hands its learner label to ``learners.fit_learner``.
 """
@@ -87,7 +87,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="query dataset CSV")
     p.add_argument("--method", default=attribution.INTEGRATED_GRADIENTS,
                    choices=attribution.METHODS)
-    p.add_argument("--cap", type=int, default=1000)
+    p.add_argument("--cap", type=int, default=attribution.DEFAULT_ROW_CAP)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
@@ -150,7 +150,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_attribute(args) -> int:
-    attribution.check_row_cap(args.cap)  # before any file is read
+    attribution.check_settings(args.method, args.cap)  # before any file is read
     attribution.check_scorable(args.method, None, args.cap, "--method with --cap")
     est = learners.load_estimator(args.model)
     obs, _, unit_ids = dgp.load_observed(args.data)
@@ -243,7 +243,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (InvalidConfigError, FileNotFoundError) as err:
+    except (InvalidConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except CatebenchError as err:

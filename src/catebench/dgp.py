@@ -24,7 +24,10 @@ assumptions hold by construction rather than by hope:
   so (Y(0), Y(1)) are independent of W given X — there is nothing the
   assignment could depend on beyond the covariates;
 - positivity: pi(x) = sigmoid(omega_pi * z(x)) is strictly inside (0, 1)
-  for every finite propensity scale.
+  in exact arithmetic. In float64 it rounds to exactly 1.0 once
+  omega_pi * z(x) exceeds 53 ln 2 (about 36.74), and to 0.0 below about
+  -745, so a large scale can leave units with pi == 1; the presets'
+  largest scale, 4, keeps every pi inside (0, 1).
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ class NumericError(CatebenchError):
 
 
 class EmptyGroupError(CatebenchError):
-    """An operation needs both treatment groups to be nonempty."""
+    """A treatment arm holds fewer units than an operation needs."""
 
 
 class ParseError(CatebenchError):

@@ -45,7 +45,7 @@ from .errors import (
     ParseError,
     UndefinedMetricError,
 )
-from .nn import VALIDATION_FRACTION, TrainConfig, holdout_count
+from .nn import VALIDATION_FRACTION, TrainConfig, holdout_count, splits
 from .rng import float_key, label_key, stream
 
 log = logging.getLogger(__name__)
@@ -64,17 +64,9 @@ DEFAULT_LEARNERS = ("s", "t", "tarnet", "dr", "x")
 TEST_FRACTION = 0.2  # share of a cell's units held out for attribution and scoring
 
 
-def _splits(n: int) -> bool:
-    """Whether n units leave a test row, and their training part a validation row.
-
-    Each split must also keep a row, as ``nn.holdout_split`` requires.
-    """
-    n_test = holdout_count(n, TEST_FRACTION)
-    n_val = holdout_count(n - n_test, VALIDATION_FRACTION)
-    return 1 <= n_test < n and 1 <= n_val < n - n_test
-
-
-MIN_SYNTH_N = next(n for n in count(1) if _splits(n))  # the smallest cell that splits
+# The smallest cell that splits: a test row out of n, then a validation row out of the rest.
+MIN_SYNTH_N = next(n for n in count(1) if splits(n, TEST_FRACTION)
+                   and splits(n - holdout_count(n, TEST_FRACTION), VALIDATION_FRACTION))
 
 # Sub-stream labels under the (seed, knob bits) root.
 _S_COVARIATES = 1
@@ -108,7 +100,7 @@ class ExperimentConfig:
     learners: tuple[str, ...] = DEFAULT_LEARNERS
     attribution_method: str = attribution.INTEGRATED_GRADIENTS
     seeds: int = 5
-    attribution_cap: int = 1000
+    attribution_cap: int = attribution.DEFAULT_ROW_CAP
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
@@ -145,9 +137,7 @@ class ExperimentConfig:
         _check_width(self.synth_d, "synth_d")
         if not 0.0 <= self.synth_rho < 1.0:  # NaN included
             raise InvalidConfigError(f"synth_rho must lie in [0, 1), got {self.synth_rho}")
-        if self.attribution_method not in attribution.METHODS:
-            raise InvalidConfigError(f"unknown attribution method {self.attribution_method!r}")
-        attribution.check_row_cap(self.attribution_cap)
+        attribution.check_settings(self.attribution_method, self.attribution_cap)
         if self.covariates_csv is None:  # else checked where the file is read
             attribution.check_scorable(
                 self.attribution_method, self.synth_d, _scored_rows(self, self.synth_n),

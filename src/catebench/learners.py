@@ -34,9 +34,10 @@ their own networks from children 1 and up of their stream and leave child
 to its fit. Its caller passes the ``SECOND_STAGES`` (DR and X) a fitted
 first stage: ``harness`` fits it once per cell, only when DR or X is
 there, and ``cli`` from child 0. Handed a stage, T is its two arms, else
-T fits them. A network fitted on one arm (T's arms, X's effect arms)
-needs an arm that ``holdout_split`` can split (``MIN_ARM_UNITS``); a
-smaller arm is a data failure, ``EmptyGroupError``, like an empty one.
+T fits them. ``_check_arms`` is the one arm rule: every fit needs a unit
+in each arm, and a network fitted on one arm (T's arms, X's effect arms)
+needs an arm that ``nn.splits`` admits (``MIN_ARM_UNITS``). A smaller arm
+is a data failure, ``EmptyGroupError`` naming the arm, like an empty one.
 
 A fitted estimator is saved as a directory: ``manifest.json`` holds the
 strategy and every scalar field, and ``weights.npz`` every array field and
@@ -75,7 +76,6 @@ from .nn import (
     _take_rows,
     flat_views,
     flatten,
-    holdout_count,
     holdout_split,
     loss_output_grad,
     loss_value,
@@ -85,6 +85,7 @@ from .nn import (
     mlp_init,
     mlp_input_gradient,
     mmd2_linear_with_grad,
+    splits,
     train_early_stop,
 )
 
@@ -102,21 +103,18 @@ PROPENSITY_CLIP = 0.01  # DR pseudo-outcomes clip propensities to [c, 1 - c]
 
 
 # The smallest arm whose validation split holds out a unit and keeps one.
-MIN_ARM_UNITS = next(n for n in count(1) if 1 <= holdout_count(n, VALIDATION_FRACTION) < n)
+MIN_ARM_UNITS = next(n for n in count(1) if splits(n, VALIDATION_FRACTION))
 
 
-def _check_groups(w: np.ndarray) -> None:
-    if not np.any(w == 1) or not np.any(w == 0):
-        raise EmptyGroupError("both treatment groups must be nonempty")
+def _check_arms(w: np.ndarray, need: int) -> None:
+    """EmptyGroupError unless each arm holds ``need`` units.
 
-
-def _check_arms(w: np.ndarray) -> None:
-    """EmptyGroupError unless each arm can train a network of its own."""
+    Every fit needs 1; a network fitted on one arm alone needs ``MIN_ARM_UNITS``.
+    """
     for arm in (0, 1):
         units = np.count_nonzero(w == arm)
-        if units < MIN_ARM_UNITS:
-            raise EmptyGroupError(f"arm w={arm} holds {units} of the {MIN_ARM_UNITS} units "
-                                  "that a network fitted on one arm needs")
+        if units < need:
+            raise EmptyGroupError(f"arm w={arm} holds {units} of the {need} units the fit needs")
 
 
 def _fit_regression(
@@ -152,7 +150,7 @@ class NuisanceSet:
 
 def fit_propensity(train: ObservedData, config: TrainConfig, rng: np.random.Generator) -> MlpParams:
     """Propensity model: a sigmoid-output regression of w on x under cross-entropy."""
-    _check_groups(train.w)
+    _check_arms(train.w, 1)
     return _fit_regression(
         train.x, train.w.astype(float), config, rng, SIGMOID, BINARY_CROSS_ENTROPY
     )
@@ -205,11 +203,9 @@ class TEstimator(CateEstimator):
     strategy = STRATEGY_T
 
     def predict_cate(self, x, ws=None):
-        x = np.atleast_2d(x)
         return mlp_forward(self.mu1, x, ws)[:, 0] - mlp_forward(self.mu0, x, ws)[:, 0]
 
     def gradient(self, x, ws=None):
-        x = np.atleast_2d(x)
         g = mlp_input_gradient(self.mu1, x, ws)
         g -= mlp_input_gradient(self.mu0, x, ws)
         return g
@@ -260,10 +256,10 @@ class DrEstimator(CateEstimator):
     strategy = STRATEGY_DR
 
     def predict_cate(self, x, ws=None):
-        return mlp_forward(self.effect, np.atleast_2d(x), ws)[:, 0]
+        return mlp_forward(self.effect, x, ws)[:, 0]
 
     def gradient(self, x, ws=None):
-        return mlp_input_gradient(self.effect, np.atleast_2d(x), ws)
+        return mlp_input_gradient(self.effect, x, ws)
 
 
 @dataclass
@@ -276,7 +272,6 @@ class XEstimator(CateEstimator):
     strategy = STRATEGY_X
 
     def predict_cate(self, x, ws=None):
-        x = np.atleast_2d(x)
         t0 = mlp_forward(self.tau0, x, ws)[:, 0]
         t1 = mlp_forward(self.tau1, x, ws)[:, 0]
         g = mlp_forward(self.pi, x, ws)[:, 0]
@@ -284,7 +279,6 @@ class XEstimator(CateEstimator):
 
     def gradient(self, x, ws=None):
         """g * dtau1 + (1 - g) * dtau0 + (tau1 - tau0) * dg, one pass per network."""
-        x = np.atleast_2d(x)
         t0, g0 = mlp_forward_and_input_gradient(self.tau0, x, ws)
         t1, g1 = mlp_forward_and_input_gradient(self.tau1, x, ws)
         g, gg = mlp_forward_and_input_gradient(self.pi, x, ws)
@@ -300,14 +294,14 @@ class XEstimator(CateEstimator):
 
 
 def fit_s_learner(train: ObservedData, config: TrainConfig, rng: np.random.Generator) -> SEstimator:
-    _check_groups(train.w)
+    _check_arms(train.w, 1)
     xw = np.hstack([train.x, train.w[:, None].astype(float)])
     return SEstimator(_fit_regression(xw, train.y, config, rng))
 
 
 def fit_t_learner(train: ObservedData, config: TrainConfig, rng: np.random.Generator) -> TEstimator:
     """mu0 on controls from ``rng``'s child 0, mu1 on treated from its child 1."""
-    _check_arms(train.w)
+    _check_arms(train.w, MIN_ARM_UNITS)
     r0, r1 = rng.spawn(2)
     controls = train.w == 0
     treated = train.w == 1
@@ -336,7 +330,7 @@ def fit_tarnet(
     """Joint fit of trunk and heads; factual loss plus gamma * MMD^2 per batch."""
     if not gamma >= 0:  # NaN included
         raise InvalidConfigError(f"gamma must be >= 0, got {gamma}")
-    _check_groups(train.w)
+    _check_arms(train.w, 1)
     r_init, r_split, r_train = rng.spawn(3)
 
     init = mlp_init([train.d, HIDDEN_UNITS], IDENTITY, r_init).arrays()
@@ -419,7 +413,7 @@ def fit_dr_learner(
     nuisances: NuisanceSet,
 ) -> DrEstimator:
     """Stage 2: regress pseudo-outcomes from ``nuisances`` on covariates."""
-    _check_groups(train.w)
+    _check_arms(train.w, 1)
     r_stage2 = rng.spawn(2)[1]  # child 0 is the first stage's
     pseudo = dr_pseudo_outcome(
         train.y,
@@ -438,7 +432,7 @@ def fit_x_learner(
     nuisances: NuisanceSet,
 ) -> XEstimator:
     """Arm-wise effect regressions on imputed contrasts, blended by pi_hat."""
-    _check_arms(train.w)
+    _check_arms(train.w, MIN_ARM_UNITS)
     r_tau0, r_tau1 = rng.spawn(3)[1:]  # child 0 is the first stage's
     treated = train.w == 1
     # Treated arm: observed outcome minus imputed control outcome.

@@ -10,7 +10,12 @@ Every network fit takes one path: a seeded hold-out split
 one flat float64 vector that ``adam_step`` updates in place. Per-layer
 arrays are views into that vector, and each step runs one forward pass
 whose activations the backward pass reuses. ``dgp.train_test_split`` also
-splits through ``holdout_split``. Everything is float64 and
+splits through ``holdout_split``. ``splits(n, fraction)`` is the one
+statement of when a split exists (it holds out a sample and keeps one):
+``holdout_split`` raises through it, and ``learners.MIN_ARM_UNITS`` and
+``harness.MIN_SYNTH_N`` are the smallest sizes it admits. A network's
+input is shaped and width-checked in one place, ``_batch``, which every
+public pass and ``train_early_stop`` call. Everything is float64 and
 deterministic given the generators passed in; no function touches global
 random state.
 
@@ -413,6 +418,11 @@ def holdout_count(n: int, fraction: float) -> int:
     return int(round(n * fraction))
 
 
+def splits(n: int, fraction: float) -> bool:
+    """Whether ``holdout_split`` can split ``n`` samples: it holds out one and keeps one."""
+    return 1 <= holdout_count(n, fraction) < n
+
+
 def holdout_split(
     n: int, fraction: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -420,7 +430,7 @@ def holdout_split(
     if not 0.0 < fraction < 1.0:
         raise InvalidConfigError(f"split fraction must lie strictly in (0, 1), got {fraction}")
     n_out = holdout_count(n, fraction)
-    if n_out < 1 or n - n_out < 1:
+    if not splits(n, fraction):
         raise InvalidConfigError(f"degenerate split: {n} samples, {n_out} held out")
     perm = rng.permutation(n)
     return perm[n_out:], perm[:n_out]
@@ -487,7 +497,7 @@ def train_early_stop(
     """
     if rng is None:
         raise InvalidConfigError("train_early_stop requires a seeded generator")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = _batch(x, net.input_dim)
     target = np.asarray(target, dtype=float).reshape(-1)
     if not np.all(np.isfinite(target)):
         raise NumericError("targets must be finite")

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -241,6 +242,26 @@ class TestUsageErrors:
         assert "unrecognized arguments: --sigma" in capsys.readouterr().err
         assert [p.name for p in workdir.iterdir()] == ["cfg.json"]
 
+    @pytest.mark.parametrize("command", ["generate", "plot", "fit"])
+    def test_path_the_os_refuses_exits_1(self, workdir, capsys, command):
+        # A directory where a file is written or read, or a file where the model directory goes.
+        cfg = write_config(workdir / "cfg.json")
+        (workdir / "a_dir").mkdir()
+        if command == "fit":
+            assert main(["generate", "--config", str(cfg)]) == 0
+            (workdir / "a_file").write_text("")
+        argv = {
+            "generate": ["generate", "--config", str(cfg), "--out-data", "a_dir"],
+            "plot": ["plot", "--results", "a_dir", "--out", "p.svg"],
+            "fit": ["fit", "--data", "data.csv", "--learner", "t", "--config", str(cfg),
+                    "--out-dir", "a_file"],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_runtime_error_exits_2(self, workdir, capsys):
         # Exact Shapley enumeration is capped at 15 features; 16 must fail
         # at runtime, not at configuration time.
@@ -343,6 +364,15 @@ class TestRejectedSettings:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: the attribution row cap must be >= 1")
         assert not (workdir / "attr.csv").exists()
+
+    def test_row_cap_default_is_one_constant(self):
+        from catebench import attribution, cli, harness
+
+        args = cli._build_parser().parse_args(["attribute", "--model", "m", "--data", "d",
+                                               "--out", "o"])
+        batch_default = inspect.signature(attribution.attribute_batch).parameters["max_rows"]
+        assert (args.cap == harness.ExperimentConfig().attribution_cap
+                == batch_default.default == attribution.DEFAULT_ROW_CAP)
 
     def test_attribute_permutation_of_one_row_exits_1_before_reading(self, workdir, capsys):
         # Neither file exists: the rows rule is applied before either is read.

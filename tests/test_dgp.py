@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,6 +38,8 @@ from catebench.errors import (
     ParseError,
     ShapeError,
 )
+from catebench.harness import build_dataset, experiment_preset
+from catebench.nn import sigmoid
 from catebench.rng import stream
 
 
@@ -327,6 +330,16 @@ class TestGenerateDataset:
         spec = PropensitySpec(PREDICTIVE_CONFOUNDING, 4.0)
         ds = self._gen(n=5000, spec=spec)
         assert np.all(ds.truth.pi > 0.0) and np.all(ds.truth.pi < 1.0)
+
+    @pytest.mark.parametrize("kind", PROPENSITY_KINDS)
+    def test_confounding_preset_keeps_pi_inside_the_unit_interval(self, kind):
+        # float64 rounds sigmoid(s) to 1.0 from s = 53 ln 2; the preset's scales stay below it.
+        below, above = sigmoid(np.array([36.73, 36.75]))
+        assert below < 1.0 and above == 1.0
+        config = replace(experiment_preset("confounding"), propensity_kind=kind)
+        for value in config.knob_grid:
+            pi = build_dataset(config, value, 0).truth.pi
+            assert np.all(pi > 0.0) and np.all(pi < 1.0)
 
     def test_predictive_only_dependence(self):
         ds = self._gen()

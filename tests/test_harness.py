@@ -7,6 +7,8 @@ import pytest
 from catebench.dgp import PREDICTIVE_CONFOUNDING
 from catebench.errors import InvalidConfigError, NumericError, ParseError
 from catebench.harness import (
+    MIN_SYNTH_N,
+    TEST_FRACTION,
     ExperimentConfig,
     ResultRecord,
     aggregate,
@@ -20,8 +22,8 @@ from catebench.harness import (
     run_experiment,
     score_cell,
 )
-from catebench.learners import fit_t_learner, parse_learner
-from catebench.nn import TrainConfig
+from catebench.learners import MIN_ARM_UNITS, fit_t_learner, parse_learner
+from catebench.nn import VALIDATION_FRACTION, TrainConfig, holdout_count, splits
 
 TINY_TRAIN = TrainConfig(learning_rate=1e-3, batch_size=128, max_epochs=3, patience=2)
 
@@ -146,6 +148,17 @@ class TestExperimentConfig:
         train, test = build_cell_dataset(tiny_config(synth_d=15), 1.0, 0)
         assert len(train.truth.sets.prognostic) == 3  # floor(0.2 * d) covariates per set
         assert (train.n, test.n) == (192, 48)  # TEST_FRACTION of 240 units held out
+
+    def test_floors_are_the_smallest_sizes_the_split_rule_admits(self):
+        def arm_splits(n):  # a validation row out of one arm
+            return splits(n, VALIDATION_FRACTION)
+
+        def cell_splits(n):  # a test row out of n, then a validation row out of the rest
+            return splits(n, TEST_FRACTION) and arm_splits(n - holdout_count(n, TEST_FRACTION))
+
+        for floor, admits in ((MIN_ARM_UNITS, arm_splits), (MIN_SYNTH_N, cell_splits)):
+            assert [n for n in range(1, floor + 1) if admits(n)] == [floor]
+        assert (MIN_ARM_UNITS, MIN_SYNTH_N) == (2, 3)
 
     def test_parse_learner_labels(self):
         for label, parsed in [("s", ("s", 0.0)), ("t", ("t", 0.0)), ("dr", ("dr", 0.0)),

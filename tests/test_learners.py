@@ -18,6 +18,7 @@ from catebench.learners import (
     fit_dr_learner,
     fit_learner,
     fit_nuisances,
+    fit_propensity,
     fit_s_learner,
     fit_t_learner,
     fit_tarnet,
@@ -209,6 +210,22 @@ class TestArmFloor:
                 fit_t_learner(data, FAST, stream(93))
             else:
                 fit_x_learner(data, FAST, stream(93), stage)
+
+    @pytest.mark.parametrize("fit", ["s", "propensity", "tarnet", "dr"])
+    @pytest.mark.parametrize("empty_arm", [0, 1])
+    def test_empty_arm_is_named(self, fit, empty_arm):
+        n = 12
+        data = ObservedData(stream(90).normal(size=(n, 4)), np.full(n, 1 - empty_arm),
+                            stream(91).normal(size=n))
+        stage = NuisanceSet(*(mlp_init([4, 6, 1], rng=stream(92)) for _ in range(3)))
+        fits = {
+            "s": lambda: fit_s_learner(data, FAST, stream(93)),
+            "propensity": lambda: fit_propensity(data, FAST, stream(93)),
+            "tarnet": lambda: fit_tarnet(data, 0.0, FAST, stream(93)),
+            "dr": lambda: fit_dr_learner(data, FAST, stream(93), stage),
+        }
+        with pytest.raises(EmptyGroupError, match=f"arm w={empty_arm} holds 0 of the 1 units"):
+            fits[fit]()
 
 
 class TestTarnet:

@@ -12,6 +12,7 @@ from catebench.errors import (
     NumericError,
     ShapeError,
 )
+from catebench.harness import TEST_FRACTION
 from catebench.nn import (
     BINARY_CROSS_ENTROPY,
     IDENTITY,
@@ -33,6 +34,7 @@ from catebench.nn import (
     minibatch_fit,
     mlp_input_gradient,
     mmd2_linear_with_grad,
+    splits,
     train_early_stop,
 )
 from catebench.rng import stream
@@ -279,6 +281,11 @@ class TestTrainEarlyStop:
         with pytest.raises(InvalidConfigError):
             train_early_stop(net, np.ones((1, 2)), np.ones(1), rng=stream(1))
 
+    def test_wrong_width_rejected(self):
+        net = mlp_init([3, 1], rng=stream(0))
+        with pytest.raises(ShapeError, match="input has 2 columns, network expects 3"):
+            train_early_stop(net, np.ones((10, 2)), np.ones(10), rng=stream(1))
+
     def test_nonfinite_targets_rejected(self):
         net = mlp_init([2, 1], rng=stream(0))
         y = np.array([1.0, np.nan, 0.0, 2.0])
@@ -300,6 +307,16 @@ class TestTrainEarlyStop:
     def test_holdout_fraction_must_lie_inside_unit_interval(self, fraction):
         with pytest.raises(InvalidConfigError, match="split fraction must lie strictly in"):
             holdout_split(10, fraction, stream(0))
+
+    @pytest.mark.parametrize("fraction", [VALIDATION_FRACTION, TEST_FRACTION])
+    def test_holdout_split_raises_exactly_where_splits_is_false(self, fraction):
+        for n in range(1, 61):
+            if splits(n, fraction):
+                kept, held = holdout_split(n, fraction, stream(n))
+                assert len(kept) >= 1 and len(held) >= 1 and len(kept) + len(held) == n
+            else:
+                with pytest.raises(InvalidConfigError, match="degenerate split"):
+                    holdout_split(n, fraction, stream(n))
 
 
 def textbook_train_early_stop(net, x, target, loss, config, rng):
