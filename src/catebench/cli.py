@@ -7,7 +7,9 @@ and a path the OS cannot read or write included), 2 runtime error (a
 malformed input file included, and an ``experiment`` or ``plot`` with any
 record whose score is non-finite, after it has written its outputs). Every file is read and written through
 ``tables``, which names a malformed one.
-``fit`` hands its learner label to ``learners.fit_learner``.
+``fit`` fits its label through ``harness.fit_learners``, as a sweep cell
+fits each of its labels, under the root (seed,): its T is the first stage
+its DR and X regress on. It makes ``--out-dir`` before any network is fitted.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from pathlib import Path
 # without them. harness loads the process pool only when a sweep starts one.
 from . import attribution, dgp, learners, metrics, tables
 from .errors import CatebenchError, InvalidConfigError, ParseError
-from .rng import stream
 
 
 class _UsageError(Exception):
@@ -133,17 +134,15 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from . import harness
+
     config = _load_config(args.config)
+    learners.parse_learner(args.learner)  # a bad label exits 1 before --out-dir is made
     obs, _, _ = dgp.load_observed(args.data)
-    # DR and X fit the first stage from child 0 of the seed's stream: T's arms
-    # from it and the propensity from its child 2, each from a fresh copy.
-    nuisances = None
-    if args.learner in learners.SECOND_STAGES:
-        nuisances = learners.fit_nuisances(
-            obs, config.train, stream(args.seed).spawn(1)[0],
-            stream(args.seed).spawn(1)[0].spawn(3)[2],
-        )
-    est = learners.fit_learner(args.learner, obs, config.train, stream(args.seed), nuisances)
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+    [(_, est, _)] = harness.fit_learners((args.learner,), obs, config.train, args.seed)
+    if isinstance(est, Exception):
+        raise est
     learners.save_estimator(est, args.out_dir)
     print(f"fitted {args.learner} on {obs.n} units -> {args.out_dir}")
     return 0

@@ -26,8 +26,9 @@ assumptions hold by construction rather than by hope:
 - positivity: pi(x) = sigmoid(omega_pi * z(x)) is strictly inside (0, 1)
   in exact arithmetic. In float64 it rounds to exactly 1.0 once
   omega_pi * z(x) exceeds 53 ln 2 (about 36.74), and to 0.0 below about
-  -745, so a large scale can leave units with pi == 1; the presets'
-  largest scale, 4, keeps every pi inside (0, 1).
+  -745. ``generate_dataset`` raises ``NumericError``, naming omega_pi and
+  the count, when any unit's pi is exactly 0 or 1; the presets' largest
+  scale, 4, keeps every pi inside (0, 1).
 """
 
 from __future__ import annotations
@@ -409,7 +410,10 @@ def generate_dataset(
     sigma: float,
     rng: np.random.Generator,
 ) -> SemiSyntheticDataset:
-    """Simulate assignments and outcomes over the given covariates."""
+    """Simulate assignments and outcomes over the given covariates.
+
+    NumericError when a unit's propensity rounds to exactly 0 or 1.
+    """
     _check_sigma(sigma)
     _check_design(sets, model, spec, covariates.d)
     x = covariates.x
@@ -418,6 +422,10 @@ def generate_dataset(
     y1 = mu + model.omega_pred * f1
     tau = model.omega_pred * (f1 - f0)  # same arithmetic path as true_cate
     pi = _propensity(spec, x, mu, f0, f1)
+    outside = np.count_nonzero((pi == 0.0) | (pi == 1.0))
+    if outside:
+        raise NumericError(f"positivity fails at omega_pi {spec.omega_pi}: {outside} of "
+                           f"{covariates.n} units have a propensity of exactly 0 or 1")
     rng_w, rng_eps = rng.spawn(2)
     w = (rng_w.random(covariates.n) < pi).astype(int)
     eps = rng_eps.normal(0.0, sigma, size=covariates.n) if sigma > 0 else np.zeros(covariates.n)

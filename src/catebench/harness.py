@@ -8,15 +8,16 @@ one method on the same capped test rows and scores against the sealed
 truth; attribution draws only from the cell's attribution seed, so one fit
 pass can be scored by any method. ``run_cell`` is the two under the
 config's method; the IG steps and Shapley orderings are
-``attribute_batch``'s fixed schedule. ``learners.fit_learner`` fits every
-label. DR and X regress on the cell's one first stage (``fit_nuisances``
-from T's stream and the cell's propensity stream), fitted once and only
-when one of them is configured; T is then its two arms, else T fits the
-same arms from its stream alone. Sweeps run the grid x seeds product,
-optionally across processes; results are keyed records, so collection
-order never matters. ``fit_cell`` keeps a data failure (``NumericError``,
-``EmptyGroupError``; the first stage's is each of T, DR and X's) in place
-of the estimator, and one handler in ``score_cell`` turns it, or the
+``attribute_batch``'s fixed schedule. ``fit_learners`` fits a cell's
+labels and ``catebench fit``'s one: each label draws from its own stream,
+and DR and X regress on one first stage (``fit_nuisances`` from T's stream
+and the propensity stream), fitted once and only when one of them is
+there; T is then its two arms, else the same arms fitted alone. Sweeps run
+the grid x seeds product, optionally across processes; results are keyed
+records, so collection order never matters. ``fit_cell`` keeps a data
+failure (``NumericError``, ``EmptyGroupError``; the dataset's is every
+label's, the first stage's each of T, DR and X's) in place of the
+estimator, and one handler in ``score_cell`` turns it, or the
 ``UndefinedMetricError`` of all-zero attributions, into a logged, flagged
 NaN record (``ResultRecord.failed``, counted in ``AggregateRow.n_failed``);
 any other error propagates and stops the run. The result table has one
@@ -310,7 +311,7 @@ class FittedCell:
     config: ExperimentConfig
     knob_value: float
     seed: int
-    test: dgp.SemiSyntheticDataset
+    test: dgp.SemiSyntheticDataset | None  # None when the dataset failed
     attribution_seed: int
     # per label, in config order: the estimator or its fit's data failure, and the fit's seconds
     fits: tuple[tuple[str, learners.CateEstimator | Exception, float], ...]
@@ -319,47 +320,63 @@ class FittedCell:
 _FIT_FAILURES = (NumericError, EmptyGroupError)
 
 
-def fit_cell(
-    config: ExperimentConfig,
-    knob_value: float,
-    seed: int,
-    covariates: dgp.CovariateMatrix | None = None,
-) -> FittedCell:
-    """Build one cell's dataset and split, and fit every configured learner on it.
+def fit_learners(
+    labels: tuple[str, ...], train: dgp.ObservedData, config: TrainConfig, *root: int
+) -> tuple[tuple[str, learners.CateEstimator | Exception, float], ...]:
+    """(label, estimator or its data failure, seconds) for each label, fitted on ``train``.
 
-    The first stage is fitted once, only for DR or X; T is then its arms, its
-    seconds go to the first of T, DR and X, and its data failure is each
-    one's. ``covariates`` is as in ``build_dataset``.
+    Label L draws from ``stream(*root, _S_LEARNER, label_key(L))``; a cell's
+    root is (seed, knob bits), ``catebench fit``'s (seed,). The first stage is
+    fitted once, only for DR or X, with its propensity from ``stream(*root,
+    _S_PROPENSITY)``: T is then its arms, its seconds go to the first of T, DR
+    and X, and its data failure is each one's.
     """
-    knob_bits = float_key(knob_value)
-    train, test = build_cell_dataset(config, knob_value, seed, covariates)
     users = (learners.STRATEGY_T, *learners.SECOND_STAGES)  # of the first stage
     stage, failure, stage_s = None, None, 0.0  # the first stage, its data failure, its seconds
-    if any(label in learners.SECOND_STAGES for label in config.learners):
+    if any(label in learners.SECOND_STAGES for label in labels):
         started = time.perf_counter()
         try:
             stage = learners.fit_nuisances(  # the arms from T's own stream
-                train.observed, config.train,
-                stream(seed, knob_bits, _S_LEARNER, label_key(learners.STRATEGY_T)),
-                stream(seed, knob_bits, _S_PROPENSITY))
+                train, config, stream(*root, _S_LEARNER, label_key(learners.STRATEGY_T)),
+                stream(*root, _S_PROPENSITY))
         except _FIT_FAILURES as err:
             failure = err
         stage_s = time.perf_counter() - started
     fits = []
-    for label in config.learners:
-        rng = stream(seed, knob_bits, _S_LEARNER, label_key(label))
+    for label in labels:
+        rng = stream(*root, _S_LEARNER, label_key(label))
         started = time.perf_counter()
         try:
             fitted = (failure if failure is not None and label in users
-                      else learners.fit_learner(label, train.observed, config.train, rng, stage))
+                      else learners.fit_learner(label, train, config, rng, stage))
         except _FIT_FAILURES as err:
             fitted = err
         seconds = time.perf_counter() - started
         if label in users:  # the first stage's seconds go to its first user
             seconds, stage_s = seconds + stage_s, 0.0
         fits.append((label, fitted, seconds))
+    return tuple(fits)
+
+
+def fit_cell(
+    config: ExperimentConfig,
+    knob_value: float,
+    seed: int,
+    covariates: dgp.CovariateMatrix | None = None,
+) -> FittedCell:
+    """Build one cell's dataset and split, and fit its learners through ``fit_learners``.
+
+    The dataset's data failure (a propensity of exactly 0 or 1, say) is every
+    label's, with no test part. ``covariates`` is as in ``build_dataset``.
+    """
+    knob_bits = float_key(knob_value)
+    try:
+        train, test = build_cell_dataset(config, knob_value, seed, covariates)
+        fits = fit_learners(config.learners, train.observed, config.train, seed, knob_bits)
+    except _FIT_FAILURES as err:  # the dataset's: fit_learners keeps its own per label
+        test, fits = None, tuple((label, err, 0.0) for label in config.learners)
     attribution_seed = int(stream(seed, knob_bits, _S_ATTRIBUTION).integers(2**63))
-    return FittedCell(config, float(knob_value), seed, test, attribution_seed, tuple(fits))
+    return FittedCell(config, float(knob_value), seed, test, attribution_seed, fits)
 
 
 def score_cell(cell: FittedCell, method: str) -> list[ResultRecord]:
@@ -369,7 +386,7 @@ def score_cell(cell: FittedCell, method: str) -> list[ResultRecord]:
     logged and leaves NaN scores (``pehe`` stays finite when only
     attribution fails). ``wall_ms`` is the fit's time plus the scoring's.
     """
-    config, x, truth = cell.config, cell.test.covariates.x, cell.test.truth
+    config = cell.config
     records = []
     for label, fitted, fit_s in cell.fits:
         started = time.perf_counter()
@@ -377,6 +394,7 @@ def score_cell(cell: FittedCell, method: str) -> list[ResultRecord]:
         try:
             if isinstance(fitted, Exception):
                 raise fitted
+            x, truth = cell.test.covariates.x, cell.test.truth
             pehe_val = metrics.pehe(fitted.predict_cate(x), truth.tau)  # whole test set
             mat = attribution.attribute_batch(
                 method, fitted, x, max_rows=config.attribution_cap, seed=cell.attribution_seed

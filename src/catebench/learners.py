@@ -29,15 +29,16 @@ DR and X are second stages on a fitted first stage, a ``NuisanceSet`` of
 mu0, mu1 and pi, which they take as an argument. ``fit_nuisances`` is the
 one function that fits it: mu0 and mu1 are the T-learner's arms from
 ``fit_t_learner`` and pi is ``fit_propensity``'s model. DR and X draw
-their own networks from children 1 and up of their stream and leave child
-0 to the first stage. ``fit_learner`` is the one map from a learner label
-to its fit. Its caller passes the ``SECOND_STAGES`` (DR and X) a fitted
-first stage: ``harness`` fits it once per cell, only when DR or X is
-there, and ``cli`` from child 0. Handed a stage, T is its two arms, else
-T fits them. ``_check_arms`` is the one arm rule: every fit needs a unit
-in each arm, and a network fitted on one arm (T's arms, X's effect arms)
-needs an arm that ``nn.splits`` admits (``MIN_ARM_UNITS``). A smaller arm
-is a data failure, ``EmptyGroupError`` naming the arm, like an empty one.
+their own networks from children 1 and up of their stream; child 0 stays
+unused, so that their fitted bytes hold. ``fit_learner`` is the one map
+from a learner label to its fit. Its caller, ``harness.fit_learners`` for
+a sweep cell and ``catebench fit`` alike, passes the ``SECOND_STAGES`` (DR
+and X) one first stage, fitted only when DR or X is there. Handed a
+stage, T is its two arms, else T fits them. ``_check_arms`` is the one
+arm rule: every fit needs a unit in each arm, and a network fitted on one
+arm (T's arms, X's effect arms) needs an arm that ``nn.splits`` admits
+(``MIN_ARM_UNITS``). A smaller arm is a data failure, ``EmptyGroupError``
+naming the arm, like an empty one.
 
 A fitted estimator is saved as a directory: ``manifest.json`` holds the
 strategy and every scalar field, and ``weights.npz`` every array field and
@@ -414,7 +415,7 @@ def fit_dr_learner(
 ) -> DrEstimator:
     """Stage 2: regress pseudo-outcomes from ``nuisances`` on covariates."""
     _check_arms(train.w, 1)
-    r_stage2 = rng.spawn(2)[1]  # child 0 is the first stage's
+    r_stage2 = rng.spawn(2)[1]  # child 0 is unused; skipping it keeps the fitted bytes
     pseudo = dr_pseudo_outcome(
         train.y,
         train.w,
@@ -433,7 +434,7 @@ def fit_x_learner(
 ) -> XEstimator:
     """Arm-wise effect regressions on imputed contrasts, blended by pi_hat."""
     _check_arms(train.w, MIN_ARM_UNITS)
-    r_tau0, r_tau1 = rng.spawn(3)[1:]  # child 0 is the first stage's
+    r_tau0, r_tau1 = rng.spawn(3)[1:]  # child 0 is unused; skipping it keeps the fitted bytes
     treated = train.w == 1
     # Treated arm: observed outcome minus imputed control outcome.
     target1 = train.y[treated] - nuisances.mu0_at(train.x[treated])

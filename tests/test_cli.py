@@ -17,16 +17,19 @@ from catebench.dgp import PROPENSITY_KINDS, load_observed
 from catebench.errors import UndefinedMetricError
 from catebench.harness import ResultRecord, emit_csv
 from catebench.learners import (
+    NuisanceSet,
     fit_dr_learner,
     fit_nuisances,
+    fit_propensity,
     fit_s_learner,
     fit_t_learner,
     fit_tarnet,
     fit_x_learner,
+    load_estimator,
     save_estimator,
 )
 from catebench.nn import TrainConfig
-from catebench.rng import stream
+from catebench.rng import label_key, stream
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -106,27 +109,51 @@ class TestPipeline:
 
     @pytest.mark.parametrize("learner", ["dr", "x", "s", "t", "tarnet", "cfrnet:2.5"])
     def test_fit_two_stage_learner_streams(self, workdir, learner):
-        """`fit --learner L --seed 2` fits from stream(2), DR and X's first stage from child 0."""
+        """`fit --learner L --seed 2` fits L from stream(2, 7, label_key(L)), as a sweep cell
+        does under its root; DR and X's first stage has T's arms and stream(2, 9)'s propensity."""
         cfg = write_config(workdir / "cfg.json")
         assert main(["generate", "--config", str(cfg), "--seed", "1"]) == 0
         assert main(["fit", "--data", "data.csv", "--learner", learner,
                      "--config", str(cfg), "--seed", "2", "--out-dir", "model"]) == 0
         obs, _, _ = load_observed("data.csv")
         train = TrainConfig(**json.loads(cfg.read_text())["train"])
+        rng = stream(2, 7, label_key(learner))
         if learner in ("dr", "x"):
-            stage = fit_nuisances(
-                obs, train, stream(2).spawn(1)[0], stream(2).spawn(1)[0].spawn(3)[2]
-            )
+            stage = fit_nuisances(obs, train, stream(2, 7, label_key("t")), stream(2, 9))
             fit = fit_dr_learner if learner == "dr" else fit_x_learner
-            est = fit(obs, train, stream(2), stage)
+            est = fit(obs, train, rng, stage)
         elif learner in ("s", "t"):
-            est = (fit_s_learner if learner == "s" else fit_t_learner)(obs, train, stream(2))
+            est = (fit_s_learner if learner == "s" else fit_t_learner)(obs, train, rng)
         else:
             gamma = 0.0 if learner == "tarnet" else 2.5
-            est = fit_tarnet(obs, gamma, train, stream(2))
+            est = fit_tarnet(obs, gamma, train, rng)
         save_estimator(est, "by_hand")
         weights = (workdir / "model" / "weights.npz").read_bytes()
         assert weights == (workdir / "by_hand" / "weights.npz").read_bytes()
+
+    def test_fitted_t_is_the_first_stage_of_fitted_dr_and_x(self, workdir):
+        """DR and X rebuilt by hand on the saved T's arms give the CLI's DR and X bytes."""
+        cfg = write_config(workdir / "cfg.json")
+        assert main(["generate", "--config", str(cfg), "--seed", "1"]) == 0
+        for learner in ("t", "dr", "x"):
+            assert main(["fit", "--data", "data.csv", "--learner", learner, "--config", str(cfg),
+                         "--seed", "4", "--out-dir", learner]) == 0
+        obs, _, _ = load_observed("data.csv")
+        train = TrainConfig(**json.loads(cfg.read_text())["train"])
+        t = load_estimator("t")
+        stage = NuisanceSet(t.mu0, t.mu1, fit_propensity(obs, train, stream(4, 9)))
+        for learner, fit in (("dr", fit_dr_learner), ("x", fit_x_learner)):
+            save_estimator(fit(obs, train, stream(4, 7, label_key(learner)), stage), "by_hand")
+            weights = (workdir / learner / "weights.npz").read_bytes()
+            assert weights == (workdir / "by_hand" / "weights.npz").read_bytes(), learner
+
+    def test_fit_failing_on_its_data_exits_2(self, workdir, capsys):
+        # One treated unit: the first stage's treated arm is too small to split.
+        rows = "".join(f"{i},{int(i == 0)},{i / 10},{i % 3}.5\n" for i in range(12))
+        (workdir / "data.csv").write_text("unit_id,w,y,x_0\n" + rows)
+        assert main(["fit", "--data", "data.csv", "--learner", "dr", "--out-dir", "model"]) == 2
+        assert capsys.readouterr().err == (
+            "runtime error: arm w=1 holds 1 of the 2 units the fit needs\n")
 
 
 class TestExperiment:
@@ -224,6 +251,17 @@ class TestExperiment:
         assert [p.name for p in workdir.glob("plot_*.svg")] == ["plot_pehe.svg"]
         assert "(t, 1.0, 0)" in capsys.readouterr().err
 
+    def test_positivity_failure_exits_2(self, workdir, capsys):
+        cfg = write_config(workdir / "cfg.json", knob="propensity_scale", knob_grid=[0.0, 100.0],
+                           propensity_kind="predictive_confounding", omega_pi=100.0)
+        assert main(["generate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: positivity fails at omega_pi 100.0: ")
+        assert not (workdir / "data.csv").exists()
+        assert main(["experiment", "--config", str(cfg), "--workers", "1"]) == 2
+        assert "1 of 2 records failed" in capsys.readouterr().err
+        assert len((workdir / "results.csv").read_text().splitlines()) == 3
+
     def test_preset_and_config_conflict(self, workdir, capsys):
         cfg = write_config(workdir / "cfg.json")
         assert main(["experiment", "--config", str(cfg), "--preset", "predictive_scale"]) == 1
@@ -243,13 +281,16 @@ class TestUsageErrors:
         assert [p.name for p in workdir.iterdir()] == ["cfg.json"]
 
     @pytest.mark.parametrize("command", ["generate", "plot", "fit"])
-    def test_path_the_os_refuses_exits_1(self, workdir, capsys, command):
+    def test_path_the_os_refuses_exits_1(self, workdir, capsys, monkeypatch, command):
         # A directory where a file is written or read, or a file where the model directory goes.
         cfg = write_config(workdir / "cfg.json")
         (workdir / "a_dir").mkdir()
+        fits = []
         if command == "fit":
             assert main(["generate", "--config", str(cfg)]) == 0
             (workdir / "a_file").write_text("")
+            for module in (catebench.nn, catebench.learners):
+                monkeypatch.setattr(module, "minibatch_fit", lambda *a, **k: fits.append(1))
         argv = {
             "generate": ["generate", "--config", str(cfg), "--out-data", "a_dir"],
             "plot": ["plot", "--results", "a_dir", "--out", "p.svg"],
@@ -261,6 +302,7 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
+        assert fits == []  # the model directory is checked before any network is fitted
 
     def test_runtime_error_exits_2(self, workdir, capsys):
         # Exact Shapley enumeration is capped at 15 features; 16 must fail

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -340,6 +341,16 @@ class TestGenerateDataset:
         for value in config.knob_grid:
             pi = build_dataset(config, value, 0).truth.pi
             assert np.all(pi > 0.0) and np.all(pi < 1.0)
+
+    @pytest.mark.parametrize("kind, units", [
+        (PREDICTIVE_CONFOUNDING, 158), (PROGNOSTIC_CONFOUNDING, 170), (NONCONFOUNDED, 154),
+    ])
+    def test_propensity_of_exactly_one_fails_loudly(self, kind, units):
+        config = replace(experiment_preset("confounding"), propensity_kind=kind)
+        message = (f"positivity fails at omega_pi 20.0: {units} of 5000 units have a propensity "
+                   "of exactly 0 or 1")
+        with pytest.raises(NumericError, match=re.escape(message)):
+            build_dataset(config, 20.0, 0)
 
     def test_predictive_only_dependence(self):
         ds = self._gen()

@@ -250,6 +250,16 @@ class TestRunCell:
             run_cell(tiny_config(learners=("s",)), 1.0, 0)
 
 
+    def test_failed_dataset_flags_every_record_of_its_cell(self, fit_count, caplog):
+        cfg = tiny_config(knob="propensity_scale", knob_grid=(0.0, 100.0),
+                          propensity_kind=PREDICTIVE_CONFOUNDING, learners=("s", "dr"))
+        records = run_experiment(cfg, workers=1)
+        assert {(r.knob_value, r.learner) for r in records if r.failed} == {
+            (100.0, "s"), (100.0, "dr")}
+        assert len(fit_count) == 5  # the 0.0 cell's alone: S 1, first stage 3, DR 1
+        assert "positivity fails at omega_pi 100.0" in caplog.text
+
+
 class TestSharedFirstStage:
     SIX = ("s", "t", "tarnet", "dr", "x", "cfrnet:10")
 
