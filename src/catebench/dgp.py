@@ -7,8 +7,11 @@ propensities and driver indices are all known. Ground truth travels in a
 sealed sidecar of the dataset: model fitting only ever sees (X, W, Y).
 A saved dataset is three files, all written and read through ``tables``:
 the observed table, the truth table, and a JSON sidecar that only
-``load_meta`` reads. One function, ``_check_design``, decides whether index
-sets, weights and a propensity spec fit d features; ``generate_dataset``,
+``load_meta`` reads. Each rule on one value (a scale, omega_nl, the
+covariate correlation, a propensity kind, a normalization) is one
+``check_*`` function, which ``harness.ExperimentConfig`` calls too. One
+function, ``_check_design``, decides whether index sets, weights and a
+propensity spec fit d features; ``generate_dataset``,
 ``propensity_scores`` and ``load_meta`` all call it, so every dataset the
 generator accepts reads back. A propensity z-scores its kind's signal over
 the units it assigns, from the outcome components already evaluated for
@@ -74,6 +77,37 @@ NONLINEARITIES: dict[str, tuple] = {
     "cosh": (np.cosh, np.sinh),
 }
 NONLINEARITY_NAMES = tuple(NONLINEARITIES)
+
+
+# --- Value rules ----------------------------------------------------------
+# ``key`` names the value as its caller knows it (a config key, say).
+
+
+def check_scale(key: str, value: float) -> None:
+    """The rule of omega_pred, omega_pi and sigma: finite and >= 0."""
+    if not 0.0 <= value < float("inf"):  # NaN included
+        raise InvalidConfigError(f"{key} must be finite and >= 0, got {value}")
+
+
+def check_omega_nl(key: str, value: float) -> None:
+    if not 0.0 <= value <= 1.0:  # NaN included
+        raise InvalidConfigError(f"{key} must lie in [0, 1], got {value}")
+
+
+def check_correlation(key: str, value: float) -> None:
+    """The synthetic covariates' pairwise correlation: in [0, 1)."""
+    if not 0.0 <= value < 1.0:  # NaN included
+        raise InvalidConfigError(f"{key} must lie in [0, 1), got {value}")
+
+
+def check_propensity_kind(kind: str) -> None:
+    if kind not in PROPENSITY_KINDS:
+        raise InvalidConfigError(f"unknown propensity kind {kind!r}")
+
+
+def check_normalization(normalize: str) -> None:
+    if normalize not in NORMALIZATIONS:
+        raise InvalidConfigError(f"unknown normalization {normalize!r}")
 
 
 @dataclass
@@ -153,10 +187,8 @@ class OutcomeModel:
                 raise InvalidConfigError(f"{name} entries must lie in [-1, 1]")
         if self.nonlinearity not in NONLINEARITIES:
             raise InvalidConfigError(f"unknown nonlinearity {self.nonlinearity!r}")
-        if not 0.0 <= self.omega_nl <= 1.0:
-            raise InvalidConfigError("omega_nl must lie in [0, 1]")
-        if not 0.0 <= self.omega_pred < float("inf"):  # NaN included
-            raise InvalidConfigError(f"omega_pred must be finite and >= 0, got {self.omega_pred}")
+        check_omega_nl("omega_nl", self.omega_nl)
+        check_scale("omega_pred", self.omega_pred)
 
 
 @dataclass(frozen=True)
@@ -166,10 +198,8 @@ class PropensitySpec:
     irrelevant_index: int | None = None
 
     def __post_init__(self):
-        if self.kind not in PROPENSITY_KINDS:
-            raise InvalidConfigError(f"unknown propensity kind {self.kind!r}")
-        if not 0.0 <= self.omega_pi < float("inf"):  # NaN included
-            raise InvalidConfigError(f"omega_pi must be finite and >= 0, got {self.omega_pi}")
+        check_propensity_kind(self.kind)
+        check_scale("omega_pi", self.omega_pi)
         if self.kind == NONCONFOUNDED and self.irrelevant_index is None:
             raise InvalidConfigError("nonconfounded propensity needs irrelevant_index")
 
@@ -245,8 +275,7 @@ class SemiSyntheticDataset:
 
 def load_covariates_csv(path: str | Path, normalize: str = NORM_NONE) -> CovariateMatrix:
     """Read a numeric CSV with a header row of feature names."""
-    if normalize not in NORMALIZATIONS:
-        raise InvalidConfigError(f"unknown normalization {normalize!r}")
+    check_normalization(normalize)
 
     def check_header(header):
         if _all_numeric(header):
@@ -284,8 +313,7 @@ def synth_covariates(
     if rng is None:
         raise InvalidConfigError("synth_covariates requires a seeded generator")
     rho = float(pairwise_correlation)
-    if not 0.0 <= rho < 1.0:
-        raise InvalidConfigError("pairwise_correlation must lie in [0, 1)")
+    check_correlation("pairwise_correlation", rho)
     shared = rng.normal(size=(n, 1))
     own = rng.normal(size=(n, d))
     x = np.sqrt(rho) * shared + np.sqrt(1.0 - rho) * own
@@ -375,6 +403,8 @@ def _propensity(spec: PropensitySpec, x: np.ndarray, mu, f0, f1) -> np.ndarray:
 
     z is the kind's signal (f1 - f0, mu or the irrelevant column) z-scored
     over the units of ``x``; the design is already checked against ``x``.
+    A constant signal is a ``NormalizationError`` naming the kind (and the
+    column, for nonconfounded).
     """
     if spec.kind == UNIFORM:
         return np.full(x.shape[0], 0.5)
@@ -386,7 +416,9 @@ def _propensity(spec: PropensitySpec, x: np.ndarray, mu, f0, f1) -> np.ndarray:
         psi = x[:, spec.irrelevant_index]
     std = float(psi.std())  # population std: deterministic, no ddof choice
     if std == 0.0:
-        raise NormalizationError("propensity signal is constant over the assigned units")
+        column = f" (column {spec.irrelevant_index})" if spec.kind == NONCONFOUNDED else ""
+        raise NormalizationError(
+            f"{spec.kind} propensity signal{column} is constant over the assigned units")
     return sigmoid(spec.omega_pi * ((psi - float(psi.mean())) / std))
 
 
@@ -414,7 +446,7 @@ def generate_dataset(
 
     NumericError when a unit's propensity rounds to exactly 0 or 1.
     """
-    _check_sigma(sigma)
+    check_scale("noise sigma", sigma)
     _check_design(sets, model, spec, covariates.d)
     x = covariates.x
     mu, f0, f1 = eval_components(model, sets, x)
@@ -432,11 +464,6 @@ def generate_dataset(
     y = w * y1 + (1 - w) * y0 + eps
     truth = GroundTruth(y0, y1, tau, pi, sets, model, float(sigma), spec)
     return SemiSyntheticDataset(covariates, w, y, truth, np.arange(covariates.n))
-
-
-def _check_sigma(sigma: float) -> None:
-    if not 0.0 <= sigma < float("inf"):  # NaN included
-        raise InvalidConfigError(f"noise sigma must be finite and >= 0, got {sigma}")
 
 
 def _check_design(
@@ -563,7 +590,7 @@ def load_meta(
     meta = tables.read_json(meta_path)
     try:
         prop = meta["propensity"]
-        _check_sigma(meta["sigma"])
+        check_scale("noise sigma", meta["sigma"])
         sets = FeatureIndexSets(meta["i_prog"], meta["i_0"], meta["i_1"])
         model = OutcomeModel(
             meta["alpha_prog"], meta["alpha_0"], meta["alpha_1"],

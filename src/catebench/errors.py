@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+``DataError`` is the one failure type of data that admit no fit or score:
+a non-finite value, an arm too small, an undefined normalization or
+metric. It is raised where the failure is found, and a sweep cell that
+raises one has its records flagged NaN instead of stopping the sweep;
+every other error stops it.
+"""
 
 
 class CatebenchError(Exception):
@@ -13,11 +20,15 @@ class ShapeError(CatebenchError):
     """Array dimensions are inconsistent with the operation."""
 
 
-class NumericError(CatebenchError):
+class DataError(CatebenchError):
+    """The data admit no fit or score; a sweep flags the cell's records and goes on."""
+
+
+class NumericError(DataError):
     """A non-finite value appeared where finite arithmetic is required."""
 
 
-class EmptyGroupError(CatebenchError):
+class EmptyGroupError(DataError):
     """A treatment arm holds fewer units than an operation needs."""
 
 
@@ -30,11 +41,11 @@ class ParseError(CatebenchError):
         self.col = col
 
 
-class NormalizationError(CatebenchError):
+class NormalizationError(DataError):
     """A normalization is undefined, e.g. zero standard deviation."""
 
 
-class UndefinedMetricError(CatebenchError):
+class UndefinedMetricError(DataError):
     """A metric has no defined value for the given inputs."""
 
 

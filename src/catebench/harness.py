@@ -14,13 +14,17 @@ and DR and X regress on one first stage (``fit_nuisances`` from T's stream
 and the propensity stream), fitted once and only when one of them is
 there; T is then its two arms, else the same arms fitted alone. Sweeps run
 the grid x seeds product, optionally across processes; results are keyed
-records, so collection order never matters. ``fit_cell`` keeps a data
-failure (``NumericError``, ``EmptyGroupError``; the dataset's is every
-label's, the first stage's each of T, DR and X's) in place of the
-estimator, and one handler in ``score_cell`` turns it, or the
-``UndefinedMetricError`` of all-zero attributions, into a logged, flagged
-NaN record (``ResultRecord.failed``, counted in ``AggregateRow.n_failed``);
-any other error propagates and stops the run. The result table has one
+records, so collection order never matters. A data failure is any
+``errors.DataError``, raised where the failure is found (a propensity of
+exactly 0 or 1, a constant propensity signal, an arm too small, a
+non-finite gradient). ``fit_cell`` keeps one in place of the estimator
+(the dataset's is every label's, the first stage's each of T, DR and
+X's), and one handler in ``score_cell`` turns it, or the one of all-zero
+attributions, into a logged, flagged NaN record (``ResultRecord.failed``,
+counted in ``AggregateRow.n_failed``); any other error propagates and
+stops the run. ``ExperimentConfig`` checks its generator values, and each
+knob value under the field it sets, by ``dgp``'s own value rules, so a
+config holds no rule of its own for them. The result table has one
 column per ``ResultRecord`` field and is written and read through
 ``tables``.
 """
@@ -39,13 +43,7 @@ from typing import get_args, get_origin
 import numpy as np
 
 from . import attribution, dgp, learners, metrics, tables
-from .errors import (
-    EmptyGroupError,
-    InvalidConfigError,
-    NumericError,
-    ParseError,
-    UndefinedMetricError,
-)
+from .errors import DataError, InvalidConfigError, ParseError
 from .nn import VALIDATION_FRACTION, TrainConfig, holdout_count, splits
 from .rng import float_key, label_key, stream
 
@@ -60,6 +58,9 @@ KNOB_FIELDS = {
     KNOB_NONLINEARITY_SCALE: "omega_nl",
     KNOB_PROPENSITY_SCALE: "omega_pi",
 }
+# The ``dgp`` rule of each config field that a knob can set, and of sigma.
+_FIELD_RULES = {"omega_pred": dgp.check_scale, "omega_nl": dgp.check_omega_nl,
+                "omega_pi": dgp.check_scale, "sigma": dgp.check_scale}
 
 DEFAULT_LEARNERS = ("s", "t", "tarnet", "dr", "x")
 TEST_FRACTION = 0.2  # share of a cell's units held out for attribution and scoring
@@ -109,35 +110,27 @@ class ExperimentConfig:
         object.__setattr__(self, "learners", tuple(self.learners))
         if self.knob not in KNOB_FIELDS:
             raise InvalidConfigError(f"unknown knob {self.knob!r}")
-        if self.covariates_normalize not in dgp.NORMALIZATIONS:
-            raise InvalidConfigError(f"unknown normalization {self.covariates_normalize!r}")
-        if self.propensity_kind not in dgp.PROPENSITY_KINDS:
-            raise InvalidConfigError(f"unknown propensity kind {self.propensity_kind!r}")
+        dgp.check_normalization(self.covariates_normalize)
+        dgp.check_propensity_kind(self.propensity_kind)
         if not self.knob_grid:
             raise InvalidConfigError("knob grid must be nonempty")
         if not self.learners:
             raise InvalidConfigError("learner list must be nonempty")
         if self.seeds < 1:
             raise InvalidConfigError("seeds must be >= 1")
-        if not all(0.0 <= v < float("inf") for v in self.knob_grid):  # NaN included
-            raise InvalidConfigError(f"knob values must be finite and >= 0: {list(self.knob_grid)}")
-        for name in ("sigma", "omega_pred", "omega_pi"):
-            value = getattr(self, name)
-            if not 0.0 <= value < float("inf"):  # NaN included
-                raise InvalidConfigError(f"{name} must be finite and >= 0, got {value}")
+        knob_field = KNOB_FIELDS[self.knob]
+        for value in self.knob_grid:  # each under the rule of the field it sets
+            _FIELD_RULES[knob_field](f"knob_grid value for {knob_field}", value)
+        for name, rule in _FIELD_RULES.items():
+            rule(name, getattr(self, name))
         if len(set(self.knob_grid)) < len(self.knob_grid):  # as floats: 0.0 == -0.0
             raise InvalidConfigError(f"knob values repeat in {list(self.knob_grid)}")
         if len(set(self.learners)) < len(self.learners):  # as written: cfrnet != cfrnet:1
             raise InvalidConfigError(f"learner labels repeat in {list(self.learners)}")
-        if self.knob == KNOB_NONLINEARITY_SCALE and any(v > 1 for v in self.knob_grid):
-            raise InvalidConfigError("nonlinearity values must lie in [0, 1]")
-        if not 0.0 <= self.omega_nl <= 1.0:
-            raise InvalidConfigError("omega_nl must lie in [0, 1]")
         if self.synth_n < MIN_SYNTH_N:
             raise InvalidConfigError(f"synth_n must be >= {MIN_SYNTH_N}, got {self.synth_n}")
         _check_width(self.synth_d, "synth_d")
-        if not 0.0 <= self.synth_rho < 1.0:  # NaN included
-            raise InvalidConfigError(f"synth_rho must lie in [0, 1), got {self.synth_rho}")
+        dgp.check_correlation("synth_rho", self.synth_rho)
         attribution.check_settings(self.attribution_method, self.attribution_cap)
         if self.covariates_csv is None:  # else checked where the file is read
             attribution.check_scorable(
@@ -164,7 +157,7 @@ _JSON_KINDS = {
 
 def _decode(cls, obj: dict, prefix: str = ""):
     """``cls`` from a JSON object of its fields; InvalidConfigError on an unknown key."""
-    kinds = {f.name: kind for f, kind in learners._field_kinds(cls)}
+    kinds = {f.name: kind for f, kind in tables.field_types(cls)}
     for key in obj:
         if key not in kinds:
             raise InvalidConfigError(f"unknown config key {prefix + key!r}")
@@ -317,9 +310,6 @@ class FittedCell:
     fits: tuple[tuple[str, learners.CateEstimator | Exception, float], ...]
 
 
-_FIT_FAILURES = (NumericError, EmptyGroupError)
-
-
 def fit_learners(
     labels: tuple[str, ...], train: dgp.ObservedData, config: TrainConfig, *root: int
 ) -> tuple[tuple[str, learners.CateEstimator | Exception, float], ...]:
@@ -339,7 +329,7 @@ def fit_learners(
             stage = learners.fit_nuisances(  # the arms from T's own stream
                 train, config, stream(*root, _S_LEARNER, label_key(learners.STRATEGY_T)),
                 stream(*root, _S_PROPENSITY))
-        except _FIT_FAILURES as err:
+        except DataError as err:
             failure = err
         stage_s = time.perf_counter() - started
     fits = []
@@ -349,7 +339,7 @@ def fit_learners(
         try:
             fitted = (failure if failure is not None and label in users
                       else learners.fit_learner(label, train, config, rng, stage))
-        except _FIT_FAILURES as err:
+        except DataError as err:
             fitted = err
         seconds = time.perf_counter() - started
         if label in users:  # the first stage's seconds go to its first user
@@ -373,7 +363,7 @@ def fit_cell(
     try:
         train, test = build_cell_dataset(config, knob_value, seed, covariates)
         fits = fit_learners(config.learners, train.observed, config.train, seed, knob_bits)
-    except _FIT_FAILURES as err:  # the dataset's: fit_learners keeps its own per label
+    except DataError as err:  # the dataset's: fit_learners keeps its own per label
         test, fits = None, tuple((label, err, 0.0) for label in config.learners)
     attribution_seed = int(stream(seed, knob_bits, _S_ATTRIBUTION).integers(2**63))
     return FittedCell(config, float(knob_value), seed, test, attribution_seed, fits)
@@ -401,7 +391,7 @@ def score_cell(cell: FittedCell, method: str) -> list[ResultRecord]:
             )
             a_pred = metrics.attr_pred(mat, truth.sets.predictive)
             a_prog = metrics.attr_prog(mat, truth.sets.prognostic)
-        except (*_FIT_FAILURES, UndefinedMetricError) as err:  # flagged NaN record
+        except DataError as err:  # flagged NaN record
             log.warning("learner %s failed at %s=%s seed %s: %s",
                         label, config.knob, cell.knob_value, cell.seed, err, exc_info=True)
         wall_ms = (fit_s + time.perf_counter() - started) * 1e3
@@ -521,7 +511,10 @@ def emit_csv(records: list[ResultRecord], path: str | Path, include_timing: bool
 
 
 def load_results(path: str | Path) -> list[ResultRecord]:
-    """Read a result CSV; an empty (untimed) wall_ms cell reads as NaN."""
+    """Read a result CSV; an empty (untimed) wall_ms cell reads as NaN.
+
+    Every knob value must be finite; a score may be NaN (a failed record).
+    """
     records = []
 
     def check_header(header):
@@ -530,8 +523,9 @@ def load_results(path: str | Path) -> list[ResultRecord]:
 
     def parse_row(r, row):
         row[9] = row[9] or "nan"
-        knob_value, _, *scores = [tables.read_cell(path, r, c, row[c]) for c in range(4, 10)]
+        knob_value = tables.read_finite(path, r, 4, row[4])
         seed = tables.read_cell(path, r, 5, row[5], int)
+        scores = [tables.read_cell(path, r, c, row[c]) for c in range(6, 10)]
         records.append(ResultRecord(*row[:4], knob_value, seed, *scores))
 
     tables.read_table(path, parse_row, check_header)

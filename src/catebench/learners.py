@@ -51,10 +51,9 @@ network's layers chain into one output.
 from __future__ import annotations
 
 import zipfile
-from dataclasses import Field, dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import count
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
@@ -101,6 +100,17 @@ STRATEGY_X = "x"
 SECOND_STAGES = (STRATEGY_DR, STRATEGY_X)  # fitted on a first stage (``fit_nuisances``)
 
 PROPENSITY_CLIP = 0.01  # DR pseudo-outcomes clip propensities to [c, 1 - c]
+
+
+def check_balancing_weight(strategy: str, gamma: float) -> None:
+    """InvalidConfigError unless ``gamma`` is 0 for tarnet, or finite and > 0 for cfrnet.
+
+    The one balancing-weight rule: ``parse_learner``, ``fit_tarnet`` and
+    ``load_estimator`` all check through it.
+    """
+    if not (gamma == 0 if strategy == STRATEGY_TARNET else 0 < gamma < float("inf")):
+        need = "a zero" if strategy == STRATEGY_TARNET else "a finite, positive"
+        raise InvalidConfigError(f"{strategy} needs {need} balancing weight, got {gamma!r}")
 
 
 # The smallest arm whose validation split holds out a unit and keeps one.
@@ -328,9 +338,12 @@ def fit_tarnet(
     config: TrainConfig,
     rng: np.random.Generator,
 ) -> TarnetEstimator:
-    """Joint fit of trunk and heads; factual loss plus gamma * MMD^2 per batch."""
-    if not gamma >= 0:  # NaN included
-        raise InvalidConfigError(f"gamma must be >= 0, got {gamma}")
+    """Joint fit of trunk and heads; factual loss plus gamma * MMD^2 per batch.
+
+    ``gamma`` is checked, under the strategy it selects (cfrnet above 0),
+    before any network is initialised.
+    """
+    check_balancing_weight(STRATEGY_CFRNET if gamma > 0 else STRATEGY_TARNET, gamma)
     _check_arms(train.w, 1)
     r_init, r_split, r_train = rng.spawn(3)
 
@@ -455,10 +468,7 @@ def parse_learner(label: str) -> tuple[str, float]:
             gamma = float(arg) if arg else 1.0
         except ValueError:
             raise InvalidConfigError(f"bad balancing weight in {label!r}") from None
-        if not 0.0 < gamma < float("inf"):
-            raise InvalidConfigError(
-                f"cfrnet needs a finite, positive balancing weight, got {label!r}"
-            )
+        check_balancing_weight(name, gamma)
         return name, gamma
     raise InvalidConfigError(f"unknown learner {label!r}")
 
@@ -494,12 +504,6 @@ _ESTIMATOR_CLASSES = {
     STRATEGY_DR: DrEstimator,
     STRATEGY_X: XEstimator,
 }
-
-
-def _field_kinds(cls) -> list[tuple[Field, type]]:
-    """Each field of an estimator class with its declared type."""
-    hints = get_type_hints(cls)
-    return [(f, hints[f.name]) for f in fields(cls)]
 
 
 def _entry(source, key: str, path: Path):
@@ -541,7 +545,7 @@ def save_estimator(est: CateEstimator, out_dir: str | Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest: dict = {"strategy": est.strategy}
     arrays: dict = {}
-    for f, kind in _field_kinds(type(est)):
+    for f, kind in tables.field_types(type(est)):
         value = getattr(est, f.name)
         if kind is MlpParams:
             for k, (w, b) in enumerate(zip(value.weights, value.biases)):
@@ -561,8 +565,8 @@ def load_estimator(in_dir: str | Path) -> CateEstimator:
     The manifest's strategy picks the class, and the class's fields say
     what to read. A malformed directory (a manifest that is not a JSON
     object, a missing key, unchained layers, a non-finite array entry, a
-    non-number scalar, a ``gamma`` other than 0 for tarnet or other than
-    finite and > 0 for cfrnet, a non-npz weights file) raises
+    non-number scalar, a ``gamma`` that ``check_balancing_weight`` rejects
+    for the strategy, a non-npz weights file) raises
     ``ParseError`` naming the file and the key.
     """
     manifest_path = Path(in_dir) / "manifest.json"
@@ -578,7 +582,7 @@ def load_estimator(in_dir: str | Path) -> CateEstimator:
     except (ValueError, EOFError, zipfile.BadZipFile) as err:
         raise ParseError(f"{weights_path}: not an npz archive ({err})") from None
     with blob:
-        for f, kind in _field_kinds(cls):
+        for f, kind in tables.field_types(cls):
             if kind is MlpParams:
                 keys, k = [], 0
                 while k == 0 or f"{f.name}_w{k}" in blob:  # layer 0 must be there
@@ -596,8 +600,8 @@ def load_estimator(in_dir: str | Path) -> CateEstimator:
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise ParseError(f"{manifest_path}: {f.name!r} is {value!r}, not a number")
     if cls is TarnetEstimator:  # the weight a fit under this strategy would have
-        gamma = values["gamma"]
-        if not (gamma == 0 if strategy == STRATEGY_TARNET else 0 < gamma < float("inf")):
-            need = "0" if strategy == STRATEGY_TARNET else "a finite value > 0"
-            raise ParseError(f"{manifest_path}: 'gamma' is {gamma!r}, but {strategy} needs {need}")
+        try:
+            check_balancing_weight(strategy, values["gamma"])
+        except InvalidConfigError as err:
+            raise ParseError(f"{manifest_path}: 'gamma' is out of range: {err}") from None
     return cls(**values)

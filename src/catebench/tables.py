@@ -11,7 +11,9 @@ finite. Readers report a malformed file as a ``ParseError`` naming the
 1-based data row (the header is row 0) and, for a bad cell, the 0-based
 column. Every other file is one JSON object with two-space indents and a
 final newline; one that is not JSON, or not an object, reads as a
-``ParseError`` naming the file.
+``ParseError`` naming the file. A JSON object that stands for a dataclass
+(an experiment config, an estimator manifest) is read by the declared
+type of each field, ``field_types``.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ import io
 import json
 import math
 from array import array
+from dataclasses import Field, fields
 from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, get_type_hints
 
 import numpy as np
 
@@ -90,6 +93,14 @@ def read_cell(path: str | Path, r: int, c: int, text: str, kind=float):
         ) from None
 
 
+def read_finite(path: str | Path, r: int, c: int, text: str) -> float:
+    """``read_cell`` of a float that must be finite; ParseError naming the cell otherwise."""
+    value = read_cell(path, r, c, text)
+    if not math.isfinite(value):
+        raise ParseError(f"{path}: non-finite cell {text!r} at row {r}, column {c}", row=r, col=c)
+    return value
+
+
 def read_floats(
     path: str | Path,
     check_header=None,
@@ -125,11 +136,8 @@ def read_floats(
                 read_cell(path, r, c, row[c])
             raise
         if not math.isfinite(sum(cells)):  # a sum can overflow; then look closer
-            for c, value in enumerate(cells, start=start):
-                if not math.isfinite(value):
-                    raise ParseError(
-                        f"{path}: non-finite cell {row[c]!r} at row {r}, column {c}", row=r, col=c
-                    )
+            for c in range(start, len(row)):
+                read_finite(path, r, c, row[c])
         if check_row is not None:
             check_row(r, row)
         values.extend(cells)
@@ -158,3 +166,9 @@ def read_json(path: str | Path, keys: tuple[str, ...] = ()) -> dict:
         if key not in obj:
             raise ParseError(f"{path}: missing key {key!r}")
     return obj
+
+
+def field_types(cls) -> list[tuple[Field, type]]:
+    """Each field of dataclass ``cls`` with its declared type."""
+    hints = get_type_hints(cls)
+    return [(f, hints[f.name]) for f in fields(cls)]

@@ -202,3 +202,12 @@ def textbook_minibatch_fit(params, grad_fn, val_loss_fn, n_train, config, rng):
             if since >= config.patience:
                 break
     return best
+
+
+def constant_tail_csv(path, n: int = 200, d: int = 10):
+    """A covariate CSV of n rows whose columns 5 and up are constant; returns ``path``."""
+    x = np.random.default_rng(0).normal(size=(n, d))
+    x[:, 5:] = 1.0
+    rows = [",".join(f"c{j}" for j in range(d))] + [",".join(map(str, row)) for row in x]
+    path.write_text("\n".join(rows) + "\n")
+    return path

@@ -30,6 +30,7 @@ from catebench.learners import (
 )
 from catebench.nn import TrainConfig
 from catebench.rng import label_key, stream
+from helpers import constant_tail_csv
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -210,6 +211,15 @@ class TestExperiment:
         assert err == ("runtime error: 1 of 4 records failed with a non-finite score at "
                        "(learner, predictive_scale, seed): (s, 0.5, 0)\n")
 
+    def test_plot_of_a_nonfinite_knob_value_exits_2(self, workdir, capsys):
+        records = [ResultRecord("synthetic", "s", "saliency", "predictive_scale", value, 0,
+                                0.5, 0.25, 1.0, 0.0) for value in (float("nan"), 1.0, np.inf)]
+        emit_csv(records, "results.csv")
+        assert main(["plot", "--results", "results.csv", "--out", "p.svg"]) == 2
+        assert capsys.readouterr().err == (
+            "runtime error: results.csv: non-finite cell 'nan' at row 1, column 4\n")
+        assert not (workdir / "p.svg").exists()
+
     def test_failed_records_exit_2_after_writing_outputs(self, workdir, capsys):
         # Three units cannot fill both treatment groups: every learner fails on its data.
         cfg = write_config(workdir / "cfg.json", synth_n=3, learners=["s", "t"], knob_grid=[1.0])
@@ -261,6 +271,23 @@ class TestExperiment:
         assert main(["experiment", "--config", str(cfg), "--workers", "1"]) == 2
         assert "1 of 2 records failed" in capsys.readouterr().err
         assert len((workdir / "results.csv").read_text().splitlines()) == 3
+
+    def test_constant_propensity_signal_flags_its_cells(self, workdir, capsys):
+        # Columns 5-9 are constant; seeds 0 and 2 draw one of them as their
+        # nonconfounded confounder, seeds 1 and 3 a column that varies.
+        constant_tail_csv(workdir / "cov.csv")
+        cfg = workdir / "cfg.json"
+        cfg.write_text(json.dumps({
+            "covariates_csv": "cov.csv", "propensity_kind": "nonconfounded",
+            "knob": "propensity_scale", "knob_grid": [1.0], "seeds": 4, "learners": ["s"],
+            "attribution_cap": 20, "train": {"max_epochs": 2},
+        }))
+        assert main(["experiment", "--config", str(cfg), "--workers", "1"]) == 2
+        assert len((workdir / "results.csv").read_text().splitlines()) == 1 + 4
+        err = [line for line in capsys.readouterr().err.splitlines()
+               if line.startswith(("runtime error: ", "error: "))]
+        assert err == ["runtime error: 2 of 4 records failed with a non-finite score at "
+                       "(learner, propensity_scale, seed): (s, 1.0, 0), (s, 1.0, 2)"]
 
     def test_preset_and_config_conflict(self, workdir, capsys):
         cfg = write_config(workdir / "cfg.json")
@@ -476,7 +503,8 @@ class TestRejectedSettings:
             ({"sigma": float("nan")}, "sigma must be finite and >= 0, got nan"),
             ({"omega_pi": float("nan")}, "omega_pi must be finite and >= 0, got nan"),
             ({"omega_pred": float("inf")}, "omega_pred must be finite and >= 0, got inf"),
-            ({"knob_grid": [float("inf")]}, "knob values must be finite and >= 0: [inf]"),
+            ({"knob_grid": [float("inf")]},
+             "knob_grid value for omega_pred must be finite and >= 0, got inf"),
             ({"covariates_normalize": "bogus"}, "unknown normalization 'bogus'"),
             ({"propensity_kind": "bogus"}, "unknown propensity kind 'bogus'"),
             ({"n_i": 2}, "unknown config key 'n_i'"),

@@ -266,6 +266,17 @@ class TestPropensityScores:
         with pytest.raises(NormalizationError):
             propensity_scores(spec, model, sets, x)
 
+    def test_constant_signal_names_kind_and_column(self):
+        cov, sets, model = self._setup()
+        idx = pick_irrelevant_index(8, sets, stream(15))
+        x = cov.x.copy()
+        x[:, idx] = 2.0
+        spec = PropensitySpec(NONCONFOUNDED, 1.0, irrelevant_index=idx)
+        with pytest.raises(NormalizationError) as err:
+            propensity_scores(spec, model, sets, x)
+        assert str(err.value) == (f"nonconfounded propensity signal (column {idx}) is "
+                                  "constant over the assigned units")
+
     def test_nonconfounded_uses_single_column(self):
         cov, sets, model = self._setup()
         idx = pick_irrelevant_index(8, sets, stream(15))

@@ -1,11 +1,12 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from catebench.dgp import PREDICTIVE_CONFOUNDING
-from catebench.errors import InvalidConfigError, NumericError, ParseError
+from catebench.errors import InvalidConfigError, NormalizationError, NumericError, ParseError
 from catebench.harness import (
     MIN_SYNTH_N,
     TEST_FRACTION,
@@ -24,13 +25,12 @@ from catebench.harness import (
 )
 from catebench.learners import MIN_ARM_UNITS, fit_t_learner, parse_learner
 from catebench.nn import VALIDATION_FRACTION, TrainConfig, holdout_count, splits
+from helpers import constant_tail_csv
 
 TINY_TRAIN = TrainConfig(learning_rate=1e-3, batch_size=128, max_epochs=3, patience=2)
 
 
 def _untimed(records):
-    from dataclasses import replace
-
     return [replace(r, wall_ms=0.0) for r in records]
 
 
@@ -258,6 +258,21 @@ class TestRunCell:
             (100.0, "s"), (100.0, "dr")}
         assert len(fit_count) == 5  # the 0.0 cell's alone: S 1, first stage 3, DR 1
         assert "positivity fails at omega_pi 100.0" in caplog.text
+
+    def test_constant_propensity_signal_flags_its_cell(self, tmp_path, fit_count):
+        # Seed 0 draws covariate 6, a constant column, as its nonconfounded
+        # confounder; seed 1 draws a column that varies.
+        cfg = tiny_config(covariates_csv=str(constant_tail_csv(tmp_path / "cov.csv")),
+                          propensity_kind="nonconfounded", knob="propensity_scale",
+                          knob_grid=(1.0,), learners=("s",), attribution_cap=20)
+        failed = fit_cell(cfg, 1.0, 0)
+        assert fit_count == [] and failed.test is None
+        [(_, err, _)] = failed.fits
+        assert isinstance(err, NormalizationError) and "(column 6)" in str(err)
+        [record] = score_cell(failed, cfg.attribution_method)
+        assert record.failed and np.isnan(record.pehe)
+        assert not score_cell(fit_cell(cfg, 1.0, 1), cfg.attribution_method)[0].failed
+        assert len(fit_count) == 1
 
 
 class TestSharedFirstStage:
@@ -511,4 +526,16 @@ class TestCsv:
         path = tmp_path / "r.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ParseError):
+            load_results(path)
+
+    def test_load_rejects_a_nonfinite_knob_value(self, tmp_path):
+        records = [replace(self._records()[0], knob_value=v) for v in (float("nan"), 1.0, np.inf)]
+        path = tmp_path / "r.csv"
+        emit_csv(records, path)
+        with pytest.raises(ParseError) as err:
+            load_results(path)
+        assert (err.value.row, err.value.col) == (1, 4)
+        assert str(err.value) == f"{path}: non-finite cell 'nan' at row 1, column 4"
+        emit_csv(records[1:], path)
+        with pytest.raises(ParseError, match="non-finite cell 'inf' at row 2, column 4"):
             load_results(path)

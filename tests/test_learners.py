@@ -280,6 +280,17 @@ class TestTarnet:
         with pytest.raises(InvalidConfigError):
             fit_tarnet(train, float("nan"), FAST, stream(99))
 
+    def test_infinite_gamma_rejected_before_any_network(self, monkeypatch):
+        inits = []
+        monkeypatch.setattr(learners_mod, "mlp_init", lambda *a, **k: inits.append(a))
+        train, _ = additive_data(100, 98)
+        message = "cfrnet needs a finite, positive balancing weight, got inf"
+        with pytest.raises(InvalidConfigError, match=message):
+            fit_tarnet(train, float("inf"), FAST, stream(99))
+        assert inits == []
+        with pytest.raises(InvalidConfigError, match=message):  # the same rule
+            learners_mod.parse_learner("cfrnet:inf")
+
     def test_capacity_layout(self):
         train, _ = additive_data(300, 100)
         cfg = TrainConfig(learning_rate=1e-3, batch_size=128, max_epochs=2, patience=1)
