@@ -4,14 +4,15 @@ numpy's bundled OpenBLAS starts one thread per CPU when it loads. The
 networks here are small: a second thread saves little wall time, costs
 much CPU even when idle, oversubscribes the CPUs under a process pool, and
 changes the last bits of every product, so result bytes would depend on
-the machine. ``pin_one_thread`` runs once, when the package is imported.
+the machine. Commands use the CPUs through the sweep's process pool plus
+threads that fit a learner's independent networks side by side, each
+network on one BLAS thread. ``pin_one_thread`` runs once, when the package is imported.
 """
 
 from __future__ import annotations
 
 import ctypes
 import glob
-import logging
 import os
 from pathlib import Path
 
@@ -47,6 +48,8 @@ def pin_one_thread() -> None:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     lib = openblas()
     if lib is None:
+        import logging  # only here: attribute and evaluate start without it
+
         logging.getLogger(__package__).warning(
             "%s not found in numpy's bundled OpenBLAS; BLAS threads are left to "
             "OPENBLAS_NUM_THREADS=1", _SET)

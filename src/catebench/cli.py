@@ -9,7 +9,11 @@ record whose score is non-finite, after it has written its outputs). Every file 
 ``tables``, which names a malformed one.
 ``fit`` fits its label through ``harness.fit_learners``, as a sweep cell
 fits each of its labels, under the root (seed,): its T is the first stage
-its DR and X regress on. It makes ``--out-dir`` before any network is fitted.
+its DR and X regress on. It makes ``--out-dir`` before any network is fitted,
+and fits the label's independent networks side by side on the usable CPUs
+(``taskset -c 0`` holds it to one), with the same bytes for any count.
+Only the commands that load ``harness`` configure ``logging``: attribute and
+evaluate start without it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import logging
 import math
 import sys
 from pathlib import Path
@@ -140,7 +143,8 @@ def _cmd_fit(args) -> int:
     learners.parse_learner(args.learner)  # a bad label exits 1 before --out-dir is made
     obs, _, _ = dgp.load_observed(args.data)
     Path(args.out_dir).mkdir(parents=True, exist_ok=True)
-    [(_, est, _)] = harness.fit_learners((args.learner,), obs, config.train, args.seed)
+    [(_, est, _)] = harness.fit_learners((args.learner,), obs, config.train, args.seed,
+                                         threads=harness.usable_cpus())
     if isinstance(est, Exception):
         raise est
     learners.save_estimator(est, args.out_dir)
@@ -232,14 +236,21 @@ _COMMANDS = {
 }
 
 
+# The commands that load harness, whose sweeps log each failed learner.
+_LOGGING_COMMANDS = ("generate", "fit", "experiment", "plot")
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as err:
         print(str(err), file=sys.stderr)
         return 1
+    if args.command in _LOGGING_COMMANDS:
+        import logging
+
+        logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     try:
         return _COMMANDS[args.command](args)
     except (InvalidConfigError, OSError) as err:

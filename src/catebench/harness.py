@@ -12,9 +12,11 @@ config's method; the IG steps and Shapley orderings are
 labels and ``catebench fit``'s one: each label draws from its own stream,
 and DR and X regress on one first stage (``fit_nuisances`` from T's stream
 and the propensity stream), fitted once and only when one of them is
-there; T is then its two arms, else the same arms fitted alone. Sweeps run
-the grid x seeds product, optionally across processes; results are keyed
-records, so collection order never matters. A data failure is any
+there; T is then its two arms, else the same arms fitted alone. A label's
+independent networks may fit side by side on threads. Sweeps run the grid
+x seeds product, optionally across processes, with threads left over when
+workers outnumber cells; results are keyed records, so collection order
+never matters. A data failure is any
 ``errors.DataError``, raised where the failure is found (a propensity of
 exactly 0 or 1, a constant propensity signal, an arm too small, a
 non-finite gradient). ``fit_cell`` keeps one in place of the estimator
@@ -62,6 +64,17 @@ KNOB_FIELDS = {
 _FIELD_RULES = {"omega_pred": dgp.check_scale, "omega_nl": dgp.check_omega_nl,
                 "omega_pi": dgp.check_scale, "sigma": dgp.check_scale}
 
+
+def _check_knob(knob: str) -> None:
+    if knob not in KNOB_FIELDS:
+        raise InvalidConfigError(f"unknown knob {knob!r}")
+
+
+def _check_knob_value(knob: str, value: float, key: str) -> None:
+    """A value of ``knob``, named by ``key``, under the rule of the config field it sets."""
+    _FIELD_RULES[KNOB_FIELDS[knob]](f"{key} for {KNOB_FIELDS[knob]}", value)
+
+
 DEFAULT_LEARNERS = ("s", "t", "tarnet", "dr", "x")
 TEST_FRACTION = 0.2  # share of a cell's units held out for attribution and scoring
 
@@ -108,8 +121,7 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "knob_grid", tuple(float(v) for v in self.knob_grid))
         object.__setattr__(self, "learners", tuple(self.learners))
-        if self.knob not in KNOB_FIELDS:
-            raise InvalidConfigError(f"unknown knob {self.knob!r}")
+        _check_knob(self.knob)
         dgp.check_normalization(self.covariates_normalize)
         dgp.check_propensity_kind(self.propensity_kind)
         if not self.knob_grid:
@@ -118,9 +130,8 @@ class ExperimentConfig:
             raise InvalidConfigError("learner list must be nonempty")
         if self.seeds < 1:
             raise InvalidConfigError("seeds must be >= 1")
-        knob_field = KNOB_FIELDS[self.knob]
-        for value in self.knob_grid:  # each under the rule of the field it sets
-            _FIELD_RULES[knob_field](f"knob_grid value for {knob_field}", value)
+        for value in self.knob_grid:
+            _check_knob_value(self.knob, value, "knob_grid value")
         for name, rule in _FIELD_RULES.items():
             rule(name, getattr(self, name))
         if len(set(self.knob_grid)) < len(self.knob_grid):  # as floats: 0.0 == -0.0
@@ -311,7 +322,8 @@ class FittedCell:
 
 
 def fit_learners(
-    labels: tuple[str, ...], train: dgp.ObservedData, config: TrainConfig, *root: int
+    labels: tuple[str, ...], train: dgp.ObservedData, config: TrainConfig, *root: int,
+    threads: int = 1,
 ) -> tuple[tuple[str, learners.CateEstimator | Exception, float], ...]:
     """(label, estimator or its data failure, seconds) for each label, fitted on ``train``.
 
@@ -319,7 +331,10 @@ def fit_learners(
     root is (seed, knob bits), ``catebench fit``'s (seed,). The first stage is
     fitted once, only for DR or X, with its propensity from ``stream(*root,
     _S_PROPENSITY)``: T is then its arms, its seconds go to the first of T, DR
-    and X, and its data failure is each one's.
+    and X, and its data failure is each one's. Labels fit one after another;
+    the independent networks within one (the first stage's three, T's and
+    X's two arms) fit side by side on ``threads`` threads, with the same bytes
+    for every count.
     """
     users = (learners.STRATEGY_T, *learners.SECOND_STAGES)  # of the first stage
     stage, failure, stage_s = None, None, 0.0  # the first stage, its data failure, its seconds
@@ -328,7 +343,7 @@ def fit_learners(
         try:
             stage = learners.fit_nuisances(  # the arms from T's own stream
                 train, config, stream(*root, _S_LEARNER, label_key(learners.STRATEGY_T)),
-                stream(*root, _S_PROPENSITY))
+                stream(*root, _S_PROPENSITY), threads)
         except DataError as err:
             failure = err
         stage_s = time.perf_counter() - started
@@ -338,7 +353,7 @@ def fit_learners(
         started = time.perf_counter()
         try:
             fitted = (failure if failure is not None and label in users
-                      else learners.fit_learner(label, train, config, rng, stage))
+                      else learners.fit_learner(label, train, config, rng, stage, threads))
         except DataError as err:
             fitted = err
         seconds = time.perf_counter() - started
@@ -353,16 +368,19 @@ def fit_cell(
     knob_value: float,
     seed: int,
     covariates: dgp.CovariateMatrix | None = None,
+    threads: int = 1,
 ) -> FittedCell:
     """Build one cell's dataset and split, and fit its learners through ``fit_learners``.
 
     The dataset's data failure (a propensity of exactly 0 or 1, say) is every
-    label's, with no test part. ``covariates`` is as in ``build_dataset``.
+    label's, with no test part. ``covariates`` is as in ``build_dataset``;
+    ``threads`` is ``fit_learners``'.
     """
     knob_bits = float_key(knob_value)
     try:
         train, test = build_cell_dataset(config, knob_value, seed, covariates)
-        fits = fit_learners(config.learners, train.observed, config.train, seed, knob_bits)
+        fits = fit_learners(config.learners, train.observed, config.train, seed, knob_bits,
+                            threads=threads)
     except DataError as err:  # the dataset's: fit_learners keeps its own per label
         test, fits = None, tuple((label, err, 0.0) for label in config.learners)
     attribution_seed = int(stream(seed, knob_bits, _S_ATTRIBUTION).integers(2**63))
@@ -405,12 +423,14 @@ def run_cell(
     knob_value: float,
     seed: int,
     covariates: dgp.CovariateMatrix | None = None,
+    threads: int = 1,
 ) -> list[ResultRecord]:
     """``fit_cell``, then ``score_cell`` under the config's attribution method."""
-    return score_cell(fit_cell(config, knob_value, seed, covariates), config.attribution_method)
+    return score_cell(fit_cell(config, knob_value, seed, covariates, threads),
+                      config.attribution_method)
 
 
-def _usable_cpus() -> int:
+def usable_cpus() -> int:
     """CPUs this process may run on: its affinity set where the OS reports one."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -420,30 +440,37 @@ def _usable_cpus() -> int:
 def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list[ResultRecord]:
     """Execute grid x seeds; deterministic record order regardless of schedule.
 
-    ``workers`` defaults to one per usable CPU and must be a positive
-    integer. BLAS runs on one thread in every worker (see the package
-    docstring), so the pool is the only parallelism and records are the
+    ``workers`` is the number of CPUs the sweep may keep busy: one per
+    usable CPU by default, and a positive integer. It runs
+    ``min(workers, cells)`` processes, each fitting a label's independent
+    networks on ``max(1, workers // processes)`` threads, so a sweep with at
+    least as many cells as workers runs one thread per process. BLAS runs on
+    one thread everywhere (see the package docstring), so records are the
     same bytes for every worker count. A ``covariates_csv`` is read once
     and handed to every cell.
     """
     cells = [(config, v, s) for v in config.knob_grid for s in range(config.seeds)]
     if workers is None:
-        workers = _usable_cpus()
+        workers = usable_cpus()
     if workers < 1:
         raise InvalidConfigError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, len(cells))
-    cell = run_cell
+    processes = min(workers, len(cells))
+    threads = workers // processes
+    options = {}  # what differs from run_cell's defaults
     if config.covariates_csv is not None:
-        cell = partial(run_cell, covariates=_read_covariates(config))
+        options["covariates"] = _read_covariates(config)
+    if threads > 1:
+        options["threads"] = threads
+    cell = partial(run_cell, **options)
     results: list[ResultRecord] = []
-    if workers == 1:
+    if processes == 1:
         for args in cells:
             results.extend(cell(*args))
     else:
         # loaded only here: a one-worker sweep, generate and fit start without the pool
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             for recs in pool.map(cell, *zip(*cells)):
                 results.extend(recs)
     results.sort(key=lambda r: r.key)
@@ -513,7 +540,11 @@ def emit_csv(records: list[ResultRecord], path: str | Path, include_timing: bool
 def load_results(path: str | Path) -> list[ResultRecord]:
     """Read a result CSV; an empty (untimed) wall_ms cell reads as NaN.
 
-    Every knob value must be finite; a score may be NaN (a failed record).
+    Each row must be one a sweep can write: a learner label ``parse_learner``
+    takes, a known attribution method and knob, a seed >= 0, and a finite
+    knob value that the rule of the knob's field takes. ParseError names the
+    row and column of the first cell that is not. A score may be NaN (a
+    failed record).
     """
     records = []
 
@@ -521,10 +552,23 @@ def load_results(path: str | Path) -> list[ResultRecord]:
         if tuple(header) != CSV_COLUMNS:
             raise ParseError(f"{path}: unexpected result header", row=0)
 
+    def check(r, c, rule, *args):
+        """``rule(*args)``; its InvalidConfigError becomes a ParseError naming the cell."""
+        try:
+            rule(*args)
+        except InvalidConfigError as err:
+            raise ParseError(f"{path}: {err} at row {r}, column {c}", row=r, col=c) from None
+
     def parse_row(r, row):
         row[9] = row[9] or "nan"
+        check(r, 1, learners.parse_learner, row[1])
+        check(r, 2, attribution.check_settings, row[2], 1)  # the method; a cap of 1 holds
+        check(r, 3, _check_knob, row[3])
         knob_value = tables.read_finite(path, r, 4, row[4])
+        check(r, 4, _check_knob_value, row[3], knob_value, "knob_value")
         seed = tables.read_cell(path, r, 5, row[5], int)
+        if seed < 0:
+            raise ParseError(f"{path}: negative seed {seed} at row {r}, column 5", row=r, col=5)
         scores = [tables.read_cell(path, r, c, row[c]) for c in range(6, 10)]
         records.append(ResultRecord(*row[:4], knob_value, seed, *scores))
 

@@ -40,6 +40,17 @@ arm (T's arms, X's effect arms) needs an arm that ``nn.splits`` admits
 (``MIN_ARM_UNITS``). A smaller arm is a data failure, ``EmptyGroupError``
 naming the arm, like an empty one.
 
+``fit_side_by_side`` fits a list of independent networks on up to a given
+number of threads, the calling one included: T's two arms, the first
+stage's three networks (the propensity, which trains on every row, queued
+first, then T's arms) and X's two effect arms. S, TARNet/CFRNet and DR's
+final network are single fits. Each network draws from its own generator,
+made before it starts, trains in its own workspace and only reads the
+training data, and BLAS runs on one thread, so the bytes do not depend on
+the thread count. The ``fit_*`` functions take the count as an optional
+last argument, 1 by default; ``catebench fit`` passes the usable CPUs,
+and a sweep what its workers leave to each process.
+
 A fitted estimator is saved as a directory: ``manifest.json`` holds the
 strategy and every scalar field, and ``weights.npz`` every array field and
 every network, layer by layer. Save and load both follow the estimator
@@ -50,8 +61,11 @@ network's layers chain into one output.
 
 from __future__ import annotations
 
+import threading
 import zipfile
+from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import count
 from pathlib import Path
 
@@ -304,21 +318,125 @@ class XEstimator(CateEstimator):
 # --- Fitting --------------------------------------------------------------
 
 
+class _Crew:
+    """Threads that fit queued jobs; a thread waiting for its own jobs fits queued ones meanwhile.
+
+    A job that itself fits side by side (the first stage's T) queues its
+    networks here as well, so each network takes whichever thread is free
+    first, as if the jobs had been one list.
+    """
+
+    def __init__(self):
+        self.ready = threading.Condition()
+        self.queue: deque = deque()  # (job, slot) not yet started
+        self.closed = False
+
+    def fit(self, jobs: list) -> list:
+        """Queue ``jobs``, then fit queued jobs until each of these is done; their slots."""
+        slots = [[None, None, False] for _ in jobs]  # result, failure, done
+        with self.ready:
+            self.queue.extend(zip(jobs, slots))
+            self.ready.notify_all()
+        self._work(lambda: all(done for _, _, done in slots))
+        return slots
+
+    def serve(self) -> None:
+        """A helper thread: fit queued jobs until the crew closes."""
+        _here.crew = self
+        self._work(lambda: self.closed)
+
+    def _work(self, finished) -> None:
+        while True:
+            with self.ready:
+                while not (finished() or self.queue):
+                    self.ready.wait()
+                if finished():
+                    return
+                job, slot = self.queue.popleft()
+            try:
+                slot[0] = job()
+            except BaseException as err:  # raised by the call that queued the job
+                slot[1] = err
+            with self.ready:
+                slot[2] = True
+                self.ready.notify_all()
+
+    def close(self) -> None:
+        with self.ready:
+            self.closed = True
+            self.queue.clear()
+            self.ready.notify_all()
+
+
+# .crew: the crew this thread fits for, if any. Set only while a top-level
+# fit_side_by_side runs, so a job's own call (T's within the first stage)
+# finds the threads without every fit_* function passing them along.
+_here = threading.local()
+
+
+def fit_side_by_side(jobs: list, threads: int) -> list:
+    """Each zero-argument fit of ``jobs`` run on up to ``threads`` threads; results in list order.
+
+    The jobs must be independent: each draws from its own generator, made
+    before it starts, trains in its own workspace and only reads the
+    training data. BLAS runs on one thread, so a network's bytes do not
+    depend on ``threads``. With one thread the jobs run in list order and no
+    thread starts. Otherwise the calling thread and ``threads - 1`` helpers
+    take the jobs in list order as each comes free; a job that calls this
+    again queues its own jobs to the same threads, whatever ``threads`` it
+    passes. If jobs fail, the failure of the first of them in the list is
+    raised, the one a one-thread run raises (which stops there, where
+    threads run every job). Every helper has stopped when this returns.
+    """
+    crew = getattr(_here, "crew", None)
+    if crew is None:
+        threads = min(threads, len(jobs))
+        if threads <= 1:
+            return [job() for job in jobs]
+        crew = _here.crew = _Crew()
+        helpers = []
+        try:
+            for _ in range(threads - 1):
+                helper = threading.Thread(target=crew.serve, daemon=True)  # never outlives exit
+                helper.start()
+                helpers.append(helper)
+            slots = crew.fit(jobs)
+        finally:
+            _here.crew = None
+            crew.close()
+            for helper in helpers:
+                helper.join()
+    else:
+        slots = crew.fit(jobs)
+    for _, failure, _ in slots:
+        if failure is not None:
+            raise failure
+    return [result for result, _, _ in slots]
+
+
 def fit_s_learner(train: ObservedData, config: TrainConfig, rng: np.random.Generator) -> SEstimator:
     _check_arms(train.w, 1)
     xw = np.hstack([train.x, train.w[:, None].astype(float)])
     return SEstimator(_fit_regression(xw, train.y, config, rng))
 
 
-def fit_t_learner(train: ObservedData, config: TrainConfig, rng: np.random.Generator) -> TEstimator:
-    """mu0 on controls from ``rng``'s child 0, mu1 on treated from its child 1."""
+def _fit_arm(train: ObservedData, arm: int, target: np.ndarray, config: TrainConfig,
+             rng: np.random.Generator) -> MlpParams:
+    """A regression of ``target``, one entry per unit of arm ``arm``, on those units' x.
+
+    The rows are gathered when the fit starts, so fits run one after the
+    other hold one arm's copy at a time.
+    """
+    return _fit_regression(train.x[train.w == arm], target, config, rng)
+
+
+def fit_t_learner(train: ObservedData, config: TrainConfig, rng: np.random.Generator,
+                  threads: int = 1) -> TEstimator:
+    """mu0 on controls from ``rng``'s child 0, mu1 on treated from its child 1, side by side."""
     _check_arms(train.w, MIN_ARM_UNITS)
-    r0, r1 = rng.spawn(2)
-    controls = train.w == 0
-    treated = train.w == 1
-    mu0 = _fit_regression(train.x[controls], train.y[controls], config, r0)
-    mu1 = _fit_regression(train.x[treated], train.y[treated], config, r1)
-    return TEstimator(mu0, mu1)
+    jobs = [partial(_fit_arm, train, arm, train.y[train.w == arm], config, r)
+            for arm, r in enumerate(rng.spawn(2))]
+    return TEstimator(*fit_side_by_side(jobs, threads))
 
 
 def fit_nuisances(
@@ -326,10 +444,19 @@ def fit_nuisances(
     config: TrainConfig,
     rng_arms: np.random.Generator,
     rng_pi: np.random.Generator,
+    threads: int = 1,
 ) -> NuisanceSet:
-    """The first stage: T's two arms from ``rng_arms``, the propensity from ``rng_pi``."""
-    t = fit_t_learner(train, config, rng_arms)
-    return NuisanceSet(t.mu0, t.mu1, fit_propensity(train, config, rng_pi))
+    """The first stage: T's two arms from ``rng_arms``, the propensity from ``rng_pi``.
+
+    The three networks fit side by side on ``threads`` threads: the
+    propensity, which trains on every row, is queued first, and T queues its
+    arms to the same threads. T's arm rule is checked before any network
+    trains.
+    """
+    _check_arms(train.w, MIN_ARM_UNITS)
+    pi, t = fit_side_by_side([partial(fit_propensity, train, config, rng_pi),
+                              partial(fit_t_learner, train, config, rng_arms, threads)], threads)
+    return NuisanceSet(t.mu0, t.mu1, pi)
 
 
 def fit_tarnet(
@@ -444,8 +571,9 @@ def fit_x_learner(
     config: TrainConfig,
     rng: np.random.Generator,
     nuisances: NuisanceSet,
+    threads: int = 1,
 ) -> XEstimator:
-    """Arm-wise effect regressions on imputed contrasts, blended by pi_hat."""
+    """Arm-wise effect regressions on imputed contrasts, blended by pi_hat; side by side."""
     _check_arms(train.w, MIN_ARM_UNITS)
     r_tau0, r_tau1 = rng.spawn(3)[1:]  # child 0 is unused; skipping it keeps the fitted bytes
     treated = train.w == 1
@@ -453,8 +581,8 @@ def fit_x_learner(
     target1 = train.y[treated] - nuisances.mu0_at(train.x[treated])
     # Control arm: imputed treated outcome minus observed outcome.
     target0 = nuisances.mu1_at(train.x[~treated]) - train.y[~treated]
-    tau1 = _fit_regression(train.x[treated], target1, config, r_tau1)
-    tau0 = _fit_regression(train.x[~treated], target0, config, r_tau0)
+    tau1, tau0 = fit_side_by_side([partial(_fit_arm, train, 1, target1, config, r_tau1),
+                                   partial(_fit_arm, train, 0, target0, config, r_tau0)], threads)
     return XEstimator(tau0, tau1, nuisances.pi)
 
 
@@ -474,11 +602,12 @@ def parse_learner(label: str) -> tuple[str, float]:
 
 
 def fit_learner(label: str, train: ObservedData, config: TrainConfig, rng: np.random.Generator,
-                nuisances: NuisanceSet | None) -> CateEstimator:
+                nuisances: NuisanceSet | None, threads: int = 1) -> CateEstimator:
     """The estimator ``label`` names, fitted from ``rng``.
 
     ``nuisances`` is a fitted first stage or None: the ``SECOND_STAGES``
     need one, T is its two arms when given, and the others ignore it.
+    T's arms and X's effect arms fit side by side on ``threads`` threads.
     """
     strategy, gamma = parse_learner(label)
     if strategy == STRATEGY_S:
@@ -486,11 +615,11 @@ def fit_learner(label: str, train: ObservedData, config: TrainConfig, rng: np.ra
     if strategy == STRATEGY_T:
         if nuisances is not None:
             return TEstimator(nuisances.mu0, nuisances.mu1)
-        return fit_t_learner(train, config, rng)
+        return fit_t_learner(train, config, rng, threads)
     if strategy == STRATEGY_DR:
         return fit_dr_learner(train, config, rng, nuisances)
     if strategy == STRATEGY_X:
-        return fit_x_learner(train, config, rng, nuisances)
+        return fit_x_learner(train, config, rng, nuisances, threads)
     return fit_tarnet(train, gamma, config, rng)
 
 

@@ -132,6 +132,35 @@ class TestPipeline:
         weights = (workdir / "model" / "weights.npz").read_bytes()
         assert weights == (workdir / "by_hand" / "weights.npz").read_bytes()
 
+    def test_fit_uses_threads_and_leaves_none_running(self, workdir, monkeypatch):
+        """X's five networks fit on the usable CPUs, with the one-CPU bytes."""
+        import threading
+
+        import catebench.harness
+        import catebench.learners
+
+        cfg = write_config(workdir / "cfg.json")
+        assert main(["generate", "--config", str(cfg), "--seed", "1"]) == 0
+        train = catebench.learners.train_early_stop
+        threads = []
+
+        def spy(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(catebench.learners, "train_early_stop", spy)
+        running = threading.active_count()
+        for cpus in (1, 3):
+            monkeypatch.setattr(catebench.harness, "usable_cpus", lambda: cpus)
+            threads.clear()
+            assert main(["fit", "--data", "data.csv", "--learner", "x", "--config", str(cfg),
+                         "--out-dir", f"x{cpus}"]) == 0
+            assert threading.active_count() == running
+            assert len(threads) == 5
+            assert any(t is not threading.main_thread() for t in threads) == (cpus > 1)
+        assert (workdir / "x1" / "weights.npz").read_bytes() == (
+            workdir / "x3" / "weights.npz").read_bytes()
+
     def test_fitted_t_is_the_first_stage_of_fitted_dr_and_x(self, workdir):
         """DR and X rebuilt by hand on the saved T's arms give the CLI's DR and X bytes."""
         cfg = write_config(workdir / "cfg.json")
@@ -714,9 +743,11 @@ class TestBadInputFiles:
 class TestStartup:
     def test_cli_import_leaves_out_harness_and_pool(self):
         # attribute and evaluate run once per model and method; they load
-        # neither the sweep harness, nor the plots, nor the process pool.
+        # neither the sweep harness, nor the plots, nor the process pool,
+        # nor logging or the thread pool.
         probe = ("import sys, catebench.cli; print(sorted(m for m in sys.modules if m in "
-                 "('catebench.harness', 'catebench.svgplot', 'multiprocessing')))")
+                 "('catebench.harness', 'catebench.svgplot', 'multiprocessing', 'logging', "
+                 "'concurrent.futures')))")
         env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                              text=True, timeout=120, check=True)

@@ -8,6 +8,7 @@ import pytest
 from catebench.dgp import PREDICTIVE_CONFOUNDING
 from catebench.errors import InvalidConfigError, NormalizationError, NumericError, ParseError
 from catebench.harness import (
+    KNOB_FIELDS,
     MIN_SYNTH_N,
     TEST_FRACTION,
     ExperimentConfig,
@@ -17,6 +18,7 @@ from catebench.harness import (
     emit_csv,
     experiment_preset,
     fit_cell,
+    fit_learners,
     fixed_knob_value,
     load_results,
     run_cell,
@@ -362,6 +364,199 @@ class TestSharedFirstStage:
         assert sorted(m.split()[1] for m in failed) == ["dr", "t", "x"]
 
 
+def _estimator_bytes(est):
+    """Every array of a fitted estimator, in field order, as bytes."""
+    from catebench import tables
+    from catebench.nn import MlpParams
+
+    out = []
+    for f, kind in tables.field_types(type(est)):
+        value = getattr(est, f.name)
+        arrays = value.arrays() if kind is MlpParams else [value]
+        out += [np.asarray(a).tobytes() for a in arrays]
+    return out
+
+
+class TestSideBySide:
+    """A label's independent networks fit on threads with the bytes of a one-thread fit."""
+
+    SIX = ("s", "t", "tarnet", "cfrnet:10", "dr", "x")
+
+    @pytest.fixture(scope="class")
+    def train(self):
+        return build_cell_dataset(tiny_config(), 1.0, 3)[0].observed
+
+    @pytest.mark.parametrize("label", SIX)
+    def test_bytes_hold_at_every_thread_count(self, train, label):
+        fitted = []
+        for threads in (1, 2, 3):
+            [(_, est, _)] = fit_learners((label,), train, TINY_TRAIN, 3, threads=threads)
+            fitted.append(_estimator_bytes(est))
+        assert fitted[0] == fitted[1] == fitted[2]
+
+    def test_one_cell_sweep_on_two_workers_is_one_process_with_two_threads(self, monkeypatch):
+        import concurrent.futures
+
+        import catebench.learners as learners_mod
+
+        cfg = tiny_config(knob_grid=(1.0,), learners=self.SIX)
+        serial = run_experiment(cfg, workers=1)
+        counts = []
+        side_by_side = learners_mod.fit_side_by_side
+
+        def spy(jobs, threads):
+            counts.append(threads)
+            return side_by_side(jobs, threads)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("one cell runs in this process")
+
+        monkeypatch.setattr(learners_mod, "fit_side_by_side", spy)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert _untimed(run_experiment(cfg, workers=2)) == _untimed(serial)
+        assert counts == [2] * 3  # the first stage, T's arms within it, X's arms
+
+    def test_a_sweep_with_a_cell_per_worker_runs_one_thread(self, monkeypatch):
+        import catebench.harness as harness_mod
+
+        seen = []
+
+        def cell(*args, **kwargs):
+            seen.append(kwargs)
+            return []
+
+        monkeypatch.setattr(harness_mod, "run_cell", cell)
+        run_experiment(tiny_config(seeds=1), workers=1)  # two cells
+        assert seen == [{}, {}]
+        seen.clear()
+        run_experiment(tiny_config(knob_grid=(1.0,)), workers=3)
+        assert seen == [{"threads": 3}]
+
+    def test_a_job_that_fits_side_by_side_shares_the_threads(self):
+        # The first stage's shape: a short job, then one that queues two fits of its own.
+        import threading
+        import time
+
+        from catebench.learners import fit_side_by_side
+
+        running = threading.active_count()
+        seen = {}
+
+        def fit(name, seconds):
+            def job():
+                time.sleep(seconds)
+                seen[name] = (threading.current_thread(), threading.active_count())
+                return name
+            return job
+
+        def nested():
+            return fit_side_by_side([fit("mu0", 0.3), fit("mu1", 0.0)], 2)
+
+        assert fit_side_by_side([fit("pi", 0.0), nested], 2) == ["pi", ["mu0", "mu1"]]
+        assert seen["mu0"][0] is not seen["mu1"][0]  # the arms took both threads
+        assert {count for _, count in seen.values()} == {running + 1}  # one helper in all
+        assert threading.active_count() == running
+
+    def test_nested_jobs_on_more_threads_than_cpus_each_run_once(self):
+        import sys
+        import threading
+
+        from catebench.learners import fit_side_by_side
+
+        ran, lock = [], threading.Lock()
+
+        def job(k):
+            def run():
+                with lock:
+                    ran.append(k)
+                return k
+            return run
+
+        def nested(k):
+            return lambda: fit_side_by_side([job(10 * k + j) for j in range(10)], 8)
+
+        outcome = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(target=lambda: outcome.append(
+                fit_side_by_side([nested(k) for k in range(30)], 8)))
+            caller.start()
+            caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        assert outcome == [[[10 * k + j for j in range(10)] for k in range(30)]]
+        assert sorted(ran) == list(range(300))
+
+
+class TestSideBySideFailures:
+    """Fits on threads raise the failure a one-thread run raises."""
+
+    def test_one_unit_control_arm_fails_before_any_network(self, fit_count):
+        from catebench import learners
+        from catebench.dgp import ObservedData
+        from catebench.errors import EmptyGroupError
+        from catebench.rng import stream
+
+        w = np.ones(12, dtype=int)
+        w[0] = 0
+        data = ObservedData(stream(1).normal(size=(12, 3)), w, stream(2).normal(size=12))
+        messages = []
+        for threads in (1, 2):
+            with pytest.raises(EmptyGroupError) as err:
+                learners.fit_nuisances(data, TINY_TRAIN, stream(3), stream(4), threads)
+            messages.append(str(err.value))
+        assert messages == ["arm w=0 holds 1 of the 2 units the fit needs"] * 2
+        assert fit_count == []
+
+    @pytest.mark.parametrize("bad_arm", ["mu0", "mu1"])
+    def test_a_failing_job_surfaces_as_serially(self, bad_arm):
+        # A first stage whose arm outputs NaN makes one of X's effect targets non-finite.
+        from catebench import learners
+        from catebench.errors import NumericError
+        from catebench.nn import mlp_init
+        from catebench.rng import stream
+
+        train = build_cell_dataset(tiny_config(), 1.0, 0)[0].observed
+        nets = {name: mlp_init([train.d, 4, 1], rng=stream(k)) for k, name in
+                enumerate(("mu0", "mu1", "pi"))}
+        nets[bad_arm].biases[-1][:] = np.nan
+        stage = learners.NuisanceSet(**nets)
+        failures = []
+        for threads in (1, 2):
+            with pytest.raises(NumericError) as err:
+                learners.fit_x_learner(train, TINY_TRAIN, stream(5), stage, threads)
+            failures.append((type(err.value), str(err.value)))
+        assert failures == [(NumericError, "targets must be finite")] * 2
+
+    def test_the_first_failure_in_list_order_is_raised(self):
+        import threading
+        import time
+
+        from catebench.learners import fit_side_by_side
+
+        started = []
+
+        def fail(message, delay=0.0):
+            def job():
+                started.append(message)
+                time.sleep(delay)
+                raise ValueError(message)
+            return job
+
+        running = threading.active_count()
+        for threads in (1, 2):
+            started.clear()
+            # the second job fails first in time; the first in the list is raised
+            with pytest.raises(ValueError, match="^first$"):
+                fit_side_by_side([fail("first", 0.2), fail("second")], threads)
+            assert sorted(started) == (["first"] if threads == 1 else ["first", "second"])
+            assert threading.active_count() == running
+        assert fit_side_by_side([lambda: 1, lambda: 2, lambda: 3], 2) == [1, 2, 3]
+        assert threading.active_count() == running
+
+
 class TestFitThenScore:
     SIX = TestSharedFirstStage.SIX
     METHODS = ("saliency", "integrated_gradients", "feature_ablation", "feature_permutation")
@@ -527,6 +722,29 @@ class TestCsv:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ParseError):
             load_results(path)
+
+    @pytest.mark.parametrize("col, field, value, why", [
+        (1, "learner", "zzz", "unknown learner 'zzz'"),
+        (2, "attr_method", "bogus_method", "unknown attribution method 'bogus_method'"),
+        (3, "knob", "bogus_knob", "unknown knob 'bogus_knob'"),
+        (4, "knob_value", -1.0, "knob_value for omega_pred must be finite and >= 0, got -1.0"),
+        (5, "seed", -5, "negative seed -5"),
+    ])
+    def test_load_rejects_a_record_no_sweep_writes(self, tmp_path, col, field, value, why):
+        first, second = self._records()
+        path = tmp_path / "r.csv"
+        emit_csv([first, replace(second, **{field: value})], path)
+        with pytest.raises(ParseError) as err:
+            load_results(path)
+        assert (err.value.row, err.value.col) == (2, col)
+        assert str(err.value) == f"{path}: {why} at row 2, column {col}"
+
+    def test_load_takes_every_knob_and_label_a_sweep_writes(self, tmp_path):
+        records = [replace(self._records()[0], learner=label, knob=knob, knob_value=1.0)
+                   for label in ("s", "cfrnet:10") for knob in KNOB_FIELDS]
+        path = tmp_path / "r.csv"
+        emit_csv(records, path)
+        assert _untimed(load_results(path)) == _untimed(records)
 
     def test_load_rejects_a_nonfinite_knob_value(self, tmp_path):
         records = [replace(self._records()[0], knob_value=v) for v in (float("nan"), 1.0, np.inf)]
