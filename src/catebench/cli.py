@@ -13,13 +13,16 @@ its DR and X regress on. It makes ``--out-dir`` before any network is fitted,
 and fits the label's independent networks side by side on the usable CPUs
 (``taskset -c 0`` holds it to one), with the same bytes for any count.
 Only the commands that load ``harness`` configure ``logging``: attribute and
-evaluate start without it.
+evaluate start without it. A program run (``main()`` with no argument list)
+freezes the objects alive at its start, the imported modules, so neither
+the command's collections nor the one at exit walk them.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import sys
@@ -241,6 +244,8 @@ _LOGGING_COMMANDS = ("generate", "fit", "experiment", "plot")
 
 
 def main(argv=None) -> int:
+    if argv is None:  # a program run (the console script, ``python -m``), not a library call
+        gc.freeze()  # no collection walks what is alive now, the one at exit included
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -40,16 +40,17 @@ arm (T's arms, X's effect arms) needs an arm that ``nn.splits`` admits
 (``MIN_ARM_UNITS``). A smaller arm is a data failure, ``EmptyGroupError``
 naming the arm, like an empty one.
 
-``fit_side_by_side`` fits a list of independent networks on up to a given
-number of threads, the calling one included: T's two arms, the first
-stage's three networks (the propensity, which trains on every row, queued
-first, then T's arms) and X's two effect arms. S, TARNet/CFRNet and DR's
-final network are single fits. Each network draws from its own generator,
-made before it starts, trains in its own workspace and only reads the
-training data, and BLAS runs on one thread, so the bytes do not depend on
-the thread count. The ``fit_*`` functions take the count as an optional
-last argument, 1 by default; ``catebench fit`` passes the usable CPUs,
-and a sweep what its workers leave to each process.
+``fit_side_by_side`` fits one flat list of independent networks on up to a
+given number of threads, the calling one included: T's two arms, the first
+stage's three networks (the propensity, which trains on every row, first,
+then T's arms) and X's two effect arms; no job fits side by side itself.
+S, TARNet/CFRNet and DR's final network are single fits. Each network
+draws from its own generator, made before it starts, trains in its own
+workspace and only reads the training data, and BLAS runs on one thread,
+so the bytes do not depend on the thread count. The ``fit_*`` functions
+take the count as an optional last argument, 1 by default;
+``catebench fit`` passes the usable CPUs, and a sweep what its workers
+leave to each process.
 
 A fitted estimator is saved as a directory: ``manifest.json`` holds the
 strategy and every scalar field, and ``weights.npz`` every array field and
@@ -63,7 +64,6 @@ from __future__ import annotations
 
 import threading
 import zipfile
-from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import count
@@ -318,62 +318,6 @@ class XEstimator(CateEstimator):
 # --- Fitting --------------------------------------------------------------
 
 
-class _Crew:
-    """Threads that fit queued jobs; a thread waiting for its own jobs fits queued ones meanwhile.
-
-    A job that itself fits side by side (the first stage's T) queues its
-    networks here as well, so each network takes whichever thread is free
-    first, as if the jobs had been one list.
-    """
-
-    def __init__(self):
-        self.ready = threading.Condition()
-        self.queue: deque = deque()  # (job, slot) not yet started
-        self.closed = False
-
-    def fit(self, jobs: list) -> list:
-        """Queue ``jobs``, then fit queued jobs until each of these is done; their slots."""
-        slots = [[None, None, False] for _ in jobs]  # result, failure, done
-        with self.ready:
-            self.queue.extend(zip(jobs, slots))
-            self.ready.notify_all()
-        self._work(lambda: all(done for _, _, done in slots))
-        return slots
-
-    def serve(self) -> None:
-        """A helper thread: fit queued jobs until the crew closes."""
-        _here.crew = self
-        self._work(lambda: self.closed)
-
-    def _work(self, finished) -> None:
-        while True:
-            with self.ready:
-                while not (finished() or self.queue):
-                    self.ready.wait()
-                if finished():
-                    return
-                job, slot = self.queue.popleft()
-            try:
-                slot[0] = job()
-            except BaseException as err:  # raised by the call that queued the job
-                slot[1] = err
-            with self.ready:
-                slot[2] = True
-                self.ready.notify_all()
-
-    def close(self) -> None:
-        with self.ready:
-            self.closed = True
-            self.queue.clear()
-            self.ready.notify_all()
-
-
-# .crew: the crew this thread fits for, if any. Set only while a top-level
-# fit_side_by_side runs, so a job's own call (T's within the first stage)
-# finds the threads without every fit_* function passing them along.
-_here = threading.local()
-
-
 def fit_side_by_side(jobs: list, threads: int) -> list:
     """Each zero-argument fit of ``jobs`` run on up to ``threads`` threads; results in list order.
 
@@ -381,37 +325,47 @@ def fit_side_by_side(jobs: list, threads: int) -> list:
     before it starts, trains in its own workspace and only reads the
     training data. BLAS runs on one thread, so a network's bytes do not
     depend on ``threads``. With one thread the jobs run in list order and no
-    thread starts. Otherwise the calling thread and ``threads - 1`` helpers
-    take the jobs in list order as each comes free; a job that calls this
-    again queues its own jobs to the same threads, whatever ``threads`` it
-    passes. If jobs fail, the failure of the first of them in the list is
-    raised, the one a one-thread run raises (which stops there, where
-    threads run every job). Every helper has stopped when this returns.
+    thread starts. Otherwise the calling thread holds job 0 before any
+    helper starts, and it and ``threads - 1`` helpers take the other jobs in
+    list order as each comes free. If jobs fail, the failure of the first of
+    them in the list is raised, the one a one-thread run raises (which stops
+    there, where threads run every job). Every helper has stopped when this
+    returns.
     """
-    crew = getattr(_here, "crew", None)
-    if crew is None:
-        threads = min(threads, len(jobs))
-        if threads <= 1:
-            return [job() for job in jobs]
-        crew = _here.crew = _Crew()
-        helpers = []
-        try:
-            for _ in range(threads - 1):
-                helper = threading.Thread(target=crew.serve, daemon=True)  # never outlives exit
-                helper.start()
-                helpers.append(helper)
-            slots = crew.fit(jobs)
-        finally:
-            _here.crew = None
-            crew.close()
-            for helper in helpers:
-                helper.join()
-    else:
-        slots = crew.fit(jobs)
-    for _, failure, _ in slots:
+    threads = min(threads, len(jobs))
+    if threads <= 1:
+        return [job() for job in jobs]
+    results, failures = [None] * len(jobs), [None] * len(jobs)
+    unclaimed = iter(range(1, len(jobs)))  # job 0 is the calling thread's
+    lock = threading.Lock()
+
+    def claim():
+        with lock:
+            return next(unclaimed, None)
+
+    def run(k):
+        while k is not None:
+            try:
+                results[k] = jobs[k]()
+            except BaseException as err:  # raised below, in list order
+                failures[k] = err
+            k = claim()
+
+    helpers = []
+    try:
+        for _ in range(threads - 1):
+            # a daemon, so a helper never outlives exit
+            helper = threading.Thread(target=lambda: run(claim()), daemon=True)
+            helper.start()
+            helpers.append(helper)
+        run(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    for failure in failures:
         if failure is not None:
             raise failure
-    return [result for result, _, _ in slots]
+    return results
 
 
 def fit_s_learner(train: ObservedData, config: TrainConfig, rng: np.random.Generator) -> SEstimator:
@@ -430,13 +384,17 @@ def _fit_arm(train: ObservedData, arm: int, target: np.ndarray, config: TrainCon
     return _fit_regression(train.x[train.w == arm], target, config, rng)
 
 
+def _t_arm_jobs(train: ObservedData, config: TrainConfig, rng: np.random.Generator) -> list:
+    """T's two arm fits: mu0 on controls from ``rng``'s child 0, mu1 on treated from its child 1."""
+    return [partial(_fit_arm, train, arm, train.y[train.w == arm], config, r)
+            for arm, r in enumerate(rng.spawn(2))]
+
+
 def fit_t_learner(train: ObservedData, config: TrainConfig, rng: np.random.Generator,
                   threads: int = 1) -> TEstimator:
-    """mu0 on controls from ``rng``'s child 0, mu1 on treated from its child 1, side by side."""
+    """T's two arms (``_t_arm_jobs``), side by side."""
     _check_arms(train.w, MIN_ARM_UNITS)
-    jobs = [partial(_fit_arm, train, arm, train.y[train.w == arm], config, r)
-            for arm, r in enumerate(rng.spawn(2))]
-    return TEstimator(*fit_side_by_side(jobs, threads))
+    return TEstimator(*fit_side_by_side(_t_arm_jobs(train, config, rng), threads))
 
 
 def fit_nuisances(
@@ -448,15 +406,15 @@ def fit_nuisances(
 ) -> NuisanceSet:
     """The first stage: T's two arms from ``rng_arms``, the propensity from ``rng_pi``.
 
-    The three networks fit side by side on ``threads`` threads: the
-    propensity, which trains on every row, is queued first, and T queues its
-    arms to the same threads. T's arm rule is checked before any network
+    The three networks fit side by side on ``threads`` threads as one list:
+    the propensity, which trains on every row, first and so on the calling
+    thread, then T's arms. T's arm rule is checked before any network
     trains.
     """
     _check_arms(train.w, MIN_ARM_UNITS)
-    pi, t = fit_side_by_side([partial(fit_propensity, train, config, rng_pi),
-                              partial(fit_t_learner, train, config, rng_arms, threads)], threads)
-    return NuisanceSet(t.mu0, t.mu1, pi)
+    pi, mu0, mu1 = fit_side_by_side([partial(fit_propensity, train, config, rng_pi),
+                                     *_t_arm_jobs(train, config, rng_arms)], threads)
+    return NuisanceSet(mu0, mu1, pi)
 
 
 def fit_tarnet(

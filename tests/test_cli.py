@@ -783,6 +783,17 @@ class TestStartup:
                              text=True, timeout=120, check=True)
         assert out.stdout.splitlines()[-1] == "[]"
 
+    def test_only_a_program_run_freezes_the_garbage_collector(self, monkeypatch, capsys):
+        import gc
+
+        freezes = []
+        monkeypatch.setattr(gc, "freeze", lambda: freezes.append(1))
+        assert main(["bogus"]) == 1  # a library call keeps every object collectable
+        assert freezes == []
+        monkeypatch.setattr(sys, "argv", ["catebench", "bogus"])
+        assert main() == 1
+        assert freezes == [1]
+
     def test_every_public_name_resolves(self):
         assert catebench.__all__
         for name in catebench.__all__:

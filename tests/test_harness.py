@@ -294,20 +294,20 @@ class TestSharedFirstStage:
         with_stage = run_cell(tiny_config(learners=labels + ("dr", "x")), 1.0, 5)
         assert _untimed(records) == _untimed(with_stage[: len(labels)])
 
-    def test_t_dr_x_cell_fits_t_and_propensity_once(self, monkeypatch):
+    def test_t_dr_x_cell_fits_six_networks_and_the_propensity_once(self, monkeypatch, fit_count):
         import catebench.learners as learners_mod
 
         calls = []
-        for name in ("fit_t_learner", "fit_propensity"):
-            original = getattr(learners_mod, name)
+        original = learners_mod.fit_propensity
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
 
-            monkeypatch.setattr(learners_mod, name, counted)
+        monkeypatch.setattr(learners_mod, "fit_propensity", counted)
         run_cell(tiny_config(learners=("t", "dr", "x")), 1.0, 0)
-        assert sorted(calls) == ["fit_propensity", "fit_t_learner"]
+        assert len(fit_count) == 6  # the first stage 3, DR stage 2 1, X tau0/tau1 2
+        assert len(calls) == 1
 
     def test_dr_and_x_records_are_fits_on_fit_nuisances(self):
         """The stage is fit_nuisances from T's stream and the propensity stream."""
@@ -414,7 +414,7 @@ class TestSideBySide:
         monkeypatch.setattr(learners_mod, "fit_side_by_side", spy)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert _untimed(run_experiment(cfg, workers=2)) == _untimed(serial)
-        assert counts == [2] * 3  # the first stage, T's arms within it, X's arms
+        assert counts == [2] * 2  # the first stage, then X's arms
 
     def test_a_sweep_with_a_cell_per_worker_runs_one_thread(self, monkeypatch):
         import catebench.harness as harness_mod
@@ -432,32 +432,39 @@ class TestSideBySide:
         run_experiment(tiny_config(knob_grid=(1.0,)), workers=3)
         assert seen == [{"threads": 3}]
 
-    def test_a_job_that_fits_side_by_side_shares_the_threads(self):
-        # The first stage's shape: a short job, then one that queues two fits of its own.
+    def test_the_first_stage_is_one_list_with_the_propensity_on_the_caller(self, train,
+                                                                          monkeypatch):
         import threading
-        import time
 
-        from catebench.learners import fit_side_by_side
+        import catebench.learners as learners_mod
+        from catebench.rng import stream
 
-        running = threading.active_count()
-        seen = {}
+        calls, threads_of = [], {}
+        side_by_side = learners_mod.fit_side_by_side
+        mu0_started = threading.Event()
 
-        def fit(name, seconds):
-            def job():
-                time.sleep(seconds)
-                seen[name] = (threading.current_thread(), threading.active_count())
-                return name
-            return job
+        def recorded(name, job):
+            def run():
+                threads_of[name] = threading.current_thread()
+                if name == "mu0":
+                    mu0_started.set()
+                elif name == "pi":  # a helper takes the next job while pi trains
+                    assert mu0_started.wait(timeout=30)
+                return job()
+            return run
 
-        def nested():
-            return fit_side_by_side([fit("mu0", 0.3), fit("mu1", 0.0)], 2)
+        def spy(jobs, threads):
+            calls.append((len(jobs), threads))
+            names = ("pi", "mu0", "mu1")
+            return side_by_side([recorded(n, j) for n, j in zip(names, jobs)], threads)
 
-        assert fit_side_by_side([fit("pi", 0.0), nested], 2) == ["pi", ["mu0", "mu1"]]
-        assert seen["mu0"][0] is not seen["mu1"][0]  # the arms took both threads
-        assert {count for _, count in seen.values()} == {running + 1}  # one helper in all
-        assert threading.active_count() == running
+        monkeypatch.setattr(learners_mod, "fit_side_by_side", spy)
+        learners_mod.fit_nuisances(train, TINY_TRAIN, stream(3), stream(4), 2)
+        assert calls == [(3, 2)]
+        assert threads_of["pi"] is threading.current_thread()
+        assert threads_of["mu0"] is not threading.current_thread()
 
-    def test_nested_jobs_on_more_threads_than_cpus_each_run_once(self):
+    def test_many_jobs_on_more_threads_than_cpus_each_run_once(self):
         import sys
         import threading
 
@@ -472,22 +479,21 @@ class TestSideBySide:
                 return k
             return run
 
-        def nested(k):
-            return lambda: fit_side_by_side([job(10 * k + j) for j in range(10)], 8)
-
+        running = threading.active_count()
         outcome = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             caller = threading.Thread(target=lambda: outcome.append(
-                fit_side_by_side([nested(k) for k in range(30)], 8)))
+                fit_side_by_side([job(k) for k in range(300)], 8)))
             caller.start()
             caller.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
         assert not caller.is_alive()
-        assert outcome == [[[10 * k + j for j in range(10)] for k in range(30)]]
+        assert outcome == [list(range(300))]
         assert sorted(ran) == list(range(300))
+        assert threading.active_count() == running
 
 
 class TestSideBySideFailures:
