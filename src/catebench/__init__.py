@@ -8,10 +8,10 @@ each estimator puts on the true effect drivers.
 Importing the package runs BLAS on one thread in this process and in every
 process it starts (``OPENBLAS_NUM_THREADS=1``, and numpy's bundled
 OpenBLAS set to one thread if numpy is already loaded). The networks are
-too small to gain from more. Commands scale through the sweep's process
-pool plus threads that fit a learner's independent networks side by side,
-and result bytes are the same on every machine, for every worker and
-thread count, whatever the caller's ``OPENBLAS_NUM_THREADS`` says.
+too small to gain from more. Commands scale through worker processes,
+which run a sweep's cells and fit a learner's independent networks side
+by side, and result bytes are the same on every machine, for every worker
+count, whatever the caller's ``OPENBLAS_NUM_THREADS`` says.
 """
 
 import importlib

@@ -4,9 +4,10 @@ numpy's bundled OpenBLAS starts one thread per CPU when it loads. The
 networks here are small: a second thread saves little wall time, costs
 much CPU even when idle, oversubscribes the CPUs under a process pool, and
 changes the last bits of every product, so result bytes would depend on
-the machine. Commands use the CPUs through the sweep's process pool plus
-threads that fit a learner's independent networks side by side, each
-network on one BLAS thread. ``pin_one_thread`` runs once, when the package is imported.
+the machine. Commands use the CPUs through worker processes instead
+(``learners.side_by_side``: a sweep's cells and a learner's independent
+networks), each network on one BLAS thread. ``pin_one_thread`` runs once,
+when the package is imported.
 """
 
 from __future__ import annotations

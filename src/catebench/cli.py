@@ -10,8 +10,9 @@ record whose score is non-finite, after it has written its outputs). Every file 
 ``fit`` fits its label through ``harness.fit_learners``, as a sweep cell
 fits each of its labels, under the root (seed,): its T is the first stage
 its DR and X regress on. It makes ``--out-dir`` before any network is fitted,
-and fits the label's independent networks side by side on the usable CPUs
-(``taskset -c 0`` holds it to one), with the same bytes for any count.
+and fits the label's independent networks side by side in worker processes,
+one per usable CPU (``taskset -c 0`` holds it to one, in this process), with
+the same bytes for any count.
 Only the commands that load ``harness`` configure ``logging``: attribute and
 evaluate start without it. A program run (``main()`` with no argument list)
 freezes the objects alive at its start, the imported modules, so neither
@@ -30,7 +31,8 @@ from pathlib import Path
 
 # harness and svgplot are imported inside the commands that use them:
 # attribute and evaluate, which run once per model and method, start
-# without them. harness loads the process pool only when a sweep starts one.
+# without them. The process pool loads only when more than one worker runs
+# (``learners.side_by_side``).
 from . import attribution, dgp, learners, metrics, tables
 from .errors import CatebenchError, InvalidConfigError, ParseError
 
@@ -147,7 +149,7 @@ def _cmd_fit(args) -> int:
     obs, _, _ = dgp.load_observed(args.data)
     Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     [(_, est, _)] = harness.fit_learners((args.learner,), obs, config.train, args.seed,
-                                         threads=harness.usable_cpus())
+                                         workers=harness.usable_cpus())
     if isinstance(est, Exception):
         raise est
     learners.save_estimator(est, args.out_dir)

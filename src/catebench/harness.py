@@ -12,11 +12,12 @@ config's method; the IG steps and Shapley orderings are
 labels and ``catebench fit``'s one: each label draws from its own stream,
 and DR and X regress on one first stage (``fit_nuisances`` from T's stream
 and the propensity stream), fitted once and only when one of them is
-there; T is then its two arms, else the same arms fitted alone. A label's
-independent networks may fit side by side on threads. Sweeps run the grid
-x seeds product, optionally across processes, with threads left over when
-workers outnumber cells; results are keyed records, so collection order
-never matters. A data failure is any
+there; T is then its two arms, else the same arms fitted alone. Sweeps
+run the grid x seeds product through ``learners.side_by_side``, the one
+runner for independent work, which also fits a label's independent
+networks side by side in processes of their own when workers outnumber
+cells; results are keyed records, so collection order never matters. A
+data failure is any
 ``errors.DataError``, raised where the failure is found (a propensity of
 exactly 0 or 1, a constant propensity signal, an arm too small, a
 non-finite gradient). ``fit_cell`` keeps one in place of the estimator
@@ -323,7 +324,7 @@ class FittedCell:
 
 def fit_learners(
     labels: tuple[str, ...], train: dgp.ObservedData, config: TrainConfig, *root: int,
-    threads: int = 1,
+    workers: int = 1,
 ) -> tuple[tuple[str, learners.CateEstimator | Exception, float], ...]:
     """(label, estimator or its data failure, seconds) for each label, fitted on ``train``.
 
@@ -333,8 +334,8 @@ def fit_learners(
     _S_PROPENSITY)``: T is then its arms, its seconds go to the first of T, DR
     and X, and its data failure is each one's. Labels fit one after another;
     the independent networks within one (the first stage's three, T's and
-    X's two arms) fit side by side on ``threads`` threads, with the same bytes
-    for every count.
+    X's two arms) fit side by side in ``workers`` processes
+    (``learners.side_by_side``), with the same bytes for every count.
     """
     users = (learners.STRATEGY_T, *learners.SECOND_STAGES)  # of the first stage
     stage, failure, stage_s = None, None, 0.0  # the first stage, its data failure, its seconds
@@ -343,7 +344,7 @@ def fit_learners(
         try:
             stage = learners.fit_nuisances(  # the arms from T's own stream
                 train, config, stream(*root, _S_LEARNER, label_key(learners.STRATEGY_T)),
-                stream(*root, _S_PROPENSITY), threads)
+                stream(*root, _S_PROPENSITY), workers)
         except DataError as err:
             failure = err
         stage_s = time.perf_counter() - started
@@ -353,7 +354,7 @@ def fit_learners(
         started = time.perf_counter()
         try:
             fitted = (failure if failure is not None and label in users
-                      else learners.fit_learner(label, train, config, rng, stage, threads))
+                      else learners.fit_learner(label, train, config, rng, stage, workers))
         except DataError as err:
             fitted = err
         seconds = time.perf_counter() - started
@@ -368,19 +369,19 @@ def fit_cell(
     knob_value: float,
     seed: int,
     covariates: dgp.CovariateMatrix | None = None,
-    threads: int = 1,
+    workers: int = 1,
 ) -> FittedCell:
     """Build one cell's dataset and split, and fit its learners through ``fit_learners``.
 
     The dataset's data failure (a propensity of exactly 0 or 1, say) is every
     label's, with no test part. ``covariates`` is as in ``build_dataset``;
-    ``threads`` is ``fit_learners``'.
+    ``workers`` is ``fit_learners``'.
     """
     knob_bits = float_key(knob_value)
     try:
         train, test = build_cell_dataset(config, knob_value, seed, covariates)
         fits = fit_learners(config.learners, train.observed, config.train, seed, knob_bits,
-                            threads=threads)
+                            workers=workers)
     except DataError as err:  # the dataset's: fit_learners keeps its own per label
         test, fits = None, tuple((label, err, 0.0) for label in config.learners)
     attribution_seed = int(stream(seed, knob_bits, _S_ATTRIBUTION).integers(2**63))
@@ -423,10 +424,10 @@ def run_cell(
     knob_value: float,
     seed: int,
     covariates: dgp.CovariateMatrix | None = None,
-    threads: int = 1,
+    workers: int = 1,
 ) -> list[ResultRecord]:
     """``fit_cell``, then ``score_cell`` under the config's attribution method."""
-    return score_cell(fit_cell(config, knob_value, seed, covariates, threads),
+    return score_cell(fit_cell(config, knob_value, seed, covariates, workers),
                       config.attribution_method)
 
 
@@ -441,38 +442,25 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
     """Execute grid x seeds; deterministic record order regardless of schedule.
 
     ``workers`` is the number of CPUs the sweep may keep busy: one per
-    usable CPU by default, and a positive integer. It runs
-    ``min(workers, cells)`` processes, each fitting a label's independent
-    networks on ``max(1, workers // processes)`` threads, so a sweep with at
-    least as many cells as workers runs one thread per process. BLAS runs on
-    one thread everywhere (see the package docstring), so records are the
-    same bytes for every worker count. A ``covariates_csv`` is read once
-    and handed to every cell.
+    usable CPU by default, and a positive integer. ``learners.side_by_side``
+    runs the cells in ``min(workers, cells)`` processes (in this one when
+    that is 1), and each cell fits a label's independent networks side by
+    side in ``workers // processes`` processes of its own, so a sweep with
+    at least as many cells as workers fits each network in its cell's
+    process. BLAS runs on one thread everywhere (see the package
+    docstring), so records are the same bytes for every worker count. A
+    ``covariates_csv`` is read once and handed to every cell.
     """
-    cells = [(config, v, s) for v in config.knob_grid for s in range(config.seeds)]
+    cells = [(v, s) for v in config.knob_grid for s in range(config.seeds)]
     if workers is None:
         workers = usable_cpus()
     if workers < 1:
         raise InvalidConfigError(f"workers must be >= 1, got {workers}")
     processes = min(workers, len(cells))
-    threads = workers // processes
-    options = {}  # what differs from run_cell's defaults
-    if config.covariates_csv is not None:
-        options["covariates"] = _read_covariates(config)
-    if threads > 1:
-        options["threads"] = threads
-    cell = partial(run_cell, **options)
-    results: list[ResultRecord] = []
-    if processes == 1:
-        for args in cells:
-            results.extend(cell(*args))
-    else:
-        # loaded only here: a one-worker sweep, generate and fit start without the pool
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            for recs in pool.map(cell, *zip(*cells)):
-                results.extend(recs)
+    covariates = None if config.covariates_csv is None else _read_covariates(config)
+    jobs = [partial(run_cell, config, v, s, covariates=covariates, workers=workers // processes)
+            for v, s in cells]
+    results = [r for records in learners.side_by_side(jobs, processes) for r in records]
     results.sort(key=lambda r: r.key)
     return results
 

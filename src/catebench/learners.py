@@ -40,17 +40,17 @@ arm (T's arms, X's effect arms) needs an arm that ``nn.splits`` admits
 (``MIN_ARM_UNITS``). A smaller arm is a data failure, ``EmptyGroupError``
 naming the arm, like an empty one.
 
-``fit_side_by_side`` fits one flat list of independent networks on up to a
-given number of threads, the calling one included: T's two arms, the first
-stage's three networks (the propensity, which trains on every row, first,
-then T's arms) and X's two effect arms; no job fits side by side itself.
-S, TARNet/CFRNet and DR's final network are single fits. Each network
-draws from its own generator, made before it starts, trains in its own
-workspace and only reads the training data, and BLAS runs on one thread,
-so the bytes do not depend on the thread count. The ``fit_*`` functions
-take the count as an optional last argument, 1 by default;
-``catebench fit`` passes the usable CPUs, and a sweep what its workers
-leave to each process.
+``side_by_side`` runs independent jobs in worker processes; it is the
+package's one such runner, and a sweep runs its cells through it too. Here
+its jobs are one flat list of a learner's independent networks: T's two
+arms, the first stage's three networks (the propensity, which trains on
+every row, first, then T's arms) or X's two effect arms. S, TARNet/CFRNet
+and DR's final network are single fits. Each network draws from its own
+generator, made before its job starts, and BLAS runs on one thread, so the
+bytes do not depend on the worker count. The ``fit_*`` functions take the
+count as an optional last argument, 1 by default, which starts no process;
+``catebench fit`` passes the usable CPUs, and a sweep what its cells leave
+to each one.
 
 A fitted estimator is saved as a directory: ``manifest.json`` holds the
 strategy and every scalar field, and ``weights.npz`` every array field and
@@ -62,7 +62,6 @@ network's layers chain into one output.
 
 from __future__ import annotations
 
-import threading
 import zipfile
 from dataclasses import dataclass, field
 from functools import partial
@@ -318,54 +317,28 @@ class XEstimator(CateEstimator):
 # --- Fitting --------------------------------------------------------------
 
 
-def fit_side_by_side(jobs: list, threads: int) -> list:
-    """Each zero-argument fit of ``jobs`` run on up to ``threads`` threads; results in list order.
+def side_by_side(jobs: list, workers: int) -> list:
+    """Each zero-argument job of ``jobs`` run in up to ``workers`` processes; results in list order.
 
-    The jobs must be independent: each draws from its own generator, made
-    before it starts, trains in its own workspace and only reads the
-    training data. BLAS runs on one thread, so a network's bytes do not
-    depend on ``threads``. With one thread the jobs run in list order and no
-    thread starts. Otherwise the calling thread holds job 0 before any
-    helper starts, and it and ``threads - 1`` helpers take the other jobs in
-    list order as each comes free. If jobs fail, the failure of the first of
-    them in the list is raised, the one a one-thread run raises (which stops
-    there, where threads run every job). Every helper has stopped when this
-    returns.
+    The package's one runner for independent work: a sweep's cells and a
+    learner's networks. Every job is a ``partial`` of a module-level
+    function, so it pickles. With one worker the jobs run in list order in
+    this process, and no process starts. Otherwise every job goes, in list
+    order, to a process pool of ``min(workers, len(jobs))`` processes, and
+    once every job has ended the first failure in list order is raised, the
+    one a one-worker run raises (which stops there). Each network draws from
+    its own generator, made before its job starts, and BLAS runs on one
+    thread, so the results do not depend on ``workers``.
     """
-    threads = min(threads, len(jobs))
-    if threads <= 1:
+    workers = min(workers, len(jobs))
+    if workers <= 1:
         return [job() for job in jobs]
-    results, failures = [None] * len(jobs), [None] * len(jobs)
-    unclaimed = iter(range(1, len(jobs)))  # job 0 is the calling thread's
-    lock = threading.Lock()
+    # loaded only here: generate, a one-CPU fit and a one-worker sweep start without it
+    from concurrent.futures import ProcessPoolExecutor
 
-    def claim():
-        with lock:
-            return next(unclaimed, None)
-
-    def run(k):
-        while k is not None:
-            try:
-                results[k] = jobs[k]()
-            except BaseException as err:  # raised below, in list order
-                failures[k] = err
-            k = claim()
-
-    helpers = []
-    try:
-        for _ in range(threads - 1):
-            # a daemon, so a helper never outlives exit
-            helper = threading.Thread(target=lambda: run(claim()), daemon=True)
-            helper.start()
-            helpers.append(helper)
-        run(0)
-    finally:
-        for helper in helpers:
-            helper.join()
-    for failure in failures:
-        if failure is not None:
-            raise failure
-    return results
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(job) for job in jobs]
+    return [future.result() for future in futures]  # every job has ended
 
 
 def fit_s_learner(train: ObservedData, config: TrainConfig, rng: np.random.Generator) -> SEstimator:
@@ -391,10 +364,10 @@ def _t_arm_jobs(train: ObservedData, config: TrainConfig, rng: np.random.Generat
 
 
 def fit_t_learner(train: ObservedData, config: TrainConfig, rng: np.random.Generator,
-                  threads: int = 1) -> TEstimator:
+                  workers: int = 1) -> TEstimator:
     """T's two arms (``_t_arm_jobs``), side by side."""
     _check_arms(train.w, MIN_ARM_UNITS)
-    return TEstimator(*fit_side_by_side(_t_arm_jobs(train, config, rng), threads))
+    return TEstimator(*side_by_side(_t_arm_jobs(train, config, rng), workers))
 
 
 def fit_nuisances(
@@ -402,18 +375,17 @@ def fit_nuisances(
     config: TrainConfig,
     rng_arms: np.random.Generator,
     rng_pi: np.random.Generator,
-    threads: int = 1,
+    workers: int = 1,
 ) -> NuisanceSet:
     """The first stage: T's two arms from ``rng_arms``, the propensity from ``rng_pi``.
 
-    The three networks fit side by side on ``threads`` threads as one list:
-    the propensity, which trains on every row, first and so on the calling
-    thread, then T's arms. T's arm rule is checked before any network
-    trains.
+    The three networks fit side by side in ``workers`` processes as one
+    list: the propensity, which trains on every row, first, then T's arms.
+    T's arm rule is checked before any network trains.
     """
     _check_arms(train.w, MIN_ARM_UNITS)
-    pi, mu0, mu1 = fit_side_by_side([partial(fit_propensity, train, config, rng_pi),
-                                     *_t_arm_jobs(train, config, rng_arms)], threads)
+    pi, mu0, mu1 = side_by_side([partial(fit_propensity, train, config, rng_pi),
+                                 *_t_arm_jobs(train, config, rng_arms)], workers)
     return NuisanceSet(mu0, mu1, pi)
 
 
@@ -529,7 +501,7 @@ def fit_x_learner(
     config: TrainConfig,
     rng: np.random.Generator,
     nuisances: NuisanceSet,
-    threads: int = 1,
+    workers: int = 1,
 ) -> XEstimator:
     """Arm-wise effect regressions on imputed contrasts, blended by pi_hat; side by side."""
     _check_arms(train.w, MIN_ARM_UNITS)
@@ -539,8 +511,8 @@ def fit_x_learner(
     target1 = train.y[treated] - nuisances.mu0_at(train.x[treated])
     # Control arm: imputed treated outcome minus observed outcome.
     target0 = nuisances.mu1_at(train.x[~treated]) - train.y[~treated]
-    tau1, tau0 = fit_side_by_side([partial(_fit_arm, train, 1, target1, config, r_tau1),
-                                   partial(_fit_arm, train, 0, target0, config, r_tau0)], threads)
+    tau1, tau0 = side_by_side([partial(_fit_arm, train, 1, target1, config, r_tau1),
+                               partial(_fit_arm, train, 0, target0, config, r_tau0)], workers)
     return XEstimator(tau0, tau1, nuisances.pi)
 
 
@@ -560,12 +532,12 @@ def parse_learner(label: str) -> tuple[str, float]:
 
 
 def fit_learner(label: str, train: ObservedData, config: TrainConfig, rng: np.random.Generator,
-                nuisances: NuisanceSet | None, threads: int = 1) -> CateEstimator:
+                nuisances: NuisanceSet | None, workers: int = 1) -> CateEstimator:
     """The estimator ``label`` names, fitted from ``rng``.
 
     ``nuisances`` is a fitted first stage or None: the ``SECOND_STAGES``
     need one, T is its two arms when given, and the others ignore it.
-    T's arms and X's effect arms fit side by side on ``threads`` threads.
+    T's arms and X's effect arms fit side by side in ``workers`` processes.
     """
     strategy, gamma = parse_learner(label)
     if strategy == STRATEGY_S:
@@ -573,11 +545,11 @@ def fit_learner(label: str, train: ObservedData, config: TrainConfig, rng: np.ra
     if strategy == STRATEGY_T:
         if nuisances is not None:
             return TEstimator(nuisances.mu0, nuisances.mu1)
-        return fit_t_learner(train, config, rng, threads)
+        return fit_t_learner(train, config, rng, workers)
     if strategy == STRATEGY_DR:
         return fit_dr_learner(train, config, rng, nuisances)
     if strategy == STRATEGY_X:
-        return fit_x_learner(train, config, rng, nuisances, threads)
+        return fit_x_learner(train, config, rng, nuisances, workers)
     return fit_tarnet(train, gamma, config, rng)
 
 

@@ -83,13 +83,6 @@ class MlpParams:
         biases = [np.asarray(a) for a in arrays[1::2]]
         return MlpParams(weights, biases, output_activation)
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.output_activation,
-        )
-
 
 def mlp_init(
     sizes: Sequence[int],

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from copy import deepcopy
+
 import numpy as np
 
 from catebench.nn import MlpParams, mlp_forward
@@ -22,16 +24,16 @@ def fd_param_grads(params: MlpParams, x: np.ndarray, coeffs: np.ndarray, h: floa
     for k in range(len(params.weights)):
         gw = np.zeros_like(params.weights[k])
         for idx in np.ndindex(*params.weights[k].shape):
-            p_hi = params.copy()
-            p_lo = params.copy()
+            p_hi = deepcopy(params)
+            p_lo = deepcopy(params)
             p_hi.weights[k][idx] += h
             p_lo.weights[k][idx] -= h
             gw[idx] = (loss(p_hi) - loss(p_lo)) / (2 * h)
         grads_w.append(gw)
         gb = np.zeros_like(params.biases[k])
         for idx in np.ndindex(*params.biases[k].shape):
-            p_hi = params.copy()
-            p_lo = params.copy()
+            p_hi = deepcopy(params)
+            p_lo = deepcopy(params)
             p_hi.biases[k][idx] += h
             p_lo.biases[k][idx] -= h
             gb[idx] = (loss(p_hi) - loss(p_lo)) / (2 * h)
@@ -65,6 +67,24 @@ def fd_scalar_grad(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
         hi.flat[i] += h
         lo.flat[i] -= h
         g.flat[i] = (float(f(hi.reshape(1, -1))[0]) - float(f(lo.reshape(1, -1))[0])) / (2 * h)
+    return g
+
+
+def fd_flat_grad(objective, flat: np.ndarray, coords, h: float = 1e-6) -> np.ndarray:
+    """Central differences of ``objective()`` in each of ``coords`` of ``flat``, moved in place.
+
+    ``objective`` reads the parameters through views of ``flat``; each entry
+    is restored after its probe.
+    """
+    g = np.empty(len(coords))
+    for j, i in enumerate(coords):
+        kept = flat[i]
+        flat[i] = kept + h
+        hi = objective()
+        flat[i] = kept - h
+        lo = objective()
+        flat[i] = kept
+        g[j] = (hi - lo) / (2 * h)
     return g
 
 

@@ -45,7 +45,7 @@ threads_before = lib.scipy_openblas_get_num_threads64_()
 
 import catebench.harness as harness
 
-def probe(config, knob_value, seed):
+def probe(config, knob_value, seed, covariates=None, workers=1):
     threads = lib.scipy_openblas_get_num_threads64_()
     return [harness.ResultRecord("probe", "t", config.attribution_method, config.knob,
                                  knob_value, seed, threads, os.getpid(), 0.0, 0.0)]

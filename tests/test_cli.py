@@ -133,31 +133,18 @@ class TestPipeline:
         assert weights == (workdir / "by_hand" / "weights.npz").read_bytes()
 
     def test_fit_uses_threads_and_leaves_none_running(self, workdir, monkeypatch):
-        """X's five networks fit on the usable CPUs, with the one-CPU bytes."""
-        import threading
+        """X's five networks fit in worker processes on the usable CPUs, with the one-CPU bytes."""
+        import multiprocessing
 
         import catebench.harness
-        import catebench.learners
 
         cfg = write_config(workdir / "cfg.json")
         assert main(["generate", "--config", str(cfg), "--seed", "1"]) == 0
-        train = catebench.learners.train_early_stop
-        threads = []
-
-        def spy(*args, **kwargs):
-            threads.append(threading.current_thread())
-            return train(*args, **kwargs)
-
-        monkeypatch.setattr(catebench.learners, "train_early_stop", spy)
-        running = threading.active_count()
         for cpus in (1, 3):
             monkeypatch.setattr(catebench.harness, "usable_cpus", lambda: cpus)
-            threads.clear()
             assert main(["fit", "--data", "data.csv", "--learner", "x", "--config", str(cfg),
                          "--out-dir", f"x{cpus}"]) == 0
-            assert threading.active_count() == running
-            assert len(threads) == 5
-            assert any(t is not threading.main_thread() for t in threads) == (cpus > 1)
+            assert multiprocessing.active_children() == []
         assert (workdir / "x1" / "weights.npz").read_bytes() == (
             workdir / "x3" / "weights.npz").read_bytes()
 
@@ -744,7 +731,7 @@ class TestStartup:
     def test_cli_import_leaves_out_harness_and_pool(self):
         # attribute and evaluate run once per model and method; they load
         # neither the sweep harness, nor the plots, nor the process pool,
-        # nor logging or the thread pool.
+        # nor logging or `concurrent.futures`.
         probe = ("import sys, catebench.cli; print(sorted(m for m in sys.modules if m in "
                  "('catebench.harness', 'catebench.svgplot', 'multiprocessing', 'logging', "
                  "'concurrent.futures')))")
@@ -767,11 +754,12 @@ class TestStartup:
         assert out.stdout.splitlines()[-1] == "False"
 
     def test_one_worker_commands_leave_out_the_process_pool(self, workdir):
-        # harness loads the pool only when a sweep starts one; generate, fit
-        # and a one-worker experiment run without it.
+        # the pool loads only when more than one worker runs; generate, fit
+        # on one usable CPU and a one-worker experiment run without it.
         cfg = write_config(workdir / "cfg.json")
-        probe = ("import sys; from catebench import cli; "
+        probe = ("import os, sys; from catebench import cli; "
                  f"assert cli.main(['generate', '--config', {str(cfg)!r}]) == 0; "
+                 "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1]); "
                  "assert cli.main(['fit', '--data', 'data.csv', '--learner', 't', "
                  "'--out-dir', 'model']) == 0; "
                  f"assert cli.main(['experiment', '--config', {str(cfg)!r}, "
@@ -782,6 +770,20 @@ class TestStartup:
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                              text=True, timeout=120, check=True)
         assert out.stdout.splitlines()[-1] == "[]"
+
+    def test_fit_on_two_cpus_loads_the_pool_and_leaves_no_process(self, workdir):
+        cfg = write_config(workdir / "cfg.json")
+        probe = ("import multiprocessing, sys; from catebench import cli, harness; "
+                 f"assert cli.main(['generate', '--config', {str(cfg)!r}]) == 0; "
+                 "harness.usable_cpus = lambda: 2; "
+                 "assert cli.main(['fit', '--data', 'data.csv', '--learner', 't', "
+                 "'--out-dir', 'model']) == 0; "
+                 "print('concurrent.futures.process' in sys.modules, "
+                 "multiprocessing.active_children())")
+        env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout.splitlines()[-1] == "True []"
 
     def test_only_a_program_run_freezes_the_garbage_collector(self, monkeypatch, capsys):
         import gc

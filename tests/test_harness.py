@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -377,8 +379,20 @@ def _estimator_bytes(est):
     return out
 
 
+def _mark(directory, k, delay=0.0):
+    """Job ``k``: its marker file, made once (a second run would raise), then (k, pid)."""
+    (directory / str(k)).touch(exist_ok=False)
+    time.sleep(delay)
+    return k, os.getpid()
+
+
+def _fail(directory, message, delay=0.0):
+    _mark(directory, message, delay)
+    raise ValueError(message)
+
+
 class TestSideBySide:
-    """A label's independent networks fit on threads with the bytes of a one-thread fit."""
+    """A label's independent networks fit in worker processes with the bytes of a one-worker fit."""
 
     SIX = ("s", "t", "tarnet", "cfrnet:10", "dr", "x")
 
@@ -389,115 +403,77 @@ class TestSideBySide:
     @pytest.mark.parametrize("label", SIX)
     def test_bytes_hold_at_every_thread_count(self, train, label):
         fitted = []
-        for threads in (1, 2, 3):
-            [(_, est, _)] = fit_learners((label,), train, TINY_TRAIN, 3, threads=threads)
+        for workers in (1, 2, 3):
+            [(_, est, _)] = fit_learners((label,), train, TINY_TRAIN, 3, workers=workers)
             fitted.append(_estimator_bytes(est))
         assert fitted[0] == fitted[1] == fitted[2]
 
     def test_one_cell_sweep_on_two_workers_is_one_process_with_two_threads(self, monkeypatch):
-        import concurrent.futures
-
         import catebench.learners as learners_mod
 
         cfg = tiny_config(knob_grid=(1.0,), learners=self.SIX)
         serial = run_experiment(cfg, workers=1)
-        counts = []
-        side_by_side = learners_mod.fit_side_by_side
+        calls = []
+        side_by_side = learners_mod.side_by_side
 
-        def spy(jobs, threads):
-            counts.append(threads)
-            return side_by_side(jobs, threads)
+        def spy(jobs, workers):
+            calls.append((len(jobs), workers))
+            return side_by_side(jobs, workers)
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("one cell runs in this process")
-
-        monkeypatch.setattr(learners_mod, "fit_side_by_side", spy)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(learners_mod, "side_by_side", spy)
         assert _untimed(run_experiment(cfg, workers=2)) == _untimed(serial)
-        assert counts == [2] * 2  # the first stage, then X's arms
+        # the cell in this process, then its first stage and X's arms on two workers
+        assert calls == [(1, 1), (3, 2), (2, 2)]
 
     def test_a_sweep_with_a_cell_per_worker_runs_one_thread(self, monkeypatch):
         import catebench.harness as harness_mod
 
         seen = []
 
-        def cell(*args, **kwargs):
-            seen.append(kwargs)
+        def cell(*args, workers, **kwargs):
+            seen.append(workers)
             return []
 
         monkeypatch.setattr(harness_mod, "run_cell", cell)
         run_experiment(tiny_config(seeds=1), workers=1)  # two cells
-        assert seen == [{}, {}]
+        assert seen == [1, 1]
         seen.clear()
         run_experiment(tiny_config(knob_grid=(1.0,)), workers=3)
-        assert seen == [{"threads": 3}]
+        assert seen == [3]
 
     def test_the_first_stage_is_one_list_with_the_propensity_on_the_caller(self, train,
                                                                           monkeypatch):
-        import threading
-
         import catebench.learners as learners_mod
         from catebench.rng import stream
 
-        calls, threads_of = [], {}
-        side_by_side = learners_mod.fit_side_by_side
-        mu0_started = threading.Event()
+        calls = []
+        side_by_side = learners_mod.side_by_side
 
-        def recorded(name, job):
-            def run():
-                threads_of[name] = threading.current_thread()
-                if name == "mu0":
-                    mu0_started.set()
-                elif name == "pi":  # a helper takes the next job while pi trains
-                    assert mu0_started.wait(timeout=30)
-                return job()
-            return run
+        def spy(jobs, workers):
+            calls.append((workers, [job.func for job in jobs], [job.args[1] for job in jobs[1:]]))
+            return side_by_side(jobs, workers)
 
-        def spy(jobs, threads):
-            calls.append((len(jobs), threads))
-            names = ("pi", "mu0", "mu1")
-            return side_by_side([recorded(n, j) for n, j in zip(names, jobs)], threads)
-
-        monkeypatch.setattr(learners_mod, "fit_side_by_side", spy)
+        monkeypatch.setattr(learners_mod, "side_by_side", spy)
         learners_mod.fit_nuisances(train, TINY_TRAIN, stream(3), stream(4), 2)
-        assert calls == [(3, 2)]
-        assert threads_of["pi"] is threading.current_thread()
-        assert threads_of["mu0"] is not threading.current_thread()
+        fit_arm = learners_mod._fit_arm  # pi first, then mu0 and mu1 (arms 0 and 1)
+        assert calls == [(2, [learners_mod.fit_propensity, fit_arm, fit_arm], [0, 1])]
 
-    def test_many_jobs_on_more_threads_than_cpus_each_run_once(self):
-        import sys
-        import threading
+    def test_many_jobs_on_more_threads_than_cpus_each_run_once(self, tmp_path):
+        import multiprocessing
+        from functools import partial
 
-        from catebench.learners import fit_side_by_side
+        from catebench.learners import side_by_side
 
-        ran, lock = [], threading.Lock()
-
-        def job(k):
-            def run():
-                with lock:
-                    ran.append(k)
-                return k
-            return run
-
-        running = threading.active_count()
-        outcome = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            caller = threading.Thread(target=lambda: outcome.append(
-                fit_side_by_side([job(k) for k in range(300)], 8)))
-            caller.start()
-            caller.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not caller.is_alive()
-        assert outcome == [list(range(300))]
-        assert sorted(ran) == list(range(300))
-        assert threading.active_count() == running
+        results = side_by_side([partial(_mark, tmp_path, k, 0.02) for k in range(40)], 4)
+        assert [k for k, _ in results] == list(range(40))  # in list order
+        assert sorted(int(f.name) for f in tmp_path.iterdir()) == list(range(40))  # each once
+        pids = {pid for _, pid in results}
+        assert len(pids) >= 2 and os.getpid() not in pids
+        assert multiprocessing.active_children() == []
 
 
 class TestSideBySideFailures:
-    """Fits on threads raise the failure a one-thread run raises."""
+    """Fits in worker processes raise the failure a one-worker run raises."""
 
     def test_one_unit_control_arm_fails_before_any_network(self, fit_count):
         from catebench import learners
@@ -509,9 +485,9 @@ class TestSideBySideFailures:
         w[0] = 0
         data = ObservedData(stream(1).normal(size=(12, 3)), w, stream(2).normal(size=12))
         messages = []
-        for threads in (1, 2):
+        for workers in (1, 2):
             with pytest.raises(EmptyGroupError) as err:
-                learners.fit_nuisances(data, TINY_TRAIN, stream(3), stream(4), threads)
+                learners.fit_nuisances(data, TINY_TRAIN, stream(3), stream(4), workers)
             messages.append(str(err.value))
         assert messages == ["arm w=0 holds 1 of the 2 units the fit needs"] * 2
         assert fit_count == []
@@ -530,37 +506,28 @@ class TestSideBySideFailures:
         nets[bad_arm].biases[-1][:] = np.nan
         stage = learners.NuisanceSet(**nets)
         failures = []
-        for threads in (1, 2):
+        for workers in (1, 2):
             with pytest.raises(NumericError) as err:
-                learners.fit_x_learner(train, TINY_TRAIN, stream(5), stage, threads)
+                learners.fit_x_learner(train, TINY_TRAIN, stream(5), stage, workers)
             failures.append((type(err.value), str(err.value)))
         assert failures == [(NumericError, "targets must be finite")] * 2
 
-    def test_the_first_failure_in_list_order_is_raised(self):
-        import threading
-        import time
+    def test_the_first_failure_in_list_order_is_raised(self, tmp_path):
+        import multiprocessing
+        from functools import partial
 
-        from catebench.learners import fit_side_by_side
+        from catebench.learners import side_by_side
 
-        started = []
-
-        def fail(message, delay=0.0):
-            def job():
-                started.append(message)
-                time.sleep(delay)
-                raise ValueError(message)
-            return job
-
-        running = threading.active_count()
-        for threads in (1, 2):
-            started.clear()
-            # the second job fails first in time; the first in the list is raised
+        for workers in (1, 2):
+            runs = tmp_path / str(workers)
+            runs.mkdir()
+            # on two workers the second job fails first in time; the first in the list is raised
+            jobs = [partial(_fail, runs, "first", 0.2), partial(_fail, runs, "second")]
             with pytest.raises(ValueError, match="^first$"):
-                fit_side_by_side([fail("first", 0.2), fail("second")], threads)
-            assert sorted(started) == (["first"] if threads == 1 else ["first", "second"])
-            assert threading.active_count() == running
-        assert fit_side_by_side([lambda: 1, lambda: 2, lambda: 3], 2) == [1, 2, 3]
-        assert threading.active_count() == running
+                side_by_side(jobs, workers)
+            ran = sorted(f.name for f in runs.iterdir())
+            assert ran == (["first"] if workers == 1 else ["first", "second"])
+            assert multiprocessing.active_children() == []
 
 
 class TestFitThenScore:
@@ -634,7 +601,8 @@ class TestRunExperiment:
         monkeypatch.setattr(harness_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(harness_mod.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(harness_mod, "run_cell", lambda config, value, seed: [])
+        monkeypatch.setattr(harness_mod, "run_cell",
+                            lambda config, value, seed, covariates, workers: [])
         assert run_experiment(tiny_config(seeds=2)) == []
 
     def test_aggregate_constant_metric(self):

@@ -46,6 +46,8 @@ from catebench.nn import (
 from catebench.rng import stream
 
 from helpers import (
+    assert_close_rel,
+    fd_flat_grad,
     fd_scalar_grad,
     random_estimators,
     textbook_backprop,
@@ -264,6 +266,46 @@ class TestTarnet:
             return mmd2_linear_with_grad(rep[w == 0], rep[w == 1])[0]
 
         assert separation(balanced) < separation(plain)
+
+    @pytest.mark.parametrize("gamma", [0.0, 2.5])
+    def test_step_gradient_matches_finite_differences(self, monkeypatch, gamma):
+        """A step's gradient is that of its minibatch's factual squared error plus gamma * MMD^2."""
+        train, _ = additive_data(120, 320)
+        captured = {}
+        monkeypatch.setattr(learners_mod, "minibatch_fit", lambda flat, grad_fn, *rest:
+                            captured.update(flat=flat, grad_fn=grad_fn))
+        fit_tarnet(train, gamma, FAST, stream(321))
+        train_idx, _ = holdout_split(train.n, VALIDATION_FRACTION, stream(321).spawn(3)[1])
+        idx = stream(322).permutation(len(train_idx))[:64]
+        rows = train_idx[idx]
+        x, w, y = train.x[rows], train.w[rows], train.y[rows]
+        h = HIDDEN_UNITS
+        head = [np.empty((h, h)), np.empty(h), np.empty((h, 1)), np.empty(1)]
+        flat = captured["flat"]  # trunk, then head 0 and head 1, as the fit packs them
+        trunk_w, trunk_b, *heads = flat_views(flat, [np.empty((train.d, h)), np.empty(h),
+                                                     *head, *head])
+
+        patterns = set()  # ReLU on/off pattern seen at each evaluation
+
+        def objective():
+            pre = x @ trunk_w + trunk_b
+            rep, pred, on = np.maximum(pre, 0.0), np.empty(len(y)), [pre > 0]
+            for arm in (0, 1):
+                w0, b0, w1, b1 = heads[4 * arm : 4 * arm + 4]
+                hidden = rep[w == arm] @ w0 + b0
+                pred[w == arm] = (np.maximum(hidden, 0.0) @ w1 + b1)[:, 0]
+                on.append(hidden > 0)
+            patterns.add(b"".join(a.tobytes() for a in on))
+            gap = rep[w == 0].mean(axis=0) - rep[w == 1].mean(axis=0)
+            return np.mean((pred - y) ** 2) + gamma * gap @ gap
+
+        step = captured["grad_fn"](flat, idx).copy()
+        ends = np.cumsum([0, trunk_w.size + trunk_b.size, *[sum(a.size for a in head)] * 2])
+        coords = np.concatenate([stream(323 + k).choice(np.arange(lo, hi), 100, replace=False)
+                                 for k, (lo, hi) in enumerate(zip(ends, ends[1:]))])
+        assert_close_rel(step[coords], fd_flat_grad(objective, flat, coords), rel=1e-5,
+                         floor=1e-8)
+        assert len(patterns) == 1  # no probe crossed a ReLU kink
 
     def test_strategy_label_tracks_gamma(self):
         t = TarnetEstimator(np.zeros((2, 3)), np.zeros(3), None, None, 0.0)

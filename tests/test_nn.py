@@ -41,8 +41,10 @@ from catebench.rng import stream
 
 from helpers import (
     assert_close_rel,
+    fd_flat_grad,
     fd_input_grads,
     fd_param_grads,
+    kink_margin,
     random_mlp,
     textbook_backprop,
     textbook_forward,
@@ -317,6 +319,29 @@ class TestTrainEarlyStop:
             else:
                 with pytest.raises(InvalidConfigError, match="degenerate split"):
                     holdout_split(n, fraction, stream(n))
+
+    @pytest.mark.parametrize("loss, activation",
+                             [(SQUARED_ERROR, IDENTITY), (BINARY_CROSS_ENTROPY, SIGMOID)])
+    def test_step_gradient_matches_finite_differences(self, monkeypatch, loss, activation):
+        """The gradient a step takes is that of the mean loss over its minibatch."""
+        rng = stream(310)
+        x = rng.normal(size=(90, 4))
+        target = rng.normal(size=90) if loss == SQUARED_ERROR else (rng.random(90) < 0.5) * 1.0
+        captured = {}
+        monkeypatch.setattr(nn, "minibatch_fit", lambda flat, grad_fn, *rest:
+                            captured.update(flat=flat, grad_fn=grad_fn))
+        # untrained: the returned network's arrays are views of the captured vector
+        net = train_early_stop(mlp_init([4, 8, 8, 1], activation, stream(311)), x, target, loss,
+                               rng=stream(312))
+        train_idx, _ = holdout_split(90, VALIDATION_FRACTION, stream(312))  # the fit's split
+        idx = stream(313).permutation(len(train_idx))[:32]
+        rows = train_idx[idx]
+        assert kink_margin(net, x[rows]) > 1e-4  # no ReLU kink within a probe
+        flat = captured["flat"]
+        step = captured["grad_fn"](flat, idx).copy()
+        fd = fd_flat_grad(lambda: loss_value(loss, mlp_forward(net, x[rows]), target[rows]),
+                          flat, range(flat.size))
+        assert_close_rel(step, fd, rel=1e-5, floor=1e-8)
 
 
 def textbook_train_early_stop(net, x, target, loss, config, rng):
